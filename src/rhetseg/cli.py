@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .corpus import (
@@ -119,7 +118,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--output", required=True, help="predictions JSONL")
     p.add_argument("--mode", choices=["free_running", "teacher_forced"], default="free_running")
     p.add_argument("--embeddings", help="embedding file for precomputed-encoder models")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers over documents")
+    p.add_argument("--jobs", type=int, default=1, help="ignored; documents run one after another")
 
     p = sub.add_parser("evaluate", help="score predictions against gold labels")
     p.add_argument("--input", required=True, help="gold corpus JSONL")
@@ -128,7 +127,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=["csv", "markdown"], default="csv")
     p.add_argument("--confusion", help="standalone confusion-grid CSV path")
     p.add_argument("--exclude-none", action="store_true", help="drop the None class from macro averages")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers over documents")
+    p.add_argument("--jobs", type=int, default=1, help="ignored; documents run one after another")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of a model's gradients")
     p.add_argument("--model", required=True, help="checkpoint path")
@@ -395,15 +394,9 @@ def _cmd_predict(args) -> int:
     corpus = load_jsonl(args.input)
     bundle = load_checkpoint(args.model)
     encoder = _make_predict_encoder(args, bundle, corpus)
-
-    def predict_one(doc):
-        return predict_document(doc, bundle, mode=args.mode, encoder=encoder)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            predictions = list(pool.map(predict_one, corpus.documents))
-    else:
-        predictions = [predict_one(doc) for doc in corpus.documents]
+    predictions = [
+        predict_document(doc, bundle, mode=args.mode, encoder=encoder) for doc in corpus.documents
+    ]
     labeled_docs = []
     for doc, labels in zip(corpus.documents, predictions):
         labeled_docs.append(
@@ -437,11 +430,7 @@ def _cmd_evaluate(args) -> int:
         pred = [int(r) for r in pred_doc.gold_labels()]
         return gold, pred
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            pairs = list(pool.map(doc_pair, gold_corpus.documents))
-    else:
-        pairs = [doc_pair(doc) for doc in gold_corpus.documents]
+    pairs = [doc_pair(doc) for doc in gold_corpus.documents]
     cm = confusion([g for g, _ in pairs], [p for _, p in pairs])
     report = compute_report(cm, include_none=not args.exclude_none)
     text = emit_report(report, cm, format=args.format)

@@ -323,3 +323,96 @@ def gcn_backward(cache: dict, p: GcnParams, dH2: np.ndarray):
     dW1 = cache["P1"].T @ dZ1
     dX = a_hat @ (dZ1 @ p.W1.T)
     return {"W1": dW1, "W2": dW2}, dX
+
+
+# ---------------------------------------------------------------------------
+# Row-at-a-time forward passes for free-running decoding
+#
+# Free-running decoding commits one label per sentence, and committing the
+# label of sentence j-1 changes only row j of the feature matrix (its
+# previous-label block). Each encoder below starts from X0, the features with
+# every previous-label block empty, and row(j, x) takes row j's final
+# features and returns row j of the context output that the full forward
+# pass would give on the matrix whose rows < j were passed in earlier, row j
+# is x and rows > j are still X0. Rows must be visited in order 0..m-1, once
+# each.
+# ---------------------------------------------------------------------------
+
+
+def lstm_cell_step(xw: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, p: LstmParams):
+    """One step of kernels.lstm_recurrence for xw = x @ Wx.T: gate order
+    (i, f, o, g), pre-activations clipped to +-60. Returns (h, c)."""
+    h = p.hidden_dim
+    a = np.clip(xw + p.Wh @ h_prev + p.b, -kernels._CLIP, kernels._CLIP)
+    i = 1.0 / (1.0 + np.exp(-a[:h]))
+    f = 1.0 / (1.0 + np.exp(-a[h : 2 * h]))
+    o = 1.0 / (1.0 + np.exp(-a[2 * h : 3 * h]))
+    g = np.tanh(a[3 * h :])
+    c = f * c_prev + i * g
+    return o * np.tanh(c), c
+
+
+class BilstmRows:
+    """Forward direction: one cell step per row. Backward direction: the
+    state after rows > j comes from one pass over reversed X0, then one cell
+    step on row j."""
+
+    def __init__(self, X0: np.ndarray, p: BilstmParams):
+        self.p = p
+        h = p.fwd.hidden_dim
+        _, self.Cb, self.Hb = kernels.lstm_recurrence(X0[::-1] @ p.bwd.Wx.T, p.bwd.Wh, p.bwd.b)
+        self.hf = np.zeros(h)
+        self.cf = np.zeros(h)
+        self.zero = np.zeros(p.bwd.hidden_dim)
+
+    def row(self, j: int, x: np.ndarray) -> np.ndarray:
+        p = self.p
+        self.hf, self.cf = lstm_cell_step(p.fwd.Wx @ x, self.hf, self.cf, p.fwd)
+        after = self.Hb.shape[0] - 2 - j  # reversed index of row j + 1
+        h_next, c_next = (self.Hb[after], self.Cb[after]) if after >= 0 else (self.zero, self.zero)
+        hb, _ = lstm_cell_step(p.bwd.Wx @ x, h_next, c_next, p.bwd)
+        out = np.concatenate([self.hf, hb])
+        _check_finite("bilstm_encode", out)
+        return out
+
+
+class AttentionRows:
+    """Single attention layer: keys and values start as X0 K and X0 V, and
+    row j's are overwritten when row j arrives."""
+
+    def __init__(self, X0: np.ndarray, p: AttentionParams):
+        if X0.shape[1] != p.d_model:
+            raise DataError(f"input width {X0.shape[1]} != attention d_model {p.d_model}")
+        self.p = p
+        self.scale = 1.0 / math.sqrt(p.d_model)
+        self.Kx = X0 @ p.K
+        self.Vx = X0 @ p.V
+
+    def row(self, j: int, x: np.ndarray) -> np.ndarray:
+        p = self.p
+        self.Kx[j] = x @ p.K
+        self.Vx[j] = x @ p.V
+        a = _softmax_rows(((x @ p.Q) @ self.Kx.T)[None, :] * self.scale)[0]
+        out = (a @ self.Vx) @ p.O + x
+        _check_finite("self_attention_encode", out)
+        return out
+
+
+class GcnRows:
+    """Two GCN layers over a graph without similarity edges, whose a_hat is
+    tridiagonal: output row j reads only input rows j-2..j+2."""
+
+    def __init__(self, X0: np.ndarray, g: DocumentGraph, p: GcnParams):
+        self.X = X0.copy()
+        self.a_hat = g.a_hat
+        self.p = p
+
+    def row(self, j: int, x: np.ndarray) -> np.ndarray:
+        self.X[j] = x
+        m = self.X.shape[0]
+        lo, hi = max(0, j - 2), min(m, j + 3)
+        mid = slice(max(0, j - 1), min(m, j + 2))
+        H1 = np.maximum((self.a_hat[mid, lo:hi] @ self.X[lo:hi]) @ self.p.W1, 0.0)
+        out = np.maximum((self.a_hat[j, mid] @ H1) @ self.p.W2, 0.0)
+        _check_finite("gcn_encode", out)
+        return out

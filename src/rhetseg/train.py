@@ -509,23 +509,78 @@ def _predict_from_base(bundle: ModelBundle, base: np.ndarray, mode: str, gold=No
         return _decode_full(bundle, H)
     if mode != "free_running":
         raise DataError(f"unknown prediction mode {mode!r}")
-    # Greedy left-to-right: re-encode with the label block filled so far,
-    # score position j incrementally, commit, repeat.
-    preds: list[int] = []
+    preds, _ = _free_running(bundle, base)
+    return preds
+
+
+def _step_score(bundle: ModelBundle, h: np.ndarray, j: int, m: int, preds: list[int]) -> np.ndarray:
+    """Greedy score of position j from its context row h, given the labels
+    already committed before it."""
     p = bundle.head_params
+    if bundle.head_kind == "softmax":
+        return h @ p.W + p.b
+    score = crf_mod.emissions(h[None, :], p)[0]
+    score += p.start if j == 0 else p.T[preds[j - 1]]
+    if j == m - 1:
+        score += p.end
+    return score
+
+
+def _row_encoder(bundle: ModelBundle, X0: np.ndarray):
+    """row(j, x) -> context output row j (see the row encoders in context),
+    or None where one committed label reaches every output row: stacked
+    attention and GCN with similarity edges."""
+    kind = bundle.context_kind
+    if kind == "none":
+        return lambda j, x: x
+    if kind == "bilstm":
+        return ctx.BilstmRows(X0, bundle.context_params).row
+    if kind == "attention":
+        if len(bundle.context_params) > 1:
+            return None
+        return ctx.AttentionRows(X0, bundle.context_params[0]).row
+    if bundle.gcn_sim_threshold is not None:
+        return None
+    return ctx.GcnRows(X0, ctx.build_graph(X0.shape[0]), bundle.context_params).row
+
+
+def _free_running(bundle: ModelBundle, base: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Greedy left-to-right decode that feeds each committed label into the
+    next sentence's previous-label block. Returns the labels and the (m, 7)
+    step scores they were taken from.
+
+    Committing label j-1 changes only row j of the features, so the document
+    is featurized once and one context row is computed per sentence; the
+    configurations without a row encoder re-encode per sentence."""
+    m = base.shape[0]
+    X = _featurize_doc(bundle, base, [None] * m)
+    row = _row_encoder(bundle, X)
+    if row is None:
+        return _free_running_reencode(bundle, base)
+    label_col = X.shape[1] - NUM_ROLES
+    preds: list[int] = []
+    scores = np.empty((m, NUM_ROLES))
+    for j in range(m):
+        if j > 0:
+            X[j, label_col + preds[-1]] = 1.0
+        scores[j] = _step_score(bundle, row(j, X[j]), j, m, preds)
+        preds.append(int(np.argmax(scores[j])))
+    return preds, scores
+
+
+def _free_running_reencode(bundle: ModelBundle, base: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The same decode by re-encoding the whole document once per sentence,
+    O(m^2): the path for configurations without a row encoder, and the
+    reference the row encoders are tested against."""
+    m = base.shape[0]
+    preds: list[int] = []
+    scores = np.empty((m, NUM_ROLES))
     for j in range(m):
         prevs = _prev_labels([RhetoricalRole(v) for v in preds], m)
         H, _ = _context_forward(bundle, _featurize_doc(bundle, base, prevs))
-        if bundle.head_kind == "crf":
-            E = crf_mod.emissions(H, p)
-            score = E[j].copy()
-            score += p.start if j == 0 else p.T[preds[j - 1]]
-            if j == m - 1:
-                score += p.end
-        else:
-            score = H[j] @ p.W + p.b
-        preds.append(int(np.argmax(score)))
-    return preds
+        scores[j] = _step_score(bundle, H[j], j, m, preds)
+        preds.append(int(np.argmax(scores[j])))
+    return preds, scores
 
 
 def predict_document(
@@ -782,7 +837,13 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
 def _tensor(payload: dict, name: str) -> np.ndarray:
     if name not in payload["tensors"]:
         raise DataError(f"checkpoint missing tensor {name!r}")
-    return np.array(payload["tensors"][name], dtype=np.float64)
+    try:
+        arr = np.array(payload["tensors"][name], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DataError(f"checkpoint tensor {name!r} is not a numeric array") from None
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"checkpoint tensor {name!r} holds a non-finite value")
+    return arr
 
 
 def load_checkpoint(path) -> ModelBundle:

@@ -267,6 +267,20 @@ class TestTrainPredictEvaluate:
         assert code == 2
         assert "missing document" in err
 
+    def test_predict_non_finite_checkpoint_exits_two(self, tmp_path, capsys):
+        corpus = make_corpus(tmp_path)
+        model, _ = train_small(tmp_path, corpus)
+        payload = json.loads(model.read_text())
+        payload["tensors"]["crf.T"][2][3] = float("nan")
+        model.write_text(json.dumps(payload))
+        preds = tmp_path / "preds.jsonl"
+        code, out, err = run(capsys, "predict", "--input", str(corpus),
+                             "--model", str(model), "--output", str(preds))
+        assert code == 2
+        assert out == ""
+        assert err == "error: checkpoint tensor 'crf.T' holds a non-finite value\n"
+        assert not preds.exists()
+
     def test_train_report_csv_written(self, tmp_path, capsys):
         corpus = make_corpus(tmp_path)
         report = tmp_path / "train_report.csv"

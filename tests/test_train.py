@@ -416,6 +416,31 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="crf.T"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name", ["crf.T", "bilstm.fwd.Wx"])
+    def test_rejects_non_finite_tensor(self, tmp_path, name):
+        import json
+
+        bundle, path = self.trained(tmp_path)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            payload = json.loads(path.read_text())
+            payload["tensors"][name][1][0] = bad
+            broken = tmp_path / "broken.json"
+            broken.write_text(json.dumps(payload))
+            with pytest.raises(DataError, match=f"{name}.*non-finite"):
+                load_checkpoint(broken)
+
+    def test_rejects_non_numeric_tensor(self, tmp_path):
+        import json
+
+        bundle, path = self.trained(tmp_path)
+        for bad in ("abc", [[1.0, 2.0], [3.0]], {"a": 1}):
+            payload = json.loads(path.read_text())
+            payload["tensors"]["crf.T"] = bad
+            broken = tmp_path / "broken.json"
+            broken.write_text(json.dumps(payload))
+            with pytest.raises(DataError, match="crf.T.*not a numeric array"):
+                load_checkpoint(broken)
+
     def test_rejects_wrong_version_and_labels(self, tmp_path):
         import json
 
