@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-numpy fallbacks.
+"""Time the numeric kernels, and the LSTM recurrence over padded batches.
 
-Every kernel registered in ``rhetseg.kernels.IMPLEMENTATIONS`` is timed on
-identical inputs through the numpy path and, where numba imports, the compiled
-loop path, and the outputs are compared. When numba is unavailable or disabled
-(``RHETSEG_NO_NUMBA=1``) only the numpy column prints: the loop variant is
-still registered there, but it runs as interpreted Python and is not timed.
+Each kernel in ``rhetseg.kernels`` runs on one document of --doc-len
+sentences; the best of --repeats runs is printed. The recurrence is also run
+over batches of B sequences of --batch-len steps, (T, B, 4h) inputs, and
+reported as time per sequence, with a check that every batch column equals
+the same sequence run on its own.
 
     python3 benchmarks/bench_kernels.py --doc-len 2000 --hidden 32
 """
@@ -15,9 +15,10 @@ import time
 
 import numpy as np
 
-from rhetseg.kernels import ACTIVE_PATH, IMPLEMENTATIONS, NUMBA_AVAILABLE
+from rhetseg import kernels
 
 K = 7
+BATCH_SIZES = (1, 64)
 
 
 def build_cases(doc_len: int, hidden: int, rng) -> dict[str, tuple]:
@@ -28,7 +29,7 @@ def build_cases(doc_len: int, hidden: int, rng) -> dict[str, tuple]:
     XW = rng.standard_normal((doc_len, 4 * hidden))
     Wh = rng.standard_normal((4 * hidden, hidden)) * 0.1
     b = rng.standard_normal(4 * hidden)
-    G, C, H = IMPLEMENTATIONS["numpy"]["lstm_recurrence"](XW, Wh, b)
+    G, C, H = kernels.lstm_recurrence(XW, Wh, b)
     dH = rng.standard_normal(H.shape)
     return {
         "crf_forward": (E, T, start, end),
@@ -48,18 +49,12 @@ def best_of(fn, args: tuple, repeats: int) -> float:
     return best
 
 
-def max_diff(a, b) -> float:
-    if isinstance(a, tuple):
-        return max(max_diff(x, y) for x, y in zip(a, b))
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return float(np.max(np.abs(a - b))) if a.size else 0.0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--doc-len", type=int, default=2000,
                         help="sentences per document (default 2000)")
+    parser.add_argument("--batch-len", type=int, default=14,
+                        help="steps per sequence in the batched recurrence (default 14)")
     parser.add_argument("--hidden", type=int, default=32,
                         help="LSTM hidden size (default 32)")
     parser.add_argument("--repeats", type=int, default=5,
@@ -67,33 +62,29 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    paths = ["numba", "numpy"] if NUMBA_AVAILABLE else ["numpy"]
-    both = len(paths) == 2
-    print(f"active path: {ACTIVE_PATH}; timed: {', '.join(paths)}")
-    print(f"doc_len={args.doc_len} hidden={args.hidden} repeats={args.repeats}")
-
+    print(f"doc_len={args.doc_len} batch_len={args.batch_len} hidden={args.hidden} "
+          f"repeats={args.repeats}")
     rng = np.random.default_rng(args.seed)
-    cases = build_cases(args.doc_len, args.hidden, rng)
+    print(f"{'kernel':<34}{'ms':>12}")
+    for name, inputs in build_cases(args.doc_len, args.hidden, rng).items():
+        seconds = best_of(getattr(kernels, name), inputs, args.repeats)
+        print(f"{name:<34}{1000 * seconds:>12.3f}")
 
-    if NUMBA_AVAILABLE:
-        for name, inputs in cases.items():
-            IMPLEMENTATIONS["numba"][name](*inputs)  # JIT compile before timing
-
-    header = f"{'kernel':<26}" + "".join(f"{p + ' (ms)':>14}" for p in paths)
-    if both:
-        header += f"{'speedup':>10}{'max diff':>12}"
-    print(header)
-    for name, inputs in cases.items():
-        times = {}
-        outs = {}
-        for p in paths:
-            times[p] = best_of(IMPLEMENTATIONS[p][name], inputs, args.repeats)
-            outs[p] = IMPLEMENTATIONS[p][name](*inputs)
-        row = f"{name:<26}" + "".join(f"{1000 * times[p]:>14.3f}" for p in paths)
-        if both:
-            row += f"{times['numpy'] / times['numba']:>9.1f}x"
-            row += f"{max_diff(outs['numpy'], outs['numba']):>12.2e}"
-        print(row)
+    h = args.hidden
+    Wh = rng.standard_normal((4 * h, h)) * 0.1
+    b = rng.standard_normal(4 * h)
+    print(f"{'batched recurrence':<34}{'us/sequence':>12}")
+    for B in BATCH_SIZES:
+        XW = rng.standard_normal((args.batch_len, B, 4 * h))
+        seconds = best_of(kernels.lstm_recurrence, (XW, Wh, b), args.repeats)
+        batch = kernels.lstm_recurrence(XW, Wh, b)
+        exact = all(
+            np.array_equal(part[:, j], one)
+            for j in range(B)
+            for part, one in zip(batch, kernels.lstm_recurrence(XW[:, j], Wh, b))
+        )
+        label = f"lstm_recurrence B={B}"
+        print(f"{label:<34}{1e6 * seconds / B:>12.1f}  columns bit-identical: {exact}")
     return 0
 
 

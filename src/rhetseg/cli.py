@@ -41,7 +41,8 @@ from .train import (
     gradcheck,
     inverse_frequency_weights,
     load_checkpoint,
-    predict_document,
+    predict_document,  # noqa: F401 - part of the cli namespace that rhetbench's tracer wraps
+    predict_documents,
     save_checkpoint,
     train_model,
 )
@@ -394,9 +395,7 @@ def _cmd_predict(args) -> int:
     corpus = load_jsonl(args.input)
     bundle = load_checkpoint(args.model)
     encoder = _make_predict_encoder(args, bundle, corpus)
-    predictions = [
-        predict_document(doc, bundle, mode=args.mode, encoder=encoder) for doc in corpus.documents
-    ]
+    predictions = predict_documents(corpus.documents, bundle, mode=args.mode, encoder=encoder)
     labeled_docs = []
     for doc, labels in zip(corpus.documents, predictions):
         labeled_docs.append(

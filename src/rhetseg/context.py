@@ -122,6 +122,26 @@ def bilstm_encode(X: np.ndarray, fwd: LstmParams, bwd: LstmParams) -> np.ndarray
     return H
 
 
+def bilstm_encode_batch(Xs: list[np.ndarray], p: BilstmParams) -> list[np.ndarray]:
+    """bilstm_encode of each document, bit for bit, with one recurrence per
+    direction over the zero-padded batch. The input projections stay per
+    document: stacked rows would sum in a different order."""
+    T = max(X.shape[0] for X in Xs)
+    Hs = []
+    for lp, reverse in ((p.fwd, False), (p.bwd, True)):
+        XW = np.zeros((T, len(Xs), lp.Wh.shape[0]))
+        for j, X in enumerate(Xs):
+            XW[: X.shape[0], j] = (X[::-1] if reverse else X) @ lp.Wx.T
+        Hs.append(kernels.lstm_recurrence(XW, lp.Wh, lp.b)[2])
+    out = []
+    for j, X in enumerate(Xs):
+        m = X.shape[0]
+        H = np.hstack([Hs[0][:m, j], Hs[1][:m, j][::-1]])
+        _check_finite("bilstm_encode", H)
+        out.append(H)
+    return out
+
+
 def bilstm_backward(cache: dict, p: BilstmParams, dH: np.ndarray):
     h = p.fwd.hidden_dim
     grads_f, dX_f = _lstm_backward(cache["fwd"], p.fwd, np.ascontiguousarray(dH[:, :h]))

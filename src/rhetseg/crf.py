@@ -148,3 +148,16 @@ def viterbi_decode(E: np.ndarray, p: CrfParams) -> tuple[list[int], float]:
     path = kernels.crf_viterbi(E, p.T, p.start, p.end)
     labels = [int(v) for v in path]
     return labels, sequence_score(E, labels, p)
+
+
+def viterbi_decode_batch(Es: list[np.ndarray], p: CrfParams) -> list[list[int]]:
+    """viterbi_decode's label sequences for several documents, from one
+    Viterbi pass over their zero-padded emissions."""
+    batch = np.zeros((max(E.shape[0] for E in Es), len(Es), NUM_ROLES))
+    for j, E in enumerate(Es):
+        batch[: E.shape[0], j] = E
+    delta, back = kernels.crf_viterbi_tables(batch, p.T, p.start)
+    return [
+        [int(v) for v in kernels.viterbi_backtrack(delta[E.shape[0] - 1, j] + p.end, back[: E.shape[0], j])]
+        for j, E in enumerate(Es)
+    ]

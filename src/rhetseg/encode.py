@@ -80,18 +80,59 @@ def hash_embed(tokens: list[str], cfg: HashEncoderConfig) -> np.ndarray:
     return vec
 
 
+# Most n-grams of a corpus recur, so each HashingEncoder remembers the hash
+# of up to this many distinct n-grams; n-grams met once it is full are
+# hashed on every occurrence.
+_MEMO_CAP = 1 << 16
+
+
 class HashingEncoder:
-    """Self-contained sentence encoder over hashed n-grams."""
+    """Self-contained sentence encoder over hashed n-grams.
+
+    Produces exactly the rows of hash_embed. Each n-gram's bucket and sign
+    are looked up in a per-encoder memo, packed as 2 * bucket + (1 if the
+    sign is negative), and one document's entries are summed with a single
+    bincount. Entries before normalization are integer sums of +-1, so they
+    and their squared norms are exact in any summation order."""
 
     kind = "hash"
 
     def __init__(self, cfg: HashEncoderConfig):
         self.cfg = cfg
         self.dim = cfg.dim
+        self._key = cfg.seed.to_bytes(8, "little", signed=True)
+        self._memo: dict[str, int] = {}
+
+    def _code(self, gram: str) -> int:
+        h = _hash64(gram, self._key)
+        code = 2 * (h % self.dim) + (1 if self.cfg.signed and (h >> 63) & 1 else 0)
+        if len(self._memo) < _MEMO_CAP:
+            self._memo[gram] = code
+        return code
 
     def encode_document(self, doc: "Document") -> np.ndarray:
-        rows = [hash_embed(tokenize(s.text), self.cfg) for s in doc.sentences]
-        return np.vstack(rows)
+        memo = self._memo
+        codes: list[int] = []
+        counts = []
+        for s in doc.sentences:
+            tokens = tokenize(s.text)
+            grams = []
+            for order in self.cfg.ngram_orders:  # the strings hash_embed hashes
+                if order == 1:
+                    grams += ["1:" + t for t in tokens]
+                else:
+                    grams += [f"2:{a} {b}" for a, b in zip(tokens, tokens[1:])]
+            codes += [memo[g] if g in memo else self._code(g) for g in grams]
+            counts.append(len(grams))
+        m = len(counts)
+        codes_arr = np.array(codes, dtype=np.int64)
+        rows = np.repeat(np.arange(m), counts)
+        signs = 1.0 - 2.0 * (codes_arr & 1)
+        M = np.bincount(rows * self.dim + (codes_arr >> 1), weights=signs, minlength=m * self.dim)
+        M = M.reshape(m, self.dim)
+        norms = np.sqrt(np.einsum("ij,ij->i", M, M))
+        norms[norms == 0.0] = 1.0  # empty rows stay zero
+        return M / norms[:, None]
 
     def spec(self) -> dict:
         return {

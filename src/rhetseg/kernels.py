@@ -1,44 +1,23 @@
 """Hot numeric kernels: CRF dynamic programs and the LSTM time recurrence.
 
-Each kernel ships in two variants: a scalar-loop version decorated with
-numba's ``@njit`` and a vectorised numpy fallback. The active path is chosen at
-import time; setting the environment variable ``RHETSEG_NO_NUMBA=1`` (or numba
-being unimportable) selects the numpy path. Both variants stay importable
-through ``IMPLEMENTATIONS`` for cross-checking and benchmarks, on every
-machine: the loop variant (key ``"numba"``) is compiled only where numba
-imports, and otherwise runs as interpreted Python, correct but slow.
+Only genuinely sequential loops live here, written in vectorised numpy.
+Matmul-bound work (gate pre-activations, parameter-gradient assembly,
+attention, GCN) is done by the callers in BLAS-backed numpy.
 
-Only genuinely sequential loops live here. Matmul-bound work (gate
-pre-activations, parameter-gradient assembly, attention, GCN) is done by the
-callers in BLAS-backed numpy on either path.
+``lstm_recurrence`` and ``crf_viterbi_tables`` are rank-polymorphic: they
+take one sequence as an (m, n) array or B sequences padded to T steps as a
+(T, B, n) array, and run one body with ``...`` indexing. Each batch column is
+bit-identical to the same sequence run on its own, and a sequence's padding
+steps come after its last real step, so they never reach its outputs.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("RHETSEG_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
 
-try:  # pragma: no cover - exercised implicitly by the active path
-    if _DISABLED:
-        raise ImportError("numba disabled by RHETSEG_NO_NUMBA")
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        """Identity decorator standing in for numba.njit."""
-
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+def _as_c(x):
+    return np.ascontiguousarray(x, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +28,9 @@ except ImportError:  # pragma: no cover
 # ---------------------------------------------------------------------------
 
 
-def _crf_forward_np(E, T, start, end):
+def crf_forward(E, T, start, end):
+    """Log-space forward pass. Returns (log_partition, alpha)."""
+    E, T, start, end = _as_c(E), _as_c(T), _as_c(start), _as_c(end)
     m, k = E.shape
     alpha = np.empty((m, k))
     alpha[0] = start + E[0]
@@ -63,7 +44,9 @@ def _crf_forward_np(E, T, start, end):
     return log_z, alpha
 
 
-def _crf_backward_np(E, T, end):
+def crf_backward(E, T, end):
+    """Log-space backward pass. Returns beta with beta[m-1] = end."""
+    E, T, end = _as_c(E), _as_c(T), _as_c(end)
     m, k = E.shape
     beta = np.empty((m, k))
     beta[m - 1] = end
@@ -74,102 +57,37 @@ def _crf_backward_np(E, T, end):
     return beta
 
 
-def _crf_viterbi_np(E, T, start, end):
-    m, k = E.shape
-    delta = np.empty((m, k))
-    back = np.zeros((m, k), dtype=np.int64)
+def crf_viterbi_tables(E, T, start):
+    """Viterbi tables for E (m, K) or a padded batch (T, B, K): delta[t] holds
+    the best score of a path ending in each label at step t, back[t] that
+    path's predecessor, the lowest-id one among equals."""
+    E, T, start = _as_c(E), _as_c(T), _as_c(start)
+    delta = np.empty(E.shape)
+    back = np.zeros(E.shape, dtype=np.int64)
     delta[0] = start + E[0]
-    for t in range(1, m):
-        scores = delta[t - 1][:, None] + T
-        # argmax along axis 0 returns the first (lowest-id) maximizer
-        back[t] = scores.argmax(axis=0)
-        delta[t] = scores[back[t], np.arange(k)] + E[t]
+    for t in range(1, E.shape[0]):
+        scores = delta[t - 1][..., :, None] + T
+        # argmax along the predecessor axis returns the first (lowest-id) maximizer
+        back[t] = scores.argmax(axis=-2)
+        delta[t] = scores.max(axis=-2) + E[t]
+    return delta, back
+
+
+def viterbi_backtrack(final, back):
+    """Best path from the final scores delta[m-1] + end and back (m, K) of
+    one sequence. Ties break toward the lowest label id."""
+    m = back.shape[0]
     path = np.empty(m, dtype=np.int64)
-    path[m - 1] = int(np.argmax(delta[m - 1] + end))
+    path[m - 1] = int(np.argmax(final))
     for t in range(m - 1, 0, -1):
         path[t - 1] = back[t, path[t]]
     return path
 
 
-@njit(cache=True)
-def _crf_forward_nb(E, T, start, end):  # pragma: no cover - compiled
-    m, k = E.shape
-    alpha = np.empty((m, k))
-    for b in range(k):
-        alpha[0, b] = start[b] + E[0, b]
-    for t in range(1, m):
-        for b in range(k):
-            mx = alpha[t - 1, 0] + T[0, b]
-            for a in range(1, k):
-                v = alpha[t - 1, a] + T[a, b]
-                if v > mx:
-                    mx = v
-            s = 0.0
-            for a in range(k):
-                s += np.exp(alpha[t - 1, a] + T[a, b] - mx)
-            alpha[t, b] = mx + np.log(s) + E[t, b]
-    mx = alpha[m - 1, 0] + end[0]
-    for b in range(1, k):
-        v = alpha[m - 1, b] + end[b]
-        if v > mx:
-            mx = v
-    s = 0.0
-    for b in range(k):
-        s += np.exp(alpha[m - 1, b] + end[b] - mx)
-    log_z = mx + np.log(s)
-    return log_z, alpha
-
-
-@njit(cache=True)
-def _crf_backward_nb(E, T, end):  # pragma: no cover - compiled
-    m, k = E.shape
-    beta = np.empty((m, k))
-    for a in range(k):
-        beta[m - 1, a] = end[a]
-    for t in range(m - 2, -1, -1):
-        for a in range(k):
-            mx = T[a, 0] + E[t + 1, 0] + beta[t + 1, 0]
-            for b in range(1, k):
-                v = T[a, b] + E[t + 1, b] + beta[t + 1, b]
-                if v > mx:
-                    mx = v
-            s = 0.0
-            for b in range(k):
-                s += np.exp(T[a, b] + E[t + 1, b] + beta[t + 1, b] - mx)
-            beta[t, a] = mx + np.log(s)
-    return beta
-
-
-@njit(cache=True)
-def _crf_viterbi_nb(E, T, start, end):  # pragma: no cover - compiled
-    m, k = E.shape
-    delta = np.empty((m, k))
-    back = np.zeros((m, k), dtype=np.int64)
-    for b in range(k):
-        delta[0, b] = start[b] + E[0, b]
-    for t in range(1, m):
-        for b in range(k):
-            best = delta[t - 1, 0] + T[0, b]
-            arg = 0
-            for a in range(1, k):
-                v = delta[t - 1, a] + T[a, b]
-                if v > best:  # strict: ties keep the lowest predecessor id
-                    best = v
-                    arg = a
-            delta[t, b] = best + E[t, b]
-            back[t, b] = arg
-    best = delta[m - 1, 0] + end[0]
-    arg = 0
-    for b in range(1, k):
-        v = delta[m - 1, b] + end[b]
-        if v > best:
-            best = v
-            arg = b
-    path = np.empty(m, dtype=np.int64)
-    path[m - 1] = arg
-    for t in range(m - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return path
+def crf_viterbi(E, T, start, end):
+    """Best-path decode of one sequence. Ties break toward the lowest label id."""
+    delta, back = crf_viterbi_tables(E, T, start)
+    return viterbi_backtrack(delta[-1] + end, back)
 
 
 # ---------------------------------------------------------------------------
@@ -179,39 +97,44 @@ def _crf_viterbi_nb(E, T, start, end):  # pragma: no cover - compiled
 #   g = tanh(a[3h:]);  c_t = f*c_{t-1} + i*g;  h_t = o * tanh(c_t)
 # XW = X @ Wx.T is precomputed by the caller (one big BLAS matmul).
 # Pre-activations are clipped to [-60, 60]; in float64 the clip is invisible
-# downstream but keeps exp() overflow-free on both paths.
+# downstream but keeps exp() overflow-free.
 # ---------------------------------------------------------------------------
 
 _CLIP = 60.0
 
 
-def _lstm_recurrence_np(XW, Wh, b):
-    m, h4 = XW.shape
-    h = h4 // 4
-    G = np.empty((m, h4))
-    C = np.empty((m, h))
-    H = np.empty((m, h))
-    h_prev = np.zeros(h)
-    c_prev = np.zeros(h)
-    for t in range(m):
-        a = np.clip(XW[t] + Wh @ h_prev + b, -_CLIP, _CLIP)
-        i = 1.0 / (1.0 + np.exp(-a[:h]))
-        f = 1.0 / (1.0 + np.exp(-a[h : 2 * h]))
-        o = 1.0 / (1.0 + np.exp(-a[2 * h : 3 * h]))
-        g = np.tanh(a[3 * h :])
-        c = f * c_prev + i * g
-        G[t, :h] = i
-        G[t, h : 2 * h] = f
-        G[t, 2 * h : 3 * h] = o
-        G[t, 3 * h :] = g
+def lstm_recurrence(XW, Wh, b):
+    """Run the gate recurrence over XW (m, 4h), or (T, B, 4h) for B padded
+    sequences. Returns (gates G, cells C, hiddens H) with XW's leading axes.
+
+    The recurrent term is one matrix-vector product per sequence,
+    Wh @ h_prev[..., None]: a single (B, h) @ Wh.T product sums in a
+    different order and is not bit-identical per sequence."""
+    XW, Wh, b = _as_c(XW), _as_c(Wh), _as_c(b)
+    h = XW.shape[-1] // 4
+    h3 = 3 * h
+    G = np.empty(XW.shape)
+    C = np.empty(XW.shape[:-1] + (h,))
+    H = np.empty(C.shape)
+    h_prev = np.zeros(C.shape[1:] + (1,))  # h_{t-1} as a column per sequence
+    c_prev = np.zeros(C.shape[1:])
+    for t in range(XW.shape[0]):
+        a = np.clip(XW[t] + (Wh @ h_prev)[..., 0] + b, -_CLIP, _CLIP)
+        sig = 1.0 / (1.0 + np.exp(-a[..., :h3]))  # i, f, o
+        g = np.tanh(a[..., h3:])
+        c = sig[..., h : 2 * h] * c_prev + sig[..., :h] * g
+        G[t, ..., :h3] = sig
+        G[t, ..., h3:] = g
         C[t] = c
-        H[t] = o * np.tanh(c)
-        h_prev = H[t]
+        H[t] = sig[..., 2 * h : h3] * np.tanh(c)
+        h_prev = H[t][..., None]
         c_prev = c
     return G, C, H
 
 
-def _lstm_recurrence_backward_np(G, C, WhT, dH):
+def lstm_recurrence_backward(G, C, WhT, dH):
+    """Backpropagate through time. Returns pre-activation grads dA (m, 4h)."""
+    G, C, WhT, dH = _as_c(G), _as_c(C), _as_c(WhT), _as_c(dH)
     m, h4 = G.shape
     h = h4 // 4
     dA = np.empty((m, h4))
@@ -234,114 +157,3 @@ def _lstm_recurrence_backward_np(G, C, WhT, dH):
         dc_next = dc * f
         dh_next = WhT @ dA[t]
     return dA
-
-
-@njit(cache=True)
-def _lstm_recurrence_nb(XW, Wh, b):  # pragma: no cover - compiled
-    m, h4 = XW.shape
-    h = h4 // 4
-    G = np.empty((m, h4))
-    C = np.empty((m, h))
-    H = np.empty((m, h))
-    h_prev = np.zeros(h)
-    c_prev = np.zeros(h)
-    for t in range(m):
-        a = XW[t] + np.dot(Wh, h_prev) + b
-        for j in range(h):
-            ai = min(max(a[j], -_CLIP), _CLIP)
-            af = min(max(a[h + j], -_CLIP), _CLIP)
-            ao = min(max(a[2 * h + j], -_CLIP), _CLIP)
-            ag = min(max(a[3 * h + j], -_CLIP), _CLIP)
-            i = 1.0 / (1.0 + np.exp(-ai))
-            f = 1.0 / (1.0 + np.exp(-af))
-            o = 1.0 / (1.0 + np.exp(-ao))
-            g = np.tanh(ag)
-            c = f * c_prev[j] + i * g
-            G[t, j] = i
-            G[t, h + j] = f
-            G[t, 2 * h + j] = o
-            G[t, 3 * h + j] = g
-            C[t, j] = c
-            H[t, j] = o * np.tanh(c)
-        h_prev = H[t]
-        c_prev = C[t]
-    return G, C, H
-
-
-@njit(cache=True)
-def _lstm_recurrence_backward_nb(G, C, WhT, dH):  # pragma: no cover - compiled
-    m, h4 = G.shape
-    h = h4 // 4
-    dA = np.empty((m, h4))
-    dh_next = np.zeros(h)
-    dc_next = np.zeros(h)
-    for t in range(m - 1, -1, -1):
-        for j in range(h):
-            i = G[t, j]
-            f = G[t, h + j]
-            o = G[t, 2 * h + j]
-            g = G[t, 3 * h + j]
-            c_prev = C[t - 1, j] if t > 0 else 0.0
-            tc = np.tanh(C[t, j])
-            dh = dH[t, j] + dh_next[j]
-            do = dh * tc
-            dc = dh * o * (1.0 - tc * tc) + dc_next[j]
-            dA[t, j] = dc * g * i * (1.0 - i)
-            dA[t, h + j] = dc * c_prev * f * (1.0 - f)
-            dA[t, 2 * h + j] = do * o * (1.0 - o)
-            dA[t, 3 * h + j] = dc * i * (1.0 - g * g)
-            dc_next[j] = dc * f
-        dh_next = np.dot(WhT, dA[t])
-    return dA
-
-
-_NUMPY_IMPL = {
-    "crf_forward": _crf_forward_np,
-    "crf_backward": _crf_backward_np,
-    "crf_viterbi": _crf_viterbi_np,
-    "lstm_recurrence": _lstm_recurrence_np,
-    "lstm_recurrence_backward": _lstm_recurrence_backward_np,
-}
-
-IMPLEMENTATIONS: dict[str, dict] = {
-    "numpy": _NUMPY_IMPL,
-    "numba": {
-        "crf_forward": _crf_forward_nb,
-        "crf_backward": _crf_backward_nb,
-        "crf_viterbi": _crf_viterbi_nb,
-        "lstm_recurrence": _lstm_recurrence_nb,
-        "lstm_recurrence_backward": _lstm_recurrence_backward_nb,
-    },
-}
-
-ACTIVE_PATH = "numba" if NUMBA_AVAILABLE else "numpy"
-_ACTIVE = IMPLEMENTATIONS[ACTIVE_PATH]
-
-
-def _as_c(x):
-    return np.ascontiguousarray(x, dtype=np.float64)
-
-
-def crf_forward(E, T, start, end):
-    """Log-space forward pass. Returns (log_partition, alpha)."""
-    return _ACTIVE["crf_forward"](_as_c(E), _as_c(T), _as_c(start), _as_c(end))
-
-
-def crf_backward(E, T, end):
-    """Log-space backward pass. Returns beta with beta[m-1] = end."""
-    return _ACTIVE["crf_backward"](_as_c(E), _as_c(T), _as_c(end))
-
-
-def crf_viterbi(E, T, start, end):
-    """Best-path decode. Ties break toward the lowest label id."""
-    return _ACTIVE["crf_viterbi"](_as_c(E), _as_c(T), _as_c(start), _as_c(end))
-
-
-def lstm_recurrence(XW, Wh, b):
-    """Run the gate recurrence. Returns (gates G, cells C, hiddens H)."""
-    return _ACTIVE["lstm_recurrence"](_as_c(XW), _as_c(Wh), _as_c(b))
-
-
-def lstm_recurrence_backward(G, C, WhT, dH):
-    """Backpropagate through time. Returns pre-activation grads dA (m, 4h)."""
-    return _ACTIVE["lstm_recurrence_backward"](_as_c(G), _as_c(C), _as_c(WhT), _as_c(dH))

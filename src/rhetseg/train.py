@@ -484,33 +484,32 @@ def _prev_labels(labels: list, m: int) -> list:
     return prevs + [None] * (m - len(prevs))
 
 
-def _decode_full(bundle: ModelBundle, H: np.ndarray) -> list[int]:
-    if bundle.head_kind == "crf":
-        E = crf_mod.emissions(H, bundle.head_params)
-        labels, _ = crf_mod.viterbi_decode(E, bundle.head_params)
-        return labels
-    E = H @ bundle.head_params.W + bundle.head_params.b
-    return [int(v) for v in E.argmax(axis=1)]
-
-
 def _featurize_doc(bundle: ModelBundle, base: np.ndarray, prevs) -> np.ndarray:
     return featurize(base, bundle.window, bundle.positional, bundle.sin_dim, prevs)
 
 
-def _predict_from_base(bundle: ModelBundle, base: np.ndarray, mode: str, gold=None) -> list[int]:
-    m = base.shape[0]
+def _predict_chunk(bundle: ModelBundle, bases: list, mode: str, golds=None) -> list[list[int]]:
+    """Label ids for a few documents from their sentence vectors. Free-running
+    decoding with label features runs per document; every other
+    configuration featurizes per document, then runs the BiLSTM recurrence
+    and the CRF Viterbi pass once over the padded chunk."""
     if bundle.label_mode == "off":
-        H, _ = _context_forward(bundle, _featurize_doc(bundle, base, None))
-        return _decode_full(bundle, H)
-    if mode == "teacher_forced":
-        if gold is None:
-            raise DataError("teacher-forced prediction requires gold labels")
-        H, _ = _context_forward(bundle, _featurize_doc(bundle, base, _prev_labels(gold, m)))
-        return _decode_full(bundle, H)
-    if mode != "free_running":
+        prevs = [None] * len(bases)
+    elif mode == "teacher_forced":
+        prevs = [_prev_labels(gold, base.shape[0]) for base, gold in zip(bases, golds)]
+    elif mode == "free_running":
+        return [_free_running(bundle, base)[0] for base in bases]
+    else:
         raise DataError(f"unknown prediction mode {mode!r}")
-    preds, _ = _free_running(bundle, base)
-    return preds
+    Xs = [_featurize_doc(bundle, base, pv) for base, pv in zip(bases, prevs)]
+    if bundle.context_kind == "bilstm":
+        Hs = ctx.bilstm_encode_batch(Xs, bundle.context_params)
+    else:
+        Hs = [_context_forward(bundle, X)[0] for X in Xs]
+    p = bundle.head_params
+    if bundle.head_kind == "crf":
+        return crf_mod.viterbi_decode_batch([crf_mod.emissions(H, p) for H in Hs], p)
+    return [[int(v) for v in (H @ p.W + p.b).argmax(axis=1)] for H in Hs]
 
 
 def _step_score(bundle: ModelBundle, h: np.ndarray, j: int, m: int, preds: list[int]) -> np.ndarray:
@@ -583,18 +582,40 @@ def _free_running_reencode(bundle: ModelBundle, base: np.ndarray) -> tuple[list[
     return preds, scores
 
 
+# Documents per batched forward pass: enough to amortize the per-step
+# overhead of the recurrence, few enough to keep the padded arrays small.
+_CHUNK_DOCS = 16
+
+
+def _chunks(items) -> list:
+    items = list(items)
+    return [items[lo : lo + _CHUNK_DOCS] for lo in range(0, len(items), _CHUNK_DOCS)]
+
+
+def predict_documents(
+    docs, bundle: ModelBundle, mode: str = "free_running", encoder=None
+) -> list[list[RhetoricalRole]]:
+    """Label documents, a chunk at a time; every number is the same as when
+    labelling each document on its own. With label_mode=off both modes
+    coincide; otherwise teacher_forced feeds gold previous labels and
+    free_running feeds the model's own greedy predictions."""
+    if encoder is None:
+        encoder = bundle.make_encoder()
+    forced = bundle.label_mode != "off" and mode == "teacher_forced"
+    out = []
+    for chunk in _chunks(docs):
+        bases = [encoder.encode_document(doc) for doc in chunk]
+        golds = [doc.gold_labels() for doc in chunk] if forced else None
+        for ids in _predict_chunk(bundle, bases, mode, golds):
+            out.append([RhetoricalRole(v) for v in ids])
+    return out
+
+
 def predict_document(
     doc: Document, bundle: ModelBundle, mode: str = "free_running", encoder=None
 ) -> list[RhetoricalRole]:
-    """Label one document. With label_mode=off both modes coincide; otherwise
-    teacher_forced feeds gold previous labels and free_running feeds the
-    model's own greedy predictions."""
-    if encoder is None:
-        encoder = bundle.make_encoder()
-    base = encoder.encode_document(doc)
-    gold = doc.gold_labels() if (bundle.label_mode != "off" and mode == "teacher_forced") else None
-    ids = _predict_from_base(bundle, base, mode, gold)
-    return [RhetoricalRole(v) for v in ids]
+    """Label one document; see predict_documents."""
+    return predict_documents([doc], bundle, mode, encoder)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -603,13 +624,10 @@ def predict_document(
 
 
 def _validation_macro_f1(bundle: ModelBundle, val: Corpus, base_map: dict) -> float:
-    gold_seqs = []
+    gold_seqs = [[int(r) for r in doc.gold_labels()] for doc in val]
     pred_seqs = []
-    for doc in val:
-        gold = [int(r) for r in doc.gold_labels()]
-        pred = _predict_from_base(bundle, base_map[doc.doc_id], "free_running")
-        gold_seqs.append(gold)
-        pred_seqs.append(pred)
+    for chunk in _chunks(val):
+        pred_seqs += _predict_chunk(bundle, [base_map[doc.doc_id] for doc in chunk], "free_running")
     cm = confusion(gold_seqs, pred_seqs)
     _, _, macro_f1, _ = macro_prf(cm)
     return macro_f1
@@ -666,8 +684,9 @@ def train_model(
     blocks = bundle.parameter_blocks()
     optimizer = _make_optimizer(cfg)
 
-    # Teacher-forced features are fixed across epochs; free-running label
-    # features depend on current parameters and are rebuilt per visit.
+    # Teacher-forced features are fixed across epochs, so their sentence
+    # vectors are dropped once featurized; free-running label features
+    # depend on current parameters and are rebuilt per visit.
     fixed_X: dict[str, np.ndarray] = {}
     if cfg.label_mode != "predicted":
         for doc in train:
@@ -676,7 +695,7 @@ def train_model(
                 if cfg.label_mode == "gold"
                 else None
             )
-            fixed_X[doc.doc_id] = _featurize_doc(bundle, base_train[doc.doc_id], prevs)
+            fixed_X[doc.doc_id] = _featurize_doc(bundle, base_train.pop(doc.doc_id), prevs)
 
     docs = list(train)
     train_losses: list[float] = []
@@ -692,7 +711,7 @@ def train_model(
             doc = docs[di]
             y = np.array([int(r) for r in gold_by_doc[doc.doc_id]], dtype=np.int64)
             if cfg.label_mode == "predicted":
-                preds = _predict_from_base(bundle, base_train[doc.doc_id], "free_running")
+                preds, _ = _free_running(bundle, base_train[doc.doc_id])
                 prevs = _prev_labels([RhetoricalRole(v) for v in preds], len(doc))
                 X = _featurize_doc(bundle, base_train[doc.doc_id], prevs)
             else:
@@ -834,7 +853,7 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
         fh.write("\n")
 
 
-def _tensor(payload: dict, name: str) -> np.ndarray:
+def _tensor(payload: dict, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
     if name not in payload["tensors"]:
         raise DataError(f"checkpoint missing tensor {name!r}")
     try:
@@ -843,7 +862,18 @@ def _tensor(payload: dict, name: str) -> np.ndarray:
         raise DataError(f"checkpoint tensor {name!r} is not a numeric array") from None
     if not np.all(np.isfinite(arr)):
         raise DataError(f"checkpoint tensor {name!r} holds a non-finite value")
+    if shape is not None and arr.shape != shape:
+        raise DataError(f"checkpoint tensor {name!r} has shape {arr.shape}, expected {shape}")
     return arr
+
+
+def _lstm_tensors(payload: dict, direction: str, h: int, feat_dim: int) -> ctx.LstmParams:
+    name = f"bilstm.{direction}"
+    return ctx.LstmParams(
+        Wx=_tensor(payload, f"{name}.Wx", (4 * h, feat_dim)),
+        Wh=_tensor(payload, f"{name}.Wh", (4 * h, h)),
+        b=_tensor(payload, f"{name}.b", (4 * h,)),
+    )
 
 
 def load_checkpoint(path) -> ModelBundle:
@@ -852,44 +882,42 @@ def load_checkpoint(path) -> ModelBundle:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"checkpoint is not valid JSON ({exc.msg})") from None
-    if payload.get("kind") != "rhetseg-checkpoint":
+    if not isinstance(payload, dict) or payload.get("kind") != "rhetseg-checkpoint":
         raise DataError("not a model checkpoint")
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {payload.get('format_version')!r}")
     if payload.get("labels") != list(ROLE_NAMES):
         raise DataError("checkpoint label set does not match this package")
+    for entry in ("encoder", "feature", "context", "head", "dims", "tensors"):
+        if not isinstance(payload.get(entry), dict):
+            raise DataError(f"checkpoint entry {entry!r} is missing or not an object")
     feature = payload["feature"]
     context_kind = payload["context"]["kind"]
     head_kind = payload["head"]["kind"]
-    feat_dim = payload["dims"]["feat_dim"]
-    context_dim = payload["dims"]["context_dim"]
+    feat_dim = payload["dims"].get("feat_dim")
+    context_dim = payload["dims"].get("context_dim")
+    if not all(type(v) is int and v > 0 for v in (feat_dim, context_dim)):
+        raise DataError("checkpoint dims must give feat_dim and context_dim as positive integers")
+    if context_kind in ("none", "attention") and context_dim != feat_dim:
+        raise DataError(f"checkpoint dims inconsistent with context kind {context_kind!r}")
     if context_kind == "none":
         context_params = None
     elif context_kind == "bilstm":
-        context_params = ctx.BilstmParams(
-            fwd=ctx.LstmParams(
-                Wx=_tensor(payload, "bilstm.fwd.Wx"),
-                Wh=_tensor(payload, "bilstm.fwd.Wh"),
-                b=_tensor(payload, "bilstm.fwd.b"),
-            ),
-            bwd=ctx.LstmParams(
-                Wx=_tensor(payload, "bilstm.bwd.Wx"),
-                Wh=_tensor(payload, "bilstm.bwd.Wh"),
-                b=_tensor(payload, "bilstm.bwd.b"),
-            ),
-        )
-        if context_params.output_dim != context_dim:
+        if context_dim % 2:
             raise DataError("checkpoint dims inconsistent with LSTM tensors")
+        h = context_dim // 2
+        context_params = ctx.BilstmParams(
+            fwd=_lstm_tensors(payload, "fwd", h, feat_dim),
+            bwd=_lstm_tensors(payload, "bwd", h, feat_dim),
+        )
     elif context_kind == "attention":
+        square = (feat_dim, feat_dim)
         layers = []
         idx = 0
         while f"attn.layer{idx}.Q" in payload["tensors"]:
             layers.append(
                 ctx.AttentionParams(
-                    Q=_tensor(payload, f"attn.layer{idx}.Q"),
-                    K=_tensor(payload, f"attn.layer{idx}.K"),
-                    V=_tensor(payload, f"attn.layer{idx}.V"),
-                    O=_tensor(payload, f"attn.layer{idx}.O"),
+                    *(_tensor(payload, f"attn.layer{idx}.{name}", square) for name in "QKVO")
                 )
             )
             idx += 1
@@ -898,7 +926,8 @@ def load_checkpoint(path) -> ModelBundle:
         context_params = layers
     elif context_kind == "gcn":
         context_params = ctx.GcnParams(
-            W1=_tensor(payload, "gcn.W1"), W2=_tensor(payload, "gcn.W2")
+            W1=_tensor(payload, "gcn.W1", (feat_dim, context_dim)),
+            W2=_tensor(payload, "gcn.W2", (context_dim, context_dim)),
         )
     else:
         raise DataError(f"unknown context kind {context_kind!r} in checkpoint")

@@ -1,0 +1,135 @@
+"""Batched inference across documents against the per-document path: the
+same labels, bit-identical BiLSTM states, and unchanged training bytes."""
+
+import zlib
+
+import numpy as np
+import pytest
+
+from rhetseg import context, crf
+from rhetseg import train as train_mod
+from rhetseg.corpus import Corpus, Document
+from rhetseg.encode import HashEncoderConfig, HashingEncoder
+from rhetseg.synth import generate_corpus
+from rhetseg.train import (
+    TrainConfig,
+    build_model,
+    predict_document,
+    predict_documents,
+    save_checkpoint,
+    train_model,
+)
+
+BASE_DIM = 12
+SPEC = {"kind": "hash", "dim": BASE_DIM, "ngram_orders": [1, 2], "seed": 0, "signed": True}
+
+
+def encoder():
+    return HashingEncoder(HashEncoderConfig(dim=BASE_DIM, seed=0))
+
+
+def mixed_docs():
+    """Lengths 1, 2, 13 and 40 over more documents than one chunk, with two
+    13-sentence documents on either side of the first chunk boundary."""
+    n = train_mod._CHUNK_DOCS
+    lengths = [(1, 2, 13, 40)[i % 4] for i in range(n + 7)]
+    lengths[n - 1] = lengths[n] = 13
+    docs = []
+    for i, m in enumerate(lengths):
+        doc = generate_corpus(1, m, m, noise=0.2, seed=i).documents[0]
+        docs.append(Document(doc_id=f"doc{i}", sentences=doc.sentences))
+    return docs
+
+
+def random_model(label_mode, kind, head):
+    cfg = TrainConfig(label_mode=label_mode, context_kind=kind, head=head, lstm_hidden=6,
+                      gcn_hidden=10, window=(-1, 0, 1))
+    rng = np.random.default_rng(zlib.crc32(repr((label_mode, kind, head)).encode()))
+    bundle = build_model(cfg, SPEC, rng)
+    for tensor in bundle.parameter_blocks().values():
+        tensor *= 4.0
+        tensor += rng.normal(size=tensor.shape)
+    return bundle
+
+
+def per_document(bundle, doc, enc):
+    """The per-document reference: featurize, full context forward pass,
+    then Viterbi or argmax on this document alone."""
+    prevs = None
+    if bundle.label_mode != "off":
+        prevs = train_mod._prev_labels(doc.gold_labels(), len(doc))
+    X = train_mod._featurize_doc(bundle, enc.encode_document(doc), prevs)
+    H, _ = train_mod._context_forward(bundle, X)
+    p = bundle.head_params
+    if bundle.head_kind == "crf":
+        labels, _ = crf.viterbi_decode(crf.emissions(H, p), p)
+    else:
+        labels = [int(v) for v in (H @ p.W + p.b).argmax(axis=1)]
+    return X, H, labels
+
+
+@pytest.mark.parametrize("label_mode", ["off", "gold"])
+@pytest.mark.parametrize("head", ["crf", "softmax"])
+@pytest.mark.parametrize("kind", ["none", "bilstm", "attention", "gcn"])
+def test_batched_labels_equal_per_document_labels(kind, head, label_mode):
+    docs = mixed_docs()
+    bundle = random_model(label_mode, kind, head)
+    enc = encoder()
+    refs = [per_document(bundle, doc, enc) for doc in docs]
+    got = predict_documents(docs, bundle, mode="teacher_forced", encoder=enc)
+    assert [[int(r) for r in labels] for labels in got] == [labels for _, _, labels in refs]
+    assert len({v for _, _, labels in refs for v in labels}) >= 3
+    if kind == "bilstm":
+        Hs = context.bilstm_encode_batch([X for X, _, _ in refs], bundle.context_params)
+        for H, (_, ref_H, _) in zip(Hs, refs):
+            assert np.array_equal(H, ref_H)
+
+
+@pytest.mark.parametrize("mode", ["free_running", "teacher_forced"])
+def test_predict_document_is_a_batch_of_one(mode):
+    docs = mixed_docs()[:6]
+    bundle = random_model("gold", "bilstm", "crf")
+    batch = predict_documents(docs, bundle, mode=mode, encoder=encoder())
+    assert batch == [predict_document(doc, bundle, mode=mode, encoder=encoder()) for doc in docs]
+
+
+def test_batched_viterbi_equals_per_document_viterbi_on_ties():
+    p = crf.CrfParams(W_e=np.zeros((1, 7)), b_e=np.zeros(7), T=np.zeros((7, 7)),
+                      start=np.zeros(7), end=np.zeros(7))
+    p.T[2, 5] = p.T[5, 2] = 1.0
+    Es = []
+    for m in (1, 2, 13, 40, 13):
+        E = np.zeros((m, 7))
+        E[:, [1, 4, 5]] = 1.0  # three-way ties at every step
+        Es.append(E)
+    assert crf.viterbi_decode_batch(Es, p) == [crf.viterbi_decode(E, p)[0] for E in Es]
+
+
+def per_document_chunk(bundle, bases, mode, golds=None):
+    """_predict_chunk computed one document at a time, as before batching."""
+    out = []
+    for base in bases:
+        if bundle.label_mode != "off":
+            out.append(train_mod._free_running(bundle, base)[0])
+            continue
+        H, _ = train_mod._context_forward(bundle, train_mod._featurize_doc(bundle, base, None))
+        p = bundle.head_params
+        out.append(crf.viterbi_decode(crf.emissions(H, p), p)[0])
+    return out
+
+
+@pytest.mark.parametrize("label_mode", ["off", "predicted"])
+def test_training_bytes_unchanged_by_batched_validation(tmp_path, monkeypatch, label_mode):
+    docs = generate_corpus(40, 1, 18, noise=0.2, seed=9).documents
+    train = Corpus(documents=docs[:14])
+    val = Corpus(documents=docs[14:])  # more than one chunk
+    assert len(val) > train_mod._CHUNK_DOCS
+    cfg = TrainConfig(label_mode=label_mode, epochs=3, early_stopping_patience=0, lstm_hidden=5,
+                      learning_rate=0.02, seed=1)
+    batched, report = train_model(train, val, cfg, encoder())
+    save_checkpoint(batched, tmp_path / "batched.json")
+    monkeypatch.setattr(train_mod, "_predict_chunk", per_document_chunk)
+    reference, ref_report = train_model(train, val, cfg, encoder())
+    save_checkpoint(reference, tmp_path / "reference.json")
+    assert report.val_macro_f1 == ref_report.val_macro_f1
+    assert (tmp_path / "batched.json").read_bytes() == (tmp_path / "reference.json").read_bytes()

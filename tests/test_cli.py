@@ -281,6 +281,24 @@ class TestTrainPredictEvaluate:
         assert err == "error: checkpoint tensor 'crf.T' holds a non-finite value\n"
         assert not preds.exists()
 
+    @pytest.mark.parametrize("damage", ["drop feature", "list payload", "short Wx"])
+    def test_predict_malformed_checkpoint_exits_two(self, tmp_path, capsys, damage):
+        corpus = make_corpus(tmp_path)
+        model, _ = train_small(tmp_path, corpus)
+        payload = json.loads(model.read_text())
+        if damage == "drop feature":
+            del payload["feature"]
+        elif damage == "list payload":
+            payload = [payload]
+        else:
+            payload["tensors"]["bilstm.fwd.Wx"].pop()
+        model.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "predict", "--input", str(corpus),
+                             "--model", str(model), "--output", str(tmp_path / "preds.jsonl"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_train_report_csv_written(self, tmp_path, capsys):
         corpus = make_corpus(tmp_path)
         report = tmp_path / "train_report.csv"

@@ -42,12 +42,17 @@ def _sig(v):
     return 1.0 / (1.0 + np.exp(-np.clip(v, -60, 60)))
 
 
-def oracle_lstm(X, p):
+def _gate_blocks(A, h):
+    return A[:h], A[h:2 * h], A[2 * h:3 * h], A[3 * h:]
+
+
+def oracle_lstm_states(X, p):
+    """Per-step gates (i, f, o, g), cells and hiddens, one matrix per gate."""
     h = p.hidden_dim
-    Wi, Wf, Wo, Wg = p.Wx[:h], p.Wx[h:2 * h], p.Wx[2 * h:3 * h], p.Wx[3 * h:]
-    Ui, Uf, Uo, Ug = p.Wh[:h], p.Wh[h:2 * h], p.Wh[2 * h:3 * h], p.Wh[3 * h:]
-    bi, bf, bo, bg = p.b[:h], p.b[h:2 * h], p.b[2 * h:3 * h], p.b[3 * h:]
-    out = []
+    Wi, Wf, Wo, Wg = _gate_blocks(p.Wx, h)
+    Ui, Uf, Uo, Ug = _gate_blocks(p.Wh, h)
+    bi, bf, bo, bg = _gate_blocks(p.b, h)
+    gates, cells, hiddens = [], [], []
     h_prev = np.zeros(h)
     c_prev = np.zeros(h)
     for x in X:
@@ -58,8 +63,37 @@ def oracle_lstm(X, p):
         c = f * c_prev + i * g
         h_prev = o * np.tanh(c)
         c_prev = c
-        out.append(h_prev.copy())
-    return np.array(out)
+        gates.append(np.concatenate([i, f, o, g]))
+        cells.append(c)
+        hiddens.append(h_prev.copy())
+    return np.array(gates), np.array(cells), np.array(hiddens)
+
+
+def oracle_lstm(X, p):
+    return oracle_lstm_states(X, p)[2]
+
+
+def oracle_lstm_backward(X, p, dH):
+    """Gradients of sum(H * dH) with respect to each step's gate
+    pre-activations, by backpropagation through time per gate."""
+    h = p.hidden_dim
+    gates, cells, _ = oracle_lstm_states(X, p)
+    U = _gate_blocks(p.Wh, h)
+    dA = np.zeros(gates.shape)
+    dh_next = np.zeros(h)
+    dc_next = np.zeros(h)
+    for t in range(len(X) - 1, -1, -1):
+        i, f, o, g = _gate_blocks(gates[t], h)
+        c_prev = cells[t - 1] if t > 0 else np.zeros(h)
+        dh = dH[t] + dh_next
+        tc = np.tanh(cells[t])
+        dc = dh * o * (1.0 - tc ** 2) + dc_next
+        d_gates = (dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                   dh * tc * o * (1.0 - o), dc * i * (1.0 - g ** 2))
+        dA[t] = np.concatenate(d_gates)
+        dh_next = sum(Uk.T @ dk for Uk, dk in zip(U, d_gates))
+        dc_next = dc * f
+    return dA
 
 
 def fixed_bilstm_params():

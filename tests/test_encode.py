@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rhetseg import encode as encode_mod
 from rhetseg.corpus import Corpus, Document, Sentence
 from rhetseg.encode import (
     WINDOW_SPECS,
@@ -125,6 +126,57 @@ class TestEncoders:
         enc = PrecomputedEncoder({"d": np.zeros((3, 4))}, dim=4)
         with pytest.raises(DataError, match="3 sentences"):
             enc.encode_document(two_sentence_doc())
+
+
+WORDS = ["court", "held", "appeal", "§", "münchen", "naïve", "€€", "?!", "80ia", "a", "ß", "x1"]
+
+
+def random_doc(rng, n_sentences):
+    """Sentences of random words, some repeated, some non-ASCII, some a single token."""
+    sentences = []
+    for idx in range(n_sentences):
+        n = 1 if idx % 4 == 0 else int(rng.integers(2, 12))
+        sentences.append(Sentence(index=idx, text=" ".join(rng.choice(WORDS, size=n))))
+    return Document(doc_id="r", sentences=tuple(sentences))
+
+
+def uncached(doc, cfg):
+    return np.vstack([hash_embed(tokenize(s.text), cfg) for s in doc.sentences])
+
+
+class TestHashingMemo:
+    @pytest.mark.parametrize("signed", [True, False])
+    @pytest.mark.parametrize("orders", [(1,), (2,), (1, 2)])
+    def test_matches_uncached_hash_embed(self, signed, orders):
+        cfg = HashEncoderConfig(dim=16, ngram_orders=orders, seed=3, signed=signed)
+        enc = HashingEncoder(cfg)
+        rng = np.random.default_rng(len(orders) + 2 * signed)
+        for _ in range(6):  # later documents mostly hit the memo
+            doc = random_doc(rng, 9)
+            np.testing.assert_array_equal(enc.encode_document(doc), uncached(doc, cfg))
+
+    def test_hashes_each_distinct_ngram_once(self, monkeypatch):
+        calls = []
+        real = encode_mod._hash64
+        monkeypatch.setattr(encode_mod, "_hash64", lambda text, key: calls.append(text) or real(text, key))
+        enc = HashingEncoder(HashEncoderConfig(dim=16))
+        doc = random_doc(np.random.default_rng(1), 12)
+        first = enc.encode_document(doc)
+        assert sorted(calls) == sorted(set(calls))
+        assert len(calls) == len(enc._memo)
+        calls.clear()
+        np.testing.assert_array_equal(enc.encode_document(doc), first)
+        assert calls == []
+
+    def test_memo_stops_growing_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(encode_mod, "_MEMO_CAP", 5)
+        cfg = HashEncoderConfig(dim=16)
+        enc = HashingEncoder(cfg)
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            doc = random_doc(rng, 10)
+            np.testing.assert_array_equal(enc.encode_document(doc), uncached(doc, cfg))
+        assert len(enc._memo) == 5
 
 
 class TestLoadEmbeddings:

@@ -1,24 +1,20 @@
-"""Both kernel paths (compiled and plain numpy) must agree numerically."""
+"""Kernels against independent oracles: CRF dynamic programs against
+enumeration of every label sequence, the LSTM recurrence and its backward
+pass against the per-gate oracle of tests/test_context.py, and padded
+batches against the same sequences run one at a time."""
 
-import subprocess
-import sys
+import itertools
 
 import numpy as np
 import pytest
+from test_context import oracle_lstm_backward, oracle_lstm_states
+from test_crf import brute_force, random_params
 
 from rhetseg import kernels
+from rhetseg.context import LstmParams
+from rhetseg.crf import CrfParams
 
 K = 7
-paths = sorted(kernels.IMPLEMENTATIONS)
-
-
-def test_both_paths_registered():
-    assert set(kernels.IMPLEMENTATIONS) == {"numpy", "numba"}
-    assert kernels.ACTIVE_PATH in kernels.IMPLEMENTATIONS
-    names = {"crf_forward", "crf_backward", "crf_viterbi",
-             "lstm_recurrence", "lstm_recurrence_backward"}
-    for impl in kernels.IMPLEMENTATIONS.values():
-        assert set(impl) == names
 
 
 def crf_instance(rng, m):
@@ -29,92 +25,155 @@ def crf_instance(rng, m):
     return E, T, start, end
 
 
-@pytest.mark.parametrize("m", [1, 2, 5, 30])
-def test_crf_forward_paths_agree(m):
+def enumerated_scores(E, T, start, lo, hi):
+    """Every label sequence over steps lo..hi-1 and its score from E and T,
+    plus start when the sequence begins at step 0."""
+    paths = np.array(list(itertools.product(range(K), repeat=hi - lo)))
+    scores = E[np.arange(lo, hi), paths].sum(axis=1)
+    scores += T[paths[:, :-1], paths[:, 1:]].sum(axis=1)
+    if lo == 0:
+        scores += start[paths[:, 0]]
+    return paths, scores
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_crf_forward_matches_enumeration(m):
     rng = np.random.default_rng(m)
     for _ in range(5):
         E, T, start, end = crf_instance(rng, m)
-        results = {}
-        for name in paths:
-            fn = kernels.IMPLEMENTATIONS[name]["crf_forward"]
-            results[name] = fn(E, T, start, end)
-        np.testing.assert_allclose(results["numba"][0], results["numpy"][0],
-                                   rtol=0, atol=1e-10)
-        np.testing.assert_allclose(results["numba"][1], results["numpy"][1],
-                                   rtol=0, atol=1e-10)
+        log_z, alpha = kernels.crf_forward(E, T, start, end)
+        want_z, _, _ = brute_force(E, CrfParams(W_e=np.zeros((1, K)), b_e=np.zeros(K),
+                                                T=T, start=start, end=end))
+        np.testing.assert_allclose(log_z, want_z, rtol=0, atol=1e-10)
+        for t in range(m):
+            # alpha[t, b]: log-sum over prefixes y_0..y_t ending in b
+            paths, scores = enumerated_scores(E, T, start, 0, t + 1)
+            want = [np.logaddexp.reduce(scores[paths[:, -1] == b]) for b in range(K)]
+            np.testing.assert_allclose(alpha[t], want, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("m", [1, 2, 5, 30])
-def test_crf_backward_paths_agree(m):
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_crf_backward_matches_enumeration(m):
     rng = np.random.default_rng(m + 100)
     for _ in range(5):
         E, T, start, end = crf_instance(rng, m)
-        outs = [kernels.IMPLEMENTATIONS[n]["crf_backward"](E, T, end) for n in paths]
-        np.testing.assert_allclose(outs[0], outs[1], rtol=0, atol=1e-10)
+        beta = kernels.crf_backward(E, T, end)
+        np.testing.assert_allclose(beta[m - 1], end, rtol=0, atol=1e-10)
+        for t in range(m - 1):
+            # beta[t, a]: log-sum over suffixes y_{t+1}..y_{m-1} after label a
+            paths, scores = enumerated_scores(E, T, start, t + 1, m)
+            scores = scores + end[paths[:, -1]]
+            want = [np.logaddexp.reduce(scores + T[a, paths[:, 0]]) for a in range(K)]
+            np.testing.assert_allclose(beta[t], want, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("m", [1, 2, 5, 30])
-def test_crf_viterbi_paths_agree(m):
+def tie_breaking_best(E, T, start, end):
+    """The kernels' tie rule over enumerated paths: among the best-scoring
+    paths, the lowest last label, then the lowest label before it, ..."""
+    p = CrfParams(W_e=np.zeros((1, K)), b_e=np.zeros(K), T=T, start=start, end=end)
+    _, scores, paths = brute_force(E, p)
+    best = [path for path, s in zip(paths, scores) if s == scores.max()]
+    return list(min(best, key=lambda path: path[::-1]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_crf_viterbi_matches_enumeration(m):
     rng = np.random.default_rng(m + 200)
     for _ in range(10):
         E, T, start, end = crf_instance(rng, m)
-        got = [kernels.IMPLEMENTATIONS[n]["crf_viterbi"](E, T, start, end) for n in paths]
-        assert list(got[0]) == list(got[1])
+        assert list(kernels.crf_viterbi(E, T, start, end)) == tie_breaking_best(E, T, start, end)
 
 
-def test_crf_viterbi_paths_agree_on_ties():
-    # all-zero potentials tie everywhere; both paths must break identically
+def test_crf_viterbi_ties_go_to_lowest_ids():
+    # all-zero potentials tie everywhere
     E = np.zeros((4, K))
     T = np.zeros((K, K))
     z = np.zeros(K)
-    got = [kernels.IMPLEMENTATIONS[n]["crf_viterbi"](E, T, z, z) for n in paths]
-    assert list(got[0]) == list(got[1]) == [0, 0, 0, 0]
+    assert list(kernels.crf_viterbi(E, T, z, z)) == [0, 0, 0, 0]
+    # small integer potentials: exact sums, many ties
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        m = int(rng.integers(1, 5))
+        E = rng.integers(-1, 2, size=(m, K)).astype(float)
+        p = random_params(rng)
+        T, start, end = (np.round(v) for v in (p.T, p.start, p.end))
+        assert list(kernels.crf_viterbi(E, T, start, end)) == tie_breaking_best(E, T, start, end)
+
+
+def padded(seqs):
+    out = np.zeros((max(len(s) for s in seqs), len(seqs), seqs[0].shape[1]))
+    for j, s in enumerate(seqs):
+        out[: len(s), j] = s
+    return out
+
+
+def test_batched_viterbi_tables_match_per_sequence_decode_on_ties():
+    rng = np.random.default_rng(8)
+    T = rng.integers(-1, 2, size=(K, K)).astype(float)
+    start = rng.integers(-1, 2, size=K).astype(float)
+    end = rng.integers(-1, 2, size=K).astype(float)
+    Es = [rng.integers(-1, 2, size=(m, K)).astype(float) for m in (1, 2, 13, 40, 13, 5, 1, 40, 3)]
+    Es.append(np.zeros((6, K)))
+    delta, back = kernels.crf_viterbi_tables(padded(Es), T, start)
+    for j, E in enumerate(Es):
+        m = E.shape[0]
+        one_delta, one_back = kernels.crf_viterbi_tables(E, T, start)
+        assert np.array_equal(delta[:m, j], one_delta)
+        assert np.array_equal(back[:m, j], one_back)
+        path = kernels.viterbi_backtrack(delta[m - 1, j] + end, back[:m, j])
+        assert list(path) == list(kernels.crf_viterbi(E, T, start, end))
 
 
 def lstm_instance(rng, m, d, h):
     X = rng.normal(size=(m, d))
-    Wx = rng.normal(size=(4 * h, d)) / np.sqrt(d)
-    Wh = rng.normal(size=(4 * h, h)) / np.sqrt(h)
-    b = rng.normal(size=4 * h)
-    return X @ Wx.T, Wh, b
+    p = LstmParams(Wx=rng.normal(size=(4 * h, d)) / np.sqrt(d),
+                   Wh=rng.normal(size=(4 * h, h)) / np.sqrt(h),
+                   b=rng.normal(size=4 * h))
+    return X, p
 
 
 @pytest.mark.parametrize("m,h", [(1, 3), (4, 5), (25, 8)])
-def test_lstm_recurrence_paths_agree(m, h):
+def test_lstm_recurrence_matches_oracle(m, h):
     rng = np.random.default_rng(m * 31 + h)
-    XW, Wh, b = lstm_instance(rng, m, 6, h)
-    outs = {n: kernels.IMPLEMENTATIONS[n]["lstm_recurrence"](XW, Wh, b) for n in paths}
-    for part in range(3):  # gates, cells, hiddens
-        np.testing.assert_allclose(outs["numba"][part], outs["numpy"][part],
-                                   rtol=0, atol=1e-10)
+    X, p = lstm_instance(rng, m, 6, h)
+    got = kernels.lstm_recurrence(X @ p.Wx.T, p.Wh, p.b)
+    for part, want in zip(got, oracle_lstm_states(X, p)):  # gates, cells, hiddens
+        np.testing.assert_allclose(part, want, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("m,h", [(1, 3), (4, 5), (25, 8)])
-def test_lstm_backward_paths_agree(m, h):
+def test_lstm_backward_matches_oracle(m, h):
     rng = np.random.default_rng(m * 17 + h)
-    XW, Wh, b = lstm_instance(rng, m, 6, h)
-    G, C, _ = kernels.IMPLEMENTATIONS["numpy"]["lstm_recurrence"](XW, Wh, b)
+    X, p = lstm_instance(rng, m, 6, h)
+    G, C, _ = kernels.lstm_recurrence(X @ p.Wx.T, p.Wh, p.b)
     dH = rng.normal(size=(m, h))
-    outs = [
-        kernels.IMPLEMENTATIONS[n]["lstm_recurrence_backward"](
-            G, C, np.ascontiguousarray(Wh.T), dH)
-        for n in paths
-    ]
-    np.testing.assert_allclose(outs[0], outs[1], rtol=0, atol=1e-10)
+    dA = kernels.lstm_recurrence_backward(G, C, np.ascontiguousarray(p.Wh.T), dH)
+    np.testing.assert_allclose(dA, oracle_lstm_backward(X, p, dH), rtol=0, atol=1e-10)
 
 
-def test_saturation_matches_across_paths():
-    # huge pre-activations exercise the clip on both paths identically
+def test_saturation_matches_oracle():
+    # huge pre-activations exercise the +-60 clip
     h = 4
-    XW = np.full((3, 4 * h), 500.0)
-    XW[1] = -500.0
-    Wh = np.zeros((4 * h, h))
-    b = np.zeros(4 * h)
-    outs = {n: kernels.IMPLEMENTATIONS[n]["lstm_recurrence"](XW, Wh, b) for n in paths}
-    for part in range(3):
-        np.testing.assert_allclose(outs["numba"][part], outs["numpy"][part],
-                                   rtol=0, atol=1e-12)
-        assert np.all(np.isfinite(outs["numba"][part]))
+    X = np.ones((3, 4 * h))
+    X[1] = -1.0
+    p = LstmParams(Wx=500.0 * np.eye(4 * h), Wh=np.zeros((4 * h, h)), b=np.zeros(4 * h))
+    got = kernels.lstm_recurrence(X @ p.Wx.T, p.Wh, p.b)
+    for part, want in zip(got, oracle_lstm_states(X, p)):
+        np.testing.assert_allclose(part, want, rtol=0, atol=1e-12)
+        assert np.all(np.isfinite(part))
+
+
+def test_batched_recurrence_columns_equal_single_runs():
+    rng = np.random.default_rng(12)
+    for h in (4, 17, 32):
+        Wh = rng.normal(size=(4 * h, h)) / np.sqrt(h)
+        b = rng.normal(size=4 * h)
+        XWs = [rng.normal(size=(m, 4 * h)) * 3.0 for m in (1, 2, 13, 40, 13, 7, 1, 40, 25)]
+        XWs[3][5] *= 100.0  # past the clip
+        batch = kernels.lstm_recurrence(padded(XWs), Wh, b)
+        for j, XW in enumerate(XWs):
+            for part, one in zip(batch, kernels.lstm_recurrence(XW, Wh, b)):
+                assert np.array_equal(part[: len(XW), j], one)
 
 
 def test_dispatchers_accept_noncontiguous_input():
@@ -128,13 +187,3 @@ def test_dispatchers_accept_noncontiguous_input():
     logz, _ = kernels.crf_forward(E, T, start, end)
     ref, _ = kernels.crf_forward(np.ascontiguousarray(E), T, start, end)
     assert logz == ref
-
-
-def test_env_flag_selects_numpy_path():
-    code = (
-        "import os; os.environ['RHETSEG_NO_NUMBA'] = '1'; "
-        "from rhetseg import kernels; print(kernels.ACTIVE_PATH)"
-    )
-    out = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"

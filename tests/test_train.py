@@ -456,6 +456,46 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="label set"):
             load_checkpoint(path)
 
+    def test_rejects_non_object_payload(self, tmp_path):
+        path = tmp_path / "list.json"
+        for text in ("[1, 2]", '"rhetseg-checkpoint"', "3"):
+            path.write_text(text)
+            with pytest.raises(DataError, match="not a model checkpoint"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry", ["encoder", "feature", "context", "head", "dims", "tensors"])
+    def test_rejects_missing_entry(self, tmp_path, entry):
+        import json
+
+        bundle, path = self.trained(tmp_path)
+        for bad in (None, [1, 2]):
+            payload = json.loads(path.read_text())
+            if bad is None:
+                del payload[entry]
+            else:
+                payload[entry] = bad
+            path.write_text(json.dumps(payload))
+            with pytest.raises(DataError, match=f"'{entry}' is missing or not an object"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind,name", [
+        ("bilstm", "bilstm.fwd.Wx"),
+        ("bilstm", "bilstm.bwd.Wh"),
+        ("bilstm", "bilstm.fwd.b"),
+        ("attention", "attn.layer0.K"),
+        ("gcn", "gcn.W1"),
+        ("gcn", "gcn.W2"),
+    ])
+    def test_rejects_context_tensor_of_wrong_shape(self, tmp_path, kind, name):
+        import json
+
+        bundle, path = self.trained(tmp_path, context_kind=kind, gcn_hidden=6, epochs=1)
+        payload = json.loads(path.read_text())
+        payload["tensors"][name] = payload["tensors"][name][:-1]  # one row short
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=f"{name}' has shape"):
+            load_checkpoint(path)
+
     def test_rejects_inconsistent_dims(self, tmp_path):
         import json
 
