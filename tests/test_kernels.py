@@ -1,9 +1,12 @@
 """Kernels against independent oracles: CRF dynamic programs against
-enumeration of every label sequence, the LSTM recurrence and its backward
-pass against the per-gate oracle of tests/test_context.py, and padded
-batches against the same sequences run one at a time."""
+enumeration of every label sequence (and, for sequences too long to
+enumerate, against scalar per-label loops), the LSTM recurrence and its
+backward pass against the per-gate oracle of tests/test_context.py, and
+padded batches against the same sequences run one at a time. A
+`*_paths_agree` test checks that the kernel and its oracle agree."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -36,12 +39,58 @@ def enumerated_scores(E, T, start, lo, hi):
     return paths, scores
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5])
-def test_crf_forward_matches_enumeration(m):
+def scalar_logsumexp(xs):
+    top = max(xs)
+    return top + math.log(sum(math.exp(x - top) for x in xs))
+
+
+def scalar_crf(E, T, start, end):
+    """logZ, alpha, beta and the Viterbi path by explicit loops over labels.
+    Viterbi keeps the first (lowest) predecessor and final label among
+    equal scores."""
+    m = len(E)
+    alpha = [[start[b] + E[0][b] for b in range(K)]]
+    delta = [alpha[0][:]]
+    back = []
+    for t in range(1, m):
+        alpha.append([E[t][b] + scalar_logsumexp([alpha[-1][a] + T[a][b] for a in range(K)])
+                      for b in range(K)])
+        row, ptr = [], []
+        for b in range(K):
+            best = 0
+            for a in range(1, K):
+                if delta[-1][a] + T[a][b] > delta[-1][best] + T[best][b]:
+                    best = a
+            row.append(delta[-1][best] + T[best][b] + E[t][b])
+            ptr.append(best)
+        delta.append(row)
+        back.append(ptr)
+    beta = [list(end)]
+    for t in range(m - 2, -1, -1):
+        beta.insert(0, [scalar_logsumexp([T[a][b] + E[t + 1][b] + beta[0][b] for b in range(K)])
+                        for a in range(K)])
+    log_z = scalar_logsumexp([alpha[-1][b] + end[b] for b in range(K)])
+    last = 0
+    for b in range(1, K):
+        if delta[-1][b] + end[b] > delta[-1][last] + end[last]:
+            last = b
+    path = [last]
+    for ptr in reversed(back):
+        path.insert(0, ptr[path[0]])
+    return log_z, np.array(alpha), np.array(beta), path
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 30])
+def test_crf_forward_paths_agree(m):
     rng = np.random.default_rng(m)
     for _ in range(5):
         E, T, start, end = crf_instance(rng, m)
         log_z, alpha = kernels.crf_forward(E, T, start, end)
+        want_z, want_alpha, _, _ = scalar_crf(E, T, start, end)
+        np.testing.assert_allclose(log_z, want_z, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(alpha, want_alpha, rtol=0, atol=1e-10)
+        if m > 5:
+            continue  # too many label sequences to enumerate
         want_z, _, _ = brute_force(E, CrfParams(W_e=np.zeros((1, K)), b_e=np.zeros(K),
                                                 T=T, start=start, end=end))
         np.testing.assert_allclose(log_z, want_z, rtol=0, atol=1e-10)
@@ -52,13 +101,16 @@ def test_crf_forward_matches_enumeration(m):
             np.testing.assert_allclose(alpha[t], want, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5])
-def test_crf_backward_matches_enumeration(m):
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 30])
+def test_crf_backward_paths_agree(m):
     rng = np.random.default_rng(m + 100)
     for _ in range(5):
         E, T, start, end = crf_instance(rng, m)
         beta = kernels.crf_backward(E, T, end)
+        np.testing.assert_allclose(beta, scalar_crf(E, T, start, end)[2], rtol=0, atol=1e-10)
         np.testing.assert_allclose(beta[m - 1], end, rtol=0, atol=1e-10)
+        if m > 5:
+            continue  # too many label sequences to enumerate
         for t in range(m - 1):
             # beta[t, a]: log-sum over suffixes y_{t+1}..y_{m-1} after label a
             paths, scores = enumerated_scores(E, T, start, t + 1, m)
@@ -76,15 +128,18 @@ def tie_breaking_best(E, T, start, end):
     return list(min(best, key=lambda path: path[::-1]))
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_crf_viterbi_matches_enumeration(m):
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 30])
+def test_crf_viterbi_paths_agree(m):
     rng = np.random.default_rng(m + 200)
     for _ in range(10):
         E, T, start, end = crf_instance(rng, m)
-        assert list(kernels.crf_viterbi(E, T, start, end)) == tie_breaking_best(E, T, start, end)
+        got = list(kernels.crf_viterbi(E, T, start, end))
+        assert got == scalar_crf(E, T, start, end)[3]
+        if m <= 5:
+            assert got == tie_breaking_best(E, T, start, end)
 
 
-def test_crf_viterbi_ties_go_to_lowest_ids():
+def test_crf_viterbi_paths_agree_on_ties():
     # all-zero potentials tie everywhere
     E = np.zeros((4, K))
     T = np.zeros((K, K))
@@ -97,7 +152,9 @@ def test_crf_viterbi_ties_go_to_lowest_ids():
         E = rng.integers(-1, 2, size=(m, K)).astype(float)
         p = random_params(rng)
         T, start, end = (np.round(v) for v in (p.T, p.start, p.end))
-        assert list(kernels.crf_viterbi(E, T, start, end)) == tie_breaking_best(E, T, start, end)
+        want = tie_breaking_best(E, T, start, end)
+        assert want == scalar_crf(E, T, start, end)[3]
+        assert list(kernels.crf_viterbi(E, T, start, end)) == want
 
 
 def padded(seqs):
@@ -133,7 +190,7 @@ def lstm_instance(rng, m, d, h):
 
 
 @pytest.mark.parametrize("m,h", [(1, 3), (4, 5), (25, 8)])
-def test_lstm_recurrence_matches_oracle(m, h):
+def test_lstm_recurrence_paths_agree(m, h):
     rng = np.random.default_rng(m * 31 + h)
     X, p = lstm_instance(rng, m, 6, h)
     got = kernels.lstm_recurrence(X @ p.Wx.T, p.Wh, p.b)
@@ -142,7 +199,7 @@ def test_lstm_recurrence_matches_oracle(m, h):
 
 
 @pytest.mark.parametrize("m,h", [(1, 3), (4, 5), (25, 8)])
-def test_lstm_backward_matches_oracle(m, h):
+def test_lstm_backward_paths_agree(m, h):
     rng = np.random.default_rng(m * 17 + h)
     X, p = lstm_instance(rng, m, 6, h)
     G, C, _ = kernels.lstm_recurrence(X @ p.Wx.T, p.Wh, p.b)
@@ -151,7 +208,7 @@ def test_lstm_backward_matches_oracle(m, h):
     np.testing.assert_allclose(dA, oracle_lstm_backward(X, p, dH), rtol=0, atol=1e-10)
 
 
-def test_saturation_matches_oracle():
+def test_saturation_matches_across_paths():
     # huge pre-activations exercise the +-60 clip
     h = 4
     X = np.ones((3, 4 * h))
