@@ -3,7 +3,7 @@
 
 Each kernel in ``rhetseg.kernels`` runs on one document of --doc-len
 sentences; the best of --repeats runs is printed. The recurrence is also run
-over batches of B sequences of --batch-len steps, (T, B, 4h) inputs, and
+over batches of B sequences of BATCH_LEN steps, (T, B, 4h) inputs, and
 reported as time per sequence, with a check that every batch column equals
 the same sequence run on its own.
 
@@ -19,6 +19,7 @@ from rhetseg import kernels
 
 K = 7
 BATCH_SIZES = (1, 64)
+BATCH_LEN = 14
 
 
 def build_cases(doc_len: int, hidden: int, rng) -> dict[str, tuple]:
@@ -53,8 +54,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--doc-len", type=int, default=2000,
                         help="sentences per document (default 2000)")
-    parser.add_argument("--batch-len", type=int, default=14,
-                        help="steps per sequence in the batched recurrence (default 14)")
     parser.add_argument("--hidden", type=int, default=32,
                         help="LSTM hidden size (default 32)")
     parser.add_argument("--repeats", type=int, default=5,
@@ -62,7 +61,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    print(f"doc_len={args.doc_len} batch_len={args.batch_len} hidden={args.hidden} "
+    print(f"doc_len={args.doc_len} hidden={args.hidden} "
           f"repeats={args.repeats}")
     rng = np.random.default_rng(args.seed)
     print(f"{'kernel':<34}{'ms':>12}")
@@ -75,7 +74,7 @@ def main(argv=None) -> int:
     b = rng.standard_normal(4 * h)
     print(f"{'batched recurrence':<34}{'us/sequence':>12}")
     for B in BATCH_SIZES:
-        XW = rng.standard_normal((args.batch_len, B, 4 * h))
+        XW = rng.standard_normal((BATCH_LEN, B, 4 * h))
         seconds = best_of(kernels.lstm_recurrence, (XW, Wh, b), args.repeats)
         batch = kernels.lstm_recurrence(XW, Wh, b)
         exact = all(

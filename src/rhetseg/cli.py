@@ -41,7 +41,7 @@ from .train import (
     gradcheck,
     inverse_frequency_weights,
     load_checkpoint,
-    predict_document,  # noqa: F401 - part of the cli namespace that rhetbench's tracer wraps
+    predict_document,  # noqa: F401 - unused here; kept as the call site rhetbench's tracer wraps
     predict_documents,
     save_checkpoint,
     train_model,

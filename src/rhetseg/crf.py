@@ -142,8 +142,10 @@ def nll_and_grad(E: np.ndarray, y, p: CrfParams) -> tuple[float, np.ndarray, Crf
 def viterbi_decode(E: np.ndarray, p: CrfParams) -> tuple[list[int], float]:
     """Highest-scoring label sequence; ties break toward the lowest label id.
 
-    The returned score is recomputed with sequence_score on the decoded path
-    so it matches that function exactly.
+    Reference entry point for one document: prediction decodes through
+    viterbi_decode_batch, which must agree with it. The returned score is
+    recomputed with sequence_score on the decoded path so it matches that
+    function exactly.
     """
     path = kernels.crf_viterbi(E, p.T, p.start, p.end)
     labels = [int(v) for v in path]

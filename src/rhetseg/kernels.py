@@ -85,7 +85,9 @@ def viterbi_backtrack(final, back):
 
 
 def crf_viterbi(E, T, start, end):
-    """Best-path decode of one sequence. Ties break toward the lowest label id."""
+    """Best-path decode of one sequence. Ties break toward the lowest label id.
+
+    Reference entry point: prediction backtracks crf_viterbi_tables itself."""
     delta, back = crf_viterbi_tables(E, T, start)
     return viterbi_backtrack(delta[-1] + end, back)
 
