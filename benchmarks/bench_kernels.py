@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Time the numeric kernels, and the LSTM recurrence over padded batches.
+"""Time the numeric kernels, the LSTM recurrence over padded batches, and
+one optimizer step.
 
 Each kernel in ``rhetseg.kernels`` runs on one document of --doc-len
 sentences; the best of --repeats runs is printed. The recurrence is also run
 over batches of B sequences of BATCH_LEN steps, (T, B, 4h) inputs, and
 reported as time per sequence, with a check that every batch column equals
-the same sequence run on its own.
+the same sequence run on its own. The Adam step updates the parameter vector
+of the default model (BiLSTM with --hidden units over hashed features of
+width FEAT_DIM, CRF head, shift head) from a gradient dict.
 
     python3 benchmarks/bench_kernels.py --doc-len 2000 --hidden 32
 """
@@ -16,10 +19,12 @@ import time
 import numpy as np
 
 from rhetseg import kernels
+from rhetseg.train import TrainConfig, layout_size, make_optimizer, parameter_layout
 
 K = 7
 BATCH_SIZES = (1, 64)
 BATCH_LEN = 14
+FEAT_DIM = 130  # 128 hashed buckets plus 2 normalized-position columns
 
 
 def build_cases(doc_len: int, hidden: int, rng) -> dict[str, tuple]:
@@ -84,6 +89,14 @@ def main(argv=None) -> int:
         )
         label = f"lstm_recurrence B={B}"
         print(f"{label:<34}{1e6 * seconds / B:>12.1f}  columns bit-identical: {exact}")
+
+    layout = parameter_layout("bilstm", "crf", FEAT_DIM, 2 * h, 1, True)
+    optimizer = make_optimizer(TrainConfig(), layout)
+    flat = rng.standard_normal(layout_size(layout))
+    grads = {name: rng.standard_normal(shape) for name, shape in layout.items()}
+    seconds = best_of(optimizer.step, (flat, grads), args.repeats)
+    print(f"{'optimizer step':<34}{'ms':>12}")
+    print(f"{f'adam_step params={flat.size}':<34}{1000 * seconds:>12.3f}")
     return 0
 
 

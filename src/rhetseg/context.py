@@ -57,10 +57,6 @@ class BilstmParams:
     fwd: LstmParams
     bwd: LstmParams
 
-    @property
-    def output_dim(self) -> int:
-        return self.fwd.hidden_dim + self.bwd.hidden_dim
-
 
 def init_lstm_params(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> LstmParams:
     """uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)); forget-gate bias starts at 1."""
@@ -265,10 +261,6 @@ class DocumentGraph:
 class GcnParams:
     W1: np.ndarray  # (d_in, hidden)
     W2: np.ndarray  # (hidden, hidden)
-
-    @property
-    def output_dim(self) -> int:
-        return self.W2.shape[1]
 
 
 def init_gcn_params(d_in: int, hidden: int, rng: np.random.Generator) -> GcnParams:

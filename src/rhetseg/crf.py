@@ -88,17 +88,19 @@ def sequence_score(E: np.ndarray, y, p: CrfParams) -> float:
     return float(score)
 
 
-def log_partition(E: np.ndarray, p: CrfParams) -> float:
-    log_z, _ = kernels.crf_forward(E, p.T, p.start, p.end)
+def log_partition(E: np.ndarray, p: CrfParams, forward=None) -> float:
+    """log Z. `forward` is crf_forward's (log_z, alpha) for E when the caller
+    already has it; marginals takes it too."""
+    log_z, _ = forward if forward is not None else kernels.crf_forward(E, p.T, p.start, p.end)
     if not np.isfinite(log_z):
         raise NumericError("non-finite log partition")
     return float(log_z)
 
 
-def marginals(E: np.ndarray, p: CrfParams) -> tuple[np.ndarray, np.ndarray]:
+def marginals(E: np.ndarray, p: CrfParams, forward=None) -> tuple[np.ndarray, np.ndarray]:
     """Exact posterior node (m, 7) and edge (m-1, 7, 7) marginals."""
     m = E.shape[0]
-    log_z, alpha = kernels.crf_forward(E, p.T, p.start, p.end)
+    log_z, alpha = forward if forward is not None else kernels.crf_forward(E, p.T, p.start, p.end)
     beta = kernels.crf_backward(E, p.T, p.end)
     node = np.exp(alpha + beta - log_z)
     if m > 1:
@@ -117,15 +119,17 @@ def marginals(E: np.ndarray, p: CrfParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def nll_and_grad(E: np.ndarray, y, p: CrfParams) -> tuple[float, np.ndarray, CrfGrad]:
-    """Negative log-likelihood of y plus exact gradients.
+    """Negative log-likelihood of y plus exact gradients, from one forward
+    and one backward pass.
 
     grad_E = node_marginals - onehot(y); transition/start/end gradients are
     expected counts minus empirical counts.
     """
     y = _validate_labels(E, y)
     m = E.shape[0]
-    loss = log_partition(E, p) - sequence_score(E, y, p)
-    node, edge = marginals(E, p)
+    forward = kernels.crf_forward(E, p.T, p.start, p.end)
+    loss = log_partition(E, p, forward) - sequence_score(E, y, p)
+    node, edge = marginals(E, p, forward)
     grad_E = node.copy()
     grad_E[np.arange(m), y] -= 1.0
     dT = edge.sum(axis=0)

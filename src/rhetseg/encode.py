@@ -223,7 +223,7 @@ def parse_window_spec(spec: str) -> tuple[int, ...]:
     return WINDOW_SPECS[spec]
 
 
-def _validate_offsets(offsets: tuple[int, ...]) -> None:
+def validate_offsets(offsets: tuple[int, ...]) -> None:
     if 0 not in offsets:
         raise DataError(f"window offsets must contain 0, got {offsets}")
     if list(offsets) != sorted(set(offsets)):
@@ -234,7 +234,7 @@ def _validate_offsets(offsets: tuple[int, ...]) -> None:
 
 def window_features(M: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
     """Concatenate rows j+o for each offset o; out-of-range rows are zero."""
-    _validate_offsets(offsets)
+    validate_offsets(offsets)
     m, d = M.shape
     out = np.zeros((m, d * len(offsets)))
     for k, off in enumerate(offsets):

@@ -17,8 +17,9 @@ are bit-reproducible for a fixed (corpus, config, seed).
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -28,7 +29,7 @@ import numpy as np
 from . import context as ctx
 from . import crf as crf_mod
 from .corpus import Corpus, Document, label_shift_sequence
-from .encode import HashEncoderConfig, HashingEncoder, featurize, feature_width
+from .encode import HashEncoderConfig, HashingEncoder, featurize, feature_width, validate_offsets
 from .errors import DataError, NumericError
 from .metrics import confusion, macro_prf
 from .roles import NUM_ROLES, ROLE_NAMES, RhetoricalRole
@@ -97,33 +98,12 @@ class TrainConfig:
                     raise DataError(f"class weight for {role} must be positive")
 
     def to_echo(self) -> dict:
-        echo = {
-            "head": self.head,
-            "context_kind": self.context_kind,
-            "window": list(self.window),
-            "positional": self.positional,
-            "sin_dim": self.sin_dim,
-            "label_mode": self.label_mode,
-            "mtl": self.mtl,
-            "mtl_lambda": self.mtl_lambda,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "optimizer": self.optimizer,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_eps": self.adam_eps,
-            "early_stopping_patience": self.early_stopping_patience,
-            "lstm_hidden": self.lstm_hidden,
-            "attention_layers": self.attention_layers,
-            "gcn_hidden": self.gcn_hidden,
-            "gcn_sim_threshold": self.gcn_sim_threshold,
-            "class_weights": (
-                {str(int(RhetoricalRole.parse(k))): float(v) for k, v in self.class_weights.items()}
-                if self.class_weights is not None
-                else None
-            ),
-        }
+        echo = dataclasses.asdict(self)
+        echo["window"] = list(self.window)
+        if self.class_weights is not None:
+            echo["class_weights"] = {
+                str(int(RhetoricalRole.parse(k))): float(v) for k, v in self.class_weights.items()
+            }
         return echo
 
 
@@ -165,67 +145,97 @@ class GradCheckReport:
         return all(v <= self.tolerance for v in self.max_rel_error.values())
 
 
+def parameter_layout(
+    context_kind: str, head_kind: str, feat_dim: int, context_dim: int, attention_layers: int, shift: bool
+) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every trainable tensor, in the order the tensors sit
+    in a bundle's parameter vector (and the order build_model draws them)."""
+    layout: dict[str, tuple[int, ...]] = {}
+    if context_kind == "bilstm":
+        h = context_dim // 2
+        for d in ("fwd", "bwd"):
+            layout.update({f"bilstm.{d}.Wx": (4 * h, feat_dim), f"bilstm.{d}.Wh": (4 * h, h)})
+            layout[f"bilstm.{d}.b"] = (4 * h,)
+    elif context_kind == "attention":
+        for idx in range(attention_layers):
+            layout.update({f"attn.layer{idx}.{name}": (feat_dim, feat_dim) for name in "QKVO"})
+    elif context_kind == "gcn":
+        layout.update({"gcn.W1": (feat_dim, context_dim), "gcn.W2": (context_dim, context_dim)})
+    k = NUM_ROLES
+    if head_kind == "crf":
+        layout.update({"crf.W_e": (context_dim, k), "crf.b_e": (k,), "crf.T": (k, k)})
+        layout.update({"crf.start": (k,), "crf.end": (k,)})
+    else:
+        layout.update({"softmax.W": (context_dim, k), "softmax.b": (k,)})
+    if shift:
+        layout.update({"shift.w": (context_dim,), "shift.b": (1,)})
+    return layout
+
+
+def layout_size(layout: dict[str, tuple[int, ...]]) -> int:
+    return sum(math.prod(shape) for shape in layout.values())
+
+
+def _views(flat: np.ndarray, layout: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    parts = np.split(flat, np.cumsum([math.prod(shape) for shape in layout.values()])[:-1])
+    return {name: part.reshape(shape) for (name, shape), part in zip(layout.items(), parts)}
+
+
 @dataclass
 class ModelBundle:
+    """A model. Every trainable tensor is a view into `flat`, one contiguous
+    float64 vector laid out by `layout`; context_params, head_params and
+    shift_params hold those views."""
+
     encoder_spec: dict
     window: tuple[int, ...]
     positional: str
     sin_dim: int
     label_mode: str
     context_kind: str
-    context_params: object  # BilstmParams | list[AttentionParams] | GcnParams | None
     gcn_sim_threshold: float | None
     head_kind: str
-    head_params: object  # CrfParams | SoftmaxParams
-    shift_params: ShiftParams | None
     feat_dim: int
     context_dim: int
+    layout: dict[str, tuple[int, ...]]
+    flat: np.ndarray
     labels: tuple[str, ...] = ROLE_NAMES
     config_echo: dict = field(default_factory=dict)
+    context_params: object = field(init=False)  # BilstmParams | list[AttentionParams] | GcnParams | None
+    head_params: object = field(init=False)  # CrfParams | SoftmaxParams
+    shift_params: ShiftParams | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        v = self.parameter_blocks()
+
+        def bind(cls, prefix: str):
+            return cls(**{f.name: v[f"{prefix}.{f.name}"] for f in dataclasses.fields(cls)})
+
+        if self.context_kind == "bilstm":
+            self.context_params = ctx.BilstmParams(*(bind(ctx.LstmParams, f"bilstm.{d}") for d in ("fwd", "bwd")))
+        elif self.context_kind == "attention":
+            layers = sum(name.endswith(".Q") for name in v)
+            self.context_params = [bind(ctx.AttentionParams, f"attn.layer{i}") for i in range(layers)]
+        else:
+            self.context_params = bind(ctx.GcnParams, "gcn") if self.context_kind == "gcn" else None
+        crf = self.head_kind == "crf"
+        self.head_params = bind(crf_mod.CrfParams, "crf") if crf else bind(SoftmaxParams, "softmax")
+        self.shift_params = bind(ShiftParams, "shift") if "shift.w" in v else None
 
     def parameter_blocks(self) -> dict[str, np.ndarray]:
-        """Live views of every trainable tensor, in a stable order."""
-        blocks: dict[str, np.ndarray] = {}
-        if self.context_kind == "bilstm":
-            p = self.context_params
-            for direction in ("fwd", "bwd"):
-                lp = getattr(p, direction)
-                blocks[f"bilstm.{direction}.Wx"] = lp.Wx
-                blocks[f"bilstm.{direction}.Wh"] = lp.Wh
-                blocks[f"bilstm.{direction}.b"] = lp.b
-        elif self.context_kind == "attention":
-            for idx, layer in enumerate(self.context_params):
-                for name in ("Q", "K", "V", "O"):
-                    blocks[f"attn.layer{idx}.{name}"] = getattr(layer, name)
-        elif self.context_kind == "gcn":
-            blocks["gcn.W1"] = self.context_params.W1
-            blocks["gcn.W2"] = self.context_params.W2
-        if self.head_kind == "crf":
-            hp = self.head_params
-            blocks["crf.W_e"] = hp.W_e
-            blocks["crf.b_e"] = hp.b_e
-            blocks["crf.T"] = hp.T
-            blocks["crf.start"] = hp.start
-            blocks["crf.end"] = hp.end
-        else:
-            blocks["softmax.W"] = self.head_params.W
-            blocks["softmax.b"] = self.head_params.b
-        if self.shift_params is not None:
-            blocks["shift.w"] = self.shift_params.w
-            blocks["shift.b"] = self.shift_params.b
-        return blocks
+        """Live views of every trainable tensor, in layout order."""
+        return _views(self.flat, self.layout)
 
     def make_encoder(self):
         if self.encoder_spec["kind"] == "hash":
-            return HashingEncoder(
-                HashEncoderConfig(
-                    dim=self.encoder_spec["dim"],
-                    ngram_orders=tuple(self.encoder_spec["ngram_orders"]),
-                    seed=self.encoder_spec["seed"],
-                    signed=self.encoder_spec["signed"],
-                )
-            )
+            return HashingEncoder(_hash_config(self.encoder_spec))
         raise DataError("bundle uses precomputed embeddings; pass an encoder explicitly")
+
+
+def _hash_config(spec: dict) -> HashEncoderConfig:
+    return HashEncoderConfig(
+        dim=spec["dim"], ngram_orders=tuple(spec["ngram_orders"]), seed=spec["seed"], signed=spec["signed"]
+    )
 
 
 def mtl_loss(rr_loss: float, shift_loss_value: float, lam: float) -> float:
@@ -310,6 +320,7 @@ def build_model(cfg: TrainConfig, encoder_spec: dict, rng: np.random.Generator) 
             b=np.zeros(NUM_ROLES),
         )
     shift_params = ShiftParams(w=np.zeros(context_dim), b=np.zeros(1)) if cfg.mtl else None
+    layout = parameter_layout(cfg.context_kind, cfg.head, feat_dim, context_dim, cfg.attention_layers, cfg.mtl)
     return ModelBundle(
         encoder_spec=dict(encoder_spec),
         window=cfg.window,
@@ -317,15 +328,25 @@ def build_model(cfg: TrainConfig, encoder_spec: dict, rng: np.random.Generator) 
         sin_dim=cfg.sin_dim,
         label_mode=cfg.label_mode,
         context_kind=cfg.context_kind,
-        context_params=context_params,
         gcn_sim_threshold=cfg.gcn_sim_threshold,
         head_kind=cfg.head,
-        head_params=head_params,
-        shift_params=shift_params,
         feat_dim=feat_dim,
         context_dim=context_dim,
+        layout=layout,
+        flat=np.concatenate([t.reshape(-1) for t in _tensors([context_params, head_params, shift_params])]),
         config_echo=cfg.to_echo(),
     )
+
+
+def _tensors(tree) -> list[np.ndarray]:
+    """The arrays of a tree of parameter dataclasses and lists, in field
+    order, which is parameter_layout's order."""
+    if isinstance(tree, np.ndarray):
+        return [tree]
+    if tree is None:
+        return []
+    items = tree if isinstance(tree, list) else [getattr(tree, f.name) for f in dataclasses.fields(tree)]
+    return [t for item in items for t in _tensors(item)]
 
 
 # ---------------------------------------------------------------------------
@@ -431,45 +452,62 @@ def document_loss_and_grads(
 
 
 class _Sgd:
-    def __init__(self, lr: float):
+    """Updates a bundle's parameter vector in place. Each step gathers the
+    gradient dict, in layout order, into one buffer allocated once."""
+
+    def __init__(self, layout: dict[str, tuple[int, ...]], lr: float):
+        self.names = list(layout)
+        self.g = np.empty(layout_size(layout))
         self.lr = lr
 
-    def step(self, params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
-        for name, p in params.items():
-            p -= self.lr * grads[name]
+    def _gather(self, grads: Mapping[str, np.ndarray]) -> np.ndarray:
+        return np.concatenate([grads[name].reshape(-1) for name in self.names], out=self.g)
+
+    def step(self, flat: np.ndarray, grads: Mapping[str, np.ndarray]) -> None:
+        g = self._gather(grads)
+        g *= self.lr
+        flat -= g
 
 
-class _Adam:
-    def __init__(self, lr: float, beta1: float, beta2: float, eps: float):
-        self.lr = lr
+class _Adam(_Sgd):
+    """Kingma & Ba's Adam with in-place vector ops; each element sees the
+    same operations in the same order as the textbook per-tensor update."""
+
+    def __init__(self, layout: dict[str, tuple[int, ...]], lr: float, beta1: float, beta2: float, eps: float):
+        super().__init__(layout, lr)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m = np.zeros_like(self.g)
+        self.v = np.zeros_like(self.g)
+        self.scratch = np.empty_like(self.g)
 
-    def step(self, params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
+    def step(self, flat: np.ndarray, grads: Mapping[str, np.ndarray]) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        for name, p in params.items():
-            g = grads[name]
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p)
-                self.v[name] = np.zeros_like(p)
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            m_hat = self.m[name] / bias1
-            v_hat = self.v[name] / bias2
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g, s, m, v = self._gather(grads), self.scratch, self.m, self.v
+        m *= b1  # m = b1*m + (1-b1)*g
+        m += np.multiply(g, 1.0 - b1, out=s)
+        v *= b2  # v = b2*v + ((1-b2)*g)*g
+        np.multiply(g, 1.0 - b2, out=s)
+        s *= g
+        v += s
+        np.divide(v, bias2, out=s)  # p -= (lr*(m/bias1)) / (sqrt(v/bias2) + eps)
+        np.sqrt(s, out=s)
+        s += self.eps
+        np.divide(m, bias1, out=g)
+        g *= self.lr
+        g /= s
+        flat -= g
 
 
-def _make_optimizer(cfg: TrainConfig):
+def make_optimizer(cfg: TrainConfig, layout: dict[str, tuple[int, ...]]):
     if cfg.optimizer == "sgd":
-        return _Sgd(cfg.learning_rate)
-    return _Adam(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        return _Sgd(layout, cfg.learning_rate)
+    return _Adam(layout, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -488,28 +526,42 @@ def _featurize_doc(bundle: ModelBundle, base: np.ndarray, prevs) -> np.ndarray:
     return featurize(base, bundle.window, bundle.positional, bundle.sin_dim, prevs)
 
 
+def _gold_features(bundle: ModelBundle, base: np.ndarray, gold) -> np.ndarray:
+    """Features with the gold previous labels, when label features are on."""
+    return _featurize_doc(bundle, base, _prev_labels(gold, base.shape[0]) if bundle.label_mode != "off" else None)
+
+
+def _targets(bundle: ModelBundle, gold) -> tuple[np.ndarray, np.ndarray | None]:
+    """Label ids, and the shift bits when the model has a shift head."""
+    y = np.array([int(r) for r in gold], dtype=np.int64)
+    bits = np.array(label_shift_sequence(gold).bits, dtype=np.float64) if bundle.shift_params is not None else None
+    return y, bits
+
+
 def _predict_chunk(bundle: ModelBundle, bases: list, mode: str, golds=None) -> list[list[int]]:
     """Label ids for a few documents from their sentence vectors. Free-running
     decoding with label features runs per document; every other
     configuration featurizes per document, then runs the BiLSTM recurrence
     and the CRF Viterbi pass once over the padded chunk."""
-    if bundle.label_mode == "off":
-        prevs = [None] * len(bases)
-    elif mode == "teacher_forced":
-        prevs = [_prev_labels(gold, base.shape[0]) for base, gold in zip(bases, golds)]
-    elif mode == "free_running":
-        return [_free_running(bundle, base)[0] for base in bases]
-    else:
-        raise DataError(f"unknown prediction mode {mode!r}")
-    Xs = [_featurize_doc(bundle, base, pv) for base, pv in zip(bases, prevs)]
-    if bundle.context_kind == "bilstm":
-        Hs = ctx.bilstm_encode_batch(Xs, bundle.context_params)
-    else:
-        Hs = [_context_forward(bundle, X)[0] for X in Xs]
+    if bundle.label_mode != "off":
+        if mode == "free_running":
+            return [_free_running(bundle, base)[0] for base in bases]
+        if mode != "teacher_forced":
+            raise DataError(f"unknown prediction mode {mode!r}")
+    golds = golds or [None] * len(bases)
+    Hs = _context_rows(bundle, [_gold_features(bundle, base, gold) for base, gold in zip(bases, golds)])
     p = bundle.head_params
     if bundle.head_kind == "crf":
         return crf_mod.viterbi_decode_batch([crf_mod.emissions(H, p) for H in Hs], p)
     return [[int(v) for v in (H @ p.W + p.b).argmax(axis=1)] for H in Hs]
+
+
+def _context_rows(bundle: ModelBundle, Xs: list) -> list[np.ndarray]:
+    """Context output of each document: the BiLSTM runs once over the padded
+    batch, the other encoders per document."""
+    if bundle.context_kind == "bilstm":
+        return ctx.bilstm_encode_batch(Xs, bundle.context_params)
+    return [_context_forward(bundle, X)[0] for X in Xs]
 
 
 def _step_score(bundle: ModelBundle, h: np.ndarray, j: int, m: int, preds: list[int]) -> np.ndarray:
@@ -635,32 +687,21 @@ def _validation_macro_f1(bundle: ModelBundle, val: Corpus, base_map: dict) -> fl
 
 def _shift_validation_accuracy(bundle: ModelBundle, val: Corpus, base_map: dict):
     """Shift-head accuracy and the majority-bit baseline over the validation
-    sentences. Features are teacher-forced when label features are on."""
-    correct = 0
-    total = 0
-    ones = 0
-    for doc in val:
-        gold = doc.gold_labels()
-        bits = np.array(label_shift_sequence(gold).bits, dtype=np.float64)
-        prevs = _prev_labels(gold, len(doc)) if bundle.label_mode != "off" else None
-        X = _featurize_doc(bundle, base_map[doc.doc_id], prevs)
-        H, _ = _context_forward(bundle, X)
-        z = H @ bundle.shift_params.w + bundle.shift_params.b[0]
-        pred_bits = (z > 0).astype(np.float64)
-        correct += int((pred_bits == bits).sum())
-        total += len(bits)
-        ones += int(bits.sum())
+    sentences, a chunk of documents at a time. Features are teacher-forced
+    when label features are on."""
+    correct = total = ones = 0
+    for chunk in _chunks(val):
+        golds = [doc.gold_labels() for doc in chunk]
+        Xs = [_gold_features(bundle, base_map[doc.doc_id], gold) for doc, gold in zip(chunk, golds)]
+        for H, gold in zip(_context_rows(bundle, Xs), golds):
+            _, bits = _targets(bundle, gold)
+            z = H @ bundle.shift_params.w + bundle.shift_params.b[0]
+            pred_bits = (z > 0).astype(np.float64)
+            correct += int((pred_bits == bits).sum())
+            total += len(bits)
+            ones += int(bits.sum())
     majority = max(ones, total - ones) / total
     return correct / total, majority
-
-
-def _snapshot(blocks: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: v.copy() for k, v in blocks.items()}
-
-
-def _restore(blocks: dict[str, np.ndarray], snapshot: dict[str, np.ndarray]) -> None:
-    for k, v in blocks.items():
-        v[...] = snapshot[k]
 
 
 def train_model(
@@ -672,61 +713,48 @@ def train_model(
     started = time.perf_counter()
     if len(val) == 0:
         raise DataError("validation corpus is empty")
-    gold_by_doc: dict[str, list[RhetoricalRole]] = {}
-    for doc in train:
-        gold_by_doc[doc.doc_id] = doc.gold_labels()
     rng = np.random.default_rng(cfg.seed)
     base_train = {doc.doc_id: encoder.encode_document(doc) for doc in train}
     base_val = {doc.doc_id: encoder.encode_document(doc) for doc in val}
     bundle = build_model(cfg, encoder.spec(), rng)
     cw = _class_weight_vector(cfg)
     lam = cfg.mtl_lambda if cfg.mtl else 0.0
-    blocks = bundle.parameter_blocks()
-    optimizer = _make_optimizer(cfg)
+    optimizer = make_optimizer(cfg, bundle.layout)
 
-    # Teacher-forced features are fixed across epochs, so their sentence
-    # vectors are dropped once featurized; free-running label features
-    # depend on current parameters and are rebuilt per visit.
+    # Targets and teacher-forced features are fixed across epochs, so the
+    # latter's sentence vectors are dropped once featurized; free-running
+    # label features depend on current parameters and are rebuilt per visit.
+    targets = {doc.doc_id: _targets(bundle, doc.gold_labels()) for doc in train}
     fixed_X: dict[str, np.ndarray] = {}
     if cfg.label_mode != "predicted":
         for doc in train:
-            prevs = (
-                _prev_labels(gold_by_doc[doc.doc_id], len(doc))
-                if cfg.label_mode == "gold"
-                else None
-            )
-            fixed_X[doc.doc_id] = _featurize_doc(bundle, base_train.pop(doc.doc_id), prevs)
+            fixed_X[doc.doc_id] = _gold_features(bundle, base_train.pop(doc.doc_id), doc.gold_labels())
 
     docs = list(train)
     train_losses: list[float] = []
     val_scores: list[float] = []
     best_f1 = -np.inf
     best_epoch = 0
-    best_state: dict[str, np.ndarray] | None = None
+    best_state: np.ndarray | None = None
     since_best = 0
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(docs))
         epoch_loss = 0.0
         for di in order:
             doc = docs[di]
-            y = np.array([int(r) for r in gold_by_doc[doc.doc_id]], dtype=np.int64)
+            y, bits = targets[doc.doc_id]
             if cfg.label_mode == "predicted":
                 preds, _ = _free_running(bundle, base_train[doc.doc_id])
                 prevs = _prev_labels([RhetoricalRole(v) for v in preds], len(doc))
                 X = _featurize_doc(bundle, base_train[doc.doc_id], prevs)
             else:
                 X = fixed_X[doc.doc_id]
-            bits = (
-                np.array(label_shift_sequence(gold_by_doc[doc.doc_id]).bits, dtype=np.float64)
-                if bundle.shift_params is not None
-                else None
-            )
             loss, grads = document_loss_and_grads(bundle, X, y, bits, lam, cw)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, document {doc.doc_id!r}"
                 )
-            optimizer.step(blocks, grads)
+            optimizer.step(bundle.flat, grads)
             epoch_loss += loss
         train_losses.append(epoch_loss / len(docs))
         val_f1 = _validation_macro_f1(bundle, val, base_val)
@@ -734,14 +762,14 @@ def train_model(
         if val_f1 > best_f1:
             best_f1 = val_f1
             best_epoch = epoch
-            best_state = _snapshot(blocks)
+            best_state = bundle.flat.copy()
             since_best = 0
         else:
             since_best += 1
             if cfg.early_stopping_patience > 0 and since_best >= cfg.early_stopping_patience:
                 break
     if best_state is not None:
-        _restore(blocks, best_state)
+        bundle.flat[:] = best_state
     shift_acc = None
     shift_majority = None
     if bundle.shift_params is not None:
@@ -780,16 +808,8 @@ def gradcheck(
         raise DataError("finite-difference step must be positive")
     if encoder is None:
         encoder = bundle.make_encoder()
-    base = encoder.encode_document(doc)
-    gold = doc.gold_labels()
-    y = np.array([int(r) for r in gold], dtype=np.int64)
-    prevs = _prev_labels(gold, len(doc)) if bundle.label_mode != "off" else None
-    X = _featurize_doc(bundle, base, prevs)
-    bits = (
-        np.array(label_shift_sequence(gold).bits, dtype=np.float64)
-        if bundle.shift_params is not None
-        else None
-    )
+    X = _gold_features(bundle, encoder.encode_document(doc), doc.gold_labels())
+    y, bits = _targets(bundle, doc.gold_labels())
     lam = 0.5 if bundle.shift_params is not None else 0.0
     cw = np.ones(NUM_ROLES)
 
@@ -825,9 +845,15 @@ def gradcheck(
 # ---------------------------------------------------------------------------
 
 
+# Stands in for the tensors while the rest of the payload is encoded.
+_TENSORS_MARK = "\x00tensors\x00"
+
+
 def save_checkpoint(bundle: ModelBundle, path) -> None:
     """Versioned JSON with named tensors. repr-round-trip floats, sorted keys,
-    no timestamps: identical bundles serialize to identical bytes."""
+    no timestamps: identical bundles serialize to identical bytes, those of
+    json.dump(payload, fh, sort_keys=True) plus a newline. The tensors are
+    streamed a row at a time through json's C encoder."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "kind": "rhetseg-checkpoint",
@@ -845,38 +871,72 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
         "head": {"kind": bundle.head_kind},
         "labels": list(bundle.labels),
         "dims": {"feat_dim": bundle.feat_dim, "context_dim": bundle.context_dim},
-        "tensors": {k: v.tolist() for k, v in bundle.parameter_blocks().items()},
+        "tensors": _TENSORS_MARK,
         "config": bundle.config_echo,
     }
+    before, _, after = json.dumps(payload, sort_keys=True).partition(json.dumps(_TENSORS_MARK))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(before + "{")
+        for i, (name, tensor) in enumerate(sorted(bundle.parameter_blocks().items())):
+            fh.write(f"{', ' if i else ''}{json.dumps(name)}: ")
+            if tensor.ndim == 1:
+                fh.write(json.dumps(tensor.tolist()))
+            else:
+                fh.write("[" + ", ".join(json.dumps(row.tolist()) for row in tensor) + "]")
+        fh.write("}" + after + "\n")
 
 
-def _tensor(payload: dict, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    if name not in payload["tensors"]:
+def _tensor(tensors: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    if name not in tensors:
         raise DataError(f"checkpoint missing tensor {name!r}")
     try:
-        arr = np.array(payload["tensors"][name], dtype=np.float64)
-    except (TypeError, ValueError):
-        raise DataError(f"checkpoint tensor {name!r} is not a numeric array") from None
+        arr = np.array(tensors[name])
+    except (TypeError, ValueError):  # ragged
+        arr = np.array(None)
+    if arr.dtype.kind not in "iuf":
+        raise DataError(f"checkpoint tensor {name!r} is not a numeric array")
     if not np.all(np.isfinite(arr)):
         raise DataError(f"checkpoint tensor {name!r} holds a non-finite value")
-    if shape is not None and arr.shape != shape:
+    if arr.shape != shape:
         raise DataError(f"checkpoint tensor {name!r} has shape {arr.shape}, expected {shape}")
     return arr
 
 
-def _lstm_tensors(payload: dict, direction: str, h: int, feat_dim: int) -> ctx.LstmParams:
-    name = f"bilstm.{direction}"
-    return ctx.LstmParams(
-        Wx=_tensor(payload, f"{name}.Wx", (4 * h, feat_dim)),
-        Wh=_tensor(payload, f"{name}.Wh", (4 * h, h)),
-        b=_tensor(payload, f"{name}.b", (4 * h,)),
-    )
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+# Checkpoint fields: section -> key -> the values it may take, or a test of
+# its value. "hash" lists the further encoder fields of a hashing encoder.
+_FIELDS = {
+    "encoder": {"kind": ("hash", "precomputed"), "dim": lambda v: _is_int(v) and v > 0},
+    "hash": {"ngram_orders": _is_int_list, "seed": lambda v: _is_int(v) and -(2**63) <= v < 2**63,
+             "signed": lambda v: type(v) is bool},
+    "feature": {"window": _is_int_list, "positional": ("none", "normalized", "sinusoidal"), "sin_dim": _is_int,
+                "label_mode": ("off", "gold", "predicted")},
+    "context": {"kind": ("none", "bilstm", "attention", "gcn"),
+                "sim_threshold": lambda v: v is None or (type(v) in (int, float) and math.isfinite(v))},
+    "head": {"kind": ("crf", "softmax")},
+    "dims": {"feat_dim": lambda v: _is_int(v) and v > 0, "context_dim": lambda v: _is_int(v) and v > 0},
+}
+
+
+def _check_fields(entry: dict, section: str) -> None:
+    name = "encoder" if section == "hash" else section
+    for key, valid in _FIELDS[section].items():
+        if key not in entry:
+            raise DataError(f"checkpoint {name} is missing {key!r}")
+        if not (valid(entry[key]) if callable(valid) else entry[key] in valid):
+            raise DataError(f"checkpoint {name}.{key} has an invalid value")
 
 
 def load_checkpoint(path) -> ModelBundle:
+    """Read a checkpoint, checking every field, and every tensor against the
+    layout the fields imply."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -891,83 +951,47 @@ def load_checkpoint(path) -> ModelBundle:
     for entry in ("encoder", "feature", "context", "head", "dims", "tensors"):
         if not isinstance(payload.get(entry), dict):
             raise DataError(f"checkpoint entry {entry!r} is missing or not an object")
-    feature = payload["feature"]
-    context_kind = payload["context"]["kind"]
-    head_kind = payload["head"]["kind"]
-    feat_dim = payload["dims"].get("feat_dim")
-    context_dim = payload["dims"].get("context_dim")
-    if not all(type(v) is int and v > 0 for v in (feat_dim, context_dim)):
-        raise DataError("checkpoint dims must give feat_dim and context_dim as positive integers")
+        if entry != "tensors":
+            _check_fields(payload[entry], entry)
+    encoder, feature, dims = payload["encoder"], payload["feature"], payload["dims"]
+    if encoder["kind"] == "hash":
+        _check_fields(encoder, "hash")
+        _hash_config(encoder)  # checks the width and the n-gram orders
+    window = tuple(feature["window"])
+    validate_offsets(window)
+    context_kind, head_kind = payload["context"]["kind"], payload["head"]["kind"]
+    feat_dim, context_dim = dims["feat_dim"], dims["context_dim"]
+    if feat_dim != feature_width(encoder["dim"], window, feature["positional"], feature["sin_dim"],
+                                 feature["label_mode"] != "off"):
+        raise DataError("checkpoint dims inconsistent with its feature settings")
     if context_kind in ("none", "attention") and context_dim != feat_dim:
         raise DataError(f"checkpoint dims inconsistent with context kind {context_kind!r}")
-    if context_kind == "none":
-        context_params = None
-    elif context_kind == "bilstm":
-        if context_dim % 2:
-            raise DataError("checkpoint dims inconsistent with LSTM tensors")
-        h = context_dim // 2
-        context_params = ctx.BilstmParams(
-            fwd=_lstm_tensors(payload, "fwd", h, feat_dim),
-            bwd=_lstm_tensors(payload, "bwd", h, feat_dim),
-        )
-    elif context_kind == "attention":
-        square = (feat_dim, feat_dim)
-        layers = []
-        idx = 0
-        while f"attn.layer{idx}.Q" in payload["tensors"]:
-            layers.append(
-                ctx.AttentionParams(
-                    *(_tensor(payload, f"attn.layer{idx}.{name}", square) for name in "QKVO")
-                )
-            )
-            idx += 1
-        if not layers:
-            raise DataError("checkpoint missing attention tensors")
-        context_params = layers
-    elif context_kind == "gcn":
-        context_params = ctx.GcnParams(
-            W1=_tensor(payload, "gcn.W1", (feat_dim, context_dim)),
-            W2=_tensor(payload, "gcn.W2", (context_dim, context_dim)),
-        )
-    else:
-        raise DataError(f"unknown context kind {context_kind!r} in checkpoint")
-    if head_kind == "crf":
-        head_params = crf_mod.CrfParams(
-            W_e=_tensor(payload, "crf.W_e"),
-            b_e=_tensor(payload, "crf.b_e"),
-            T=_tensor(payload, "crf.T"),
-            start=_tensor(payload, "crf.start"),
-            end=_tensor(payload, "crf.end"),
-        )
-        if head_params.context_dim != context_dim:
-            raise DataError("checkpoint dims inconsistent with CRF tensors")
-    elif head_kind == "softmax":
-        head_params = SoftmaxParams(
-            W=_tensor(payload, "softmax.W"), b=_tensor(payload, "softmax.b")
-        )
-        if head_params.W.shape != (context_dim, NUM_ROLES):
-            raise DataError("checkpoint dims inconsistent with softmax tensors")
-    else:
-        raise DataError(f"unknown head kind {head_kind!r} in checkpoint")
-    shift_params = None
-    if "shift.w" in payload["tensors"]:
-        shift_params = ShiftParams(
-            w=_tensor(payload, "shift.w"), b=_tensor(payload, "shift.b")
-        )
+    if context_kind == "bilstm" and context_dim % 2:
+        raise DataError("checkpoint dims inconsistent with LSTM tensors")
+    tensors = payload["tensors"]
+    layers = 1
+    while f"attn.layer{layers}.Q" in tensors:
+        layers += 1
+    layout = parameter_layout(context_kind, head_kind, feat_dim, context_dim, layers, "shift.w" in tensors)
+    unexpected = sorted(set(tensors) - set(layout))
+    if unexpected:
+        raise DataError(f"checkpoint has unexpected tensor {unexpected[0]!r}")
+    flat = np.empty(layout_size(layout))
+    for name, view in _views(flat, layout).items():
+        view[...] = _tensor(tensors, name, view.shape)
     return ModelBundle(
-        encoder_spec=payload["encoder"],
-        window=tuple(feature["window"]),
+        encoder_spec=encoder,
+        window=window,
         positional=feature["positional"],
         sin_dim=feature["sin_dim"],
         label_mode=feature["label_mode"],
         context_kind=context_kind,
-        context_params=context_params,
         gcn_sim_threshold=payload["context"]["sim_threshold"],
         head_kind=head_kind,
-        head_params=head_params,
-        shift_params=shift_params,
         feat_dim=feat_dim,
         context_dim=context_dim,
+        layout=layout,
+        flat=flat,
         labels=tuple(payload["labels"]),
         config_echo=payload.get("config", {}),
     )
@@ -976,8 +1000,4 @@ def load_checkpoint(path) -> ModelBundle:
 def bundles_equal(a: ModelBundle, b: ModelBundle) -> bool:
     """Bitwise equality of every tensor plus structural fields; used by the
     determinism and MTL-consistency checks."""
-    blocks_a = a.parameter_blocks()
-    blocks_b = b.parameter_blocks()
-    if blocks_a.keys() != blocks_b.keys():
-        return False
-    return all(np.array_equal(blocks_a[k], blocks_b[k]) for k in blocks_a)
+    return a.layout == b.layout and np.array_equal(a.flat, b.flat)

@@ -8,7 +8,7 @@ import pytest
 
 from rhetseg import context, crf
 from rhetseg import train as train_mod
-from rhetseg.corpus import Corpus, Document
+from rhetseg.corpus import Corpus, Document, label_shift_sequence
 from rhetseg.encode import HashEncoderConfig, HashingEncoder
 from rhetseg.synth import generate_corpus
 from rhetseg.train import (
@@ -133,3 +133,30 @@ def test_training_bytes_unchanged_by_batched_validation(tmp_path, monkeypatch, l
     save_checkpoint(reference, tmp_path / "reference.json")
     assert report.val_macro_f1 == ref_report.val_macro_f1
     assert (tmp_path / "batched.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+def per_document_shift_accuracy(bundle, val, base_map):
+    """_shift_validation_accuracy one document at a time, as before batching."""
+    correct = total = ones = 0
+    for doc in val:
+        gold = doc.gold_labels()
+        bits = np.array(label_shift_sequence(gold).bits, dtype=np.float64)
+        prevs = train_mod._prev_labels(gold, len(doc)) if bundle.label_mode != "off" else None
+        H, _ = train_mod._context_forward(bundle, train_mod._featurize_doc(bundle, base_map[doc.doc_id], prevs))
+        z = H @ bundle.shift_params.w + bundle.shift_params.b[0]
+        correct += int(((z > 0).astype(np.float64) == bits).sum())
+        total += len(bits)
+        ones += int(bits.sum())
+    return correct / total, max(ones, total - ones) / total
+
+
+@pytest.mark.parametrize("label_mode", ["off", "gold"])
+@pytest.mark.parametrize("kind", ["none", "bilstm", "attention", "gcn"])
+def test_batched_shift_validation_equals_per_document_loop(kind, label_mode):
+    val = Corpus(documents=tuple(mixed_docs()))
+    bundle = random_model(label_mode, kind, "crf")
+    enc = encoder()
+    base_map = {doc.doc_id: enc.encode_document(doc) for doc in val}
+    got = train_mod._shift_validation_accuracy(bundle, val, base_map)
+    assert got == per_document_shift_accuracy(bundle, val, base_map)
+    assert 0.0 < got[0] < 1.0

@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
+from rhetseg import kernels
 from rhetseg.crf import (
     CrfParams,
     emissions,
@@ -257,3 +258,21 @@ def test_label_validation():
         sequence_score(E, [0], p)
     with pytest.raises(DataError):
         sequence_score(E, [-1, 0], p)
+
+
+def test_nll_and_grad_runs_one_forward_pass(monkeypatch):
+    rng = np.random.default_rng(31)
+    p = random_params(rng)
+    E = rng.uniform(-1.0, 1.0, size=(9, K))
+    y = rng.integers(0, K, size=9)
+    node, edge = marginals(E, p)
+    expected_loss = log_partition(E, p) - sequence_score(E, y, p)
+    calls = []
+    forward = kernels.crf_forward
+    monkeypatch.setattr(kernels, "crf_forward", lambda *args: calls.append(1) or forward(*args))
+    loss, grad_E, g = nll_and_grad(E, y, p)
+    assert len(calls) == 1
+    assert loss == expected_loss
+    onehot = np.eye(K)[y]
+    assert np.array_equal(grad_E, node - onehot)
+    assert np.array_equal(g.start, node[0] - onehot[0])
