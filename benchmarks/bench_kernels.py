@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the numeric kernels, the LSTM recurrence over padded batches, and
-one optimizer step.
+"""Time the numeric kernels, the LSTM recurrence over padded batches, one
+optimizer step, and a checkpoint save and load.
 
 Each kernel in ``rhetseg.kernels`` runs on one document of --doc-len
 sentences; the best of --repeats runs is printed. The recurrence is also run
@@ -8,23 +8,37 @@ over batches of B sequences of BATCH_LEN steps, (T, B, 4h) inputs, and
 reported as time per sequence, with a check that every batch column equals
 the same sequence run on its own. The Adam step updates the parameter vector
 of the default model (BiLSTM with --hidden units over hashed features of
-width FEAT_DIM, CRF head, shift head) from a gradient dict.
+width FEAT_DIM, CRF head, shift head) from a gradient dict. The checkpoint
+rows save and load the default BiLSTM and attention models with random
+parameters, and assert that the loaded vector and a second save are
+bit-identical to the first.
 
     python3 benchmarks/bench_kernels.py --doc-len 2000 --hidden 32
 """
 
 import argparse
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
 from rhetseg import kernels
-from rhetseg.train import TrainConfig, layout_size, make_optimizer, parameter_layout
+from rhetseg.train import (
+    TrainConfig,
+    build_model,
+    layout_size,
+    load_checkpoint,
+    make_optimizer,
+    parameter_layout,
+    save_checkpoint,
+)
 
 K = 7
 BATCH_SIZES = (1, 64)
 BATCH_LEN = 14
 FEAT_DIM = 130  # 128 hashed buckets plus 2 normalized-position columns
+HASH_SPEC = {"kind": "hash", "dim": FEAT_DIM - 2, "ngram_orders": [1, 2], "seed": 0, "signed": True}
 
 
 def build_cases(doc_len: int, hidden: int, rng) -> dict[str, tuple]:
@@ -53,6 +67,22 @@ def best_of(fn, args: tuple, repeats: int) -> float:
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def checkpoint_times(context_kind: str, hidden: int, repeats: int, rng, workdir: Path) -> tuple[float, float, int]:
+    """Best save and load seconds of a default model of this context kind
+    with random parameters, and its parameter count. Asserts that the loaded
+    vector and a second save are bit-identical to the first."""
+    bundle = build_model(TrainConfig(context_kind=context_kind, lstm_hidden=hidden), HASH_SPEC, rng)
+    bundle.flat[:] = rng.standard_normal(bundle.flat.size)
+    path, again = workdir / f"{context_kind}.json", workdir / f"{context_kind}.again.json"
+    save_s = best_of(save_checkpoint, (bundle, path), repeats)
+    load_s = best_of(load_checkpoint, (path,), repeats)
+    loaded = load_checkpoint(path)
+    save_checkpoint(loaded, again)
+    assert loaded.flat.tobytes() == bundle.flat.tobytes(), f"{context_kind}: loaded parameters differ"
+    assert again.read_bytes() == path.read_bytes(), f"{context_kind}: second save differs"
+    return save_s, load_s, bundle.flat.size
 
 
 def main(argv=None) -> int:
@@ -97,6 +127,13 @@ def main(argv=None) -> int:
     seconds = best_of(optimizer.step, (flat, grads), args.repeats)
     print(f"{'optimizer step':<34}{'ms':>12}")
     print(f"{f'adam_step params={flat.size}':<34}{1000 * seconds:>12.3f}")
+
+    print(f"{'checkpoint':<34}{'save ms':>12}{'load ms':>12}")
+    with tempfile.TemporaryDirectory() as workdir:
+        for kind in ("bilstm", "attention"):
+            save_s, load_s, size = checkpoint_times(kind, h, args.repeats, rng, Path(workdir))
+            label = f"{kind} params={size}"
+            print(f"{label:<34}{1000 * save_s:>12.3f}{1000 * load_s:>12.3f}  round trip bit-exact")
     return 0
 
 

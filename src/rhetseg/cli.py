@@ -211,9 +211,17 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
     return r  # validated by split_corpus
 
 
+def _seed(seed: int) -> int:
+    """A seed every seeded stage accepts: numpy's generators take no negative
+    seed, and the hashing encoder packs it into 8 signed bytes."""
+    if not 0 <= seed < 2**63:
+        raise DataError(f"seed must lie in [0, 2**63), got {seed}")
+    return seed
+
+
 def _cmd_split(args) -> int:
     corpus = load_jsonl(args.input)
-    train, val, test = split_corpus(corpus, _parse_ratios(args.ratios), args.seed)
+    train, val, test = split_corpus(corpus, _parse_ratios(args.ratios), _seed(args.seed))
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for part, name in ((train, "train"), (val, "validation"), (test, "test")):
@@ -230,7 +238,7 @@ def _cmd_synth(args) -> int:
         role_vocab=args.role_vocab,
         filler_vocab=args.filler_vocab,
         noise=args.noise,
-        seed=args.seed,
+        seed=_seed(args.seed),
     )
     write_jsonl(corpus, args.output)
     print(f"generated {len(corpus)} documents, {corpus.n_sentences} sentences -> {args.output}")
@@ -308,7 +316,7 @@ def _train_settings(args) -> dict:
         "lr": pick(args.lr, "lr", 1e-3),
         "epochs": pick(args.epochs, "epochs", 20),
         "patience": pick(args.patience, "patience", 3),
-        "seed": pick(args.seed, "seed", 0),
+        "seed": _seed(pick(args.seed, "seed", 0)),
         "class_weights": pick(args.class_weights, "class_weights", "none"),
         "lstm_hidden": pick(args.lstm_hidden, "lstm_hidden", 32),
         "attention_layers": pick(args.attention_layers, "attention_layers", 1),

@@ -17,6 +17,7 @@ are bit-reproducible for a fixed (corpus, config, seed).
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
@@ -34,7 +35,7 @@ from .errors import DataError, NumericError
 from .metrics import confusion, macro_prf
 from .roles import NUM_ROLES, ROLE_NAMES, RhetoricalRole
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _LABEL_MODE_ALIASES = {
     "off": "off",
@@ -845,15 +846,10 @@ def gradcheck(
 # ---------------------------------------------------------------------------
 
 
-# Stands in for the tensors while the rest of the payload is encoded.
-_TENSORS_MARK = "\x00tensors\x00"
-
-
 def save_checkpoint(bundle: ModelBundle, path) -> None:
-    """Versioned JSON with named tensors. repr-round-trip floats, sorted keys,
-    no timestamps: identical bundles serialize to identical bytes, those of
-    json.dump(payload, fh, sort_keys=True) plus a newline. The tensors are
-    streamed a row at a time through json's C encoder."""
+    """Versioned JSON with sorted keys and no timestamps, so identical
+    bundles serialize to identical bytes. Each tensor is the base64 of its
+    little-endian float64 bytes in C order, which round-trips exactly."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "kind": "rhetseg-checkpoint",
@@ -871,35 +867,30 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
         "head": {"kind": bundle.head_kind},
         "labels": list(bundle.labels),
         "dims": {"feat_dim": bundle.feat_dim, "context_dim": bundle.context_dim},
-        "tensors": _TENSORS_MARK,
+        "tensors": {
+            name: base64.b64encode(t.astype("<f8", copy=False).tobytes()).decode("ascii")
+            for name, t in bundle.parameter_blocks().items()
+        },
         "config": bundle.config_echo,
     }
-    before, _, after = json.dumps(payload, sort_keys=True).partition(json.dumps(_TENSORS_MARK))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(before + "{")
-        for i, (name, tensor) in enumerate(sorted(bundle.parameter_blocks().items())):
-            fh.write(f"{', ' if i else ''}{json.dumps(name)}: ")
-            if tensor.ndim == 1:
-                fh.write(json.dumps(tensor.tolist()))
-            else:
-                fh.write("[" + ", ".join(json.dumps(row.tolist()) for row in tensor) + "]")
-        fh.write("}" + after + "\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _tensor(tensors: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
     if name not in tensors:
         raise DataError(f"checkpoint missing tensor {name!r}")
     try:
-        arr = np.array(tensors[name])
-    except (TypeError, ValueError):  # ragged
-        arr = np.array(None)
-    if arr.dtype.kind not in "iuf":
-        raise DataError(f"checkpoint tensor {name!r} is not a numeric array")
-    if not np.all(np.isfinite(arr)):
+        raw = base64.b64decode(tensors[name], validate=True)
+    except (TypeError, ValueError):  # not a string, not ASCII, or not base64 (binascii.Error)
+        raise DataError(f"checkpoint tensor {name!r} is not a numeric array: expected base64 float64 bytes") from None
+    size = 8 * math.prod(shape)
+    if len(raw) != size:
+        raise DataError(f"checkpoint tensor {name!r} has {len(raw)} bytes, expected {size} for shape {shape}")
+    arr = np.frombuffer(raw, "<f8")
+    if not np.isfinite(arr).all():
         raise DataError(f"checkpoint tensor {name!r} holds a non-finite value")
-    if arr.shape != shape:
-        raise DataError(f"checkpoint tensor {name!r} has shape {arr.shape}, expected {shape}")
-    return arr
+    return arr.reshape(shape)
 
 
 def _is_int(value) -> bool:
@@ -945,7 +936,8 @@ def load_checkpoint(path) -> ModelBundle:
     if not isinstance(payload, dict) or payload.get("kind") != "rhetseg-checkpoint":
         raise DataError("not a model checkpoint")
     if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {payload.get('format_version')!r}")
+        raise DataError(f"checkpoint has unsupported version {payload.get('format_version')!r}, "
+                        f"expected {CHECKPOINT_VERSION}")
     if payload.get("labels") != list(ROLE_NAMES):
         raise DataError("checkpoint label set does not match this package")
     for entry in ("encoder", "feature", "context", "head", "dims", "tensors"):

@@ -1,7 +1,8 @@
-"""Checkpoint bytes and the checkpoint loader: the streamed writer against
-json.dump of the whole payload, and malformed files against exit code 2
-with a one-line message."""
+"""Checkpoint bytes and the checkpoint loader: the writer against json.dump
+of the whole payload with independently encoded tensors, and malformed files
+against exit code 2 with a one-line message."""
 
+import base64
 import contextlib
 import io
 import json
@@ -37,10 +38,22 @@ def model(kind="bilstm", head="crf", mtl=True, seed=0, **extra):
     return build_model(cfg, SPEC, np.random.default_rng(seed))
 
 
+def read_tensor(payload, name) -> np.ndarray:
+    """Tensor entry `name` of a checkpoint payload as a flat, writable float64
+    vector, decoded without the loader."""
+    return np.frombuffer(base64.b64decode(payload["tensors"][name]), "<f8").copy()
+
+
+def write_tensor(payload, name, values) -> None:
+    """Store `values` (any shape, C order) as tensor entry `name`, encoded
+    without the writer."""
+    payload["tensors"][name] = base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 def json_dump_bytes(bundle) -> bytes:
     """The checkpoint as json.dump writes the whole payload in one call."""
     payload = {
-        "format_version": 1,
+        "format_version": 2,
         "kind": "rhetseg-checkpoint",
         "encoder": bundle.encoder_spec,
         "feature": {
@@ -53,9 +66,11 @@ def json_dump_bytes(bundle) -> bytes:
         "head": {"kind": bundle.head_kind},
         "labels": list(bundle.labels),
         "dims": {"feat_dim": bundle.feat_dim, "context_dim": bundle.context_dim},
-        "tensors": {k: v.tolist() for k, v in bundle.parameter_blocks().items()},
+        "tensors": {},
         "config": bundle.config_echo,
     }
+    for name, tensor in bundle.parameter_blocks().items():
+        write_tensor(payload, name, tensor)
     buf = io.StringIO()
     json.dump(payload, buf, sort_keys=True)
     buf.write("\n")
@@ -76,6 +91,7 @@ def test_save_bytes_equal_json_dump(tmp_path, kind, head, mtl):
     assert path.read_bytes() == json_dump_bytes(bundle)
     loaded = load_checkpoint(path)
     assert bundles_equal(bundle, loaded)
+    assert loaded.flat.tobytes() == bundle.flat.tobytes()
     again = tmp_path / "again.json"
     save_checkpoint(loaded, again)
     assert again.read_bytes() == path.read_bytes()
@@ -130,14 +146,50 @@ def _set(section, key, value):
 
 
 def _shorten(name, length):
-    return lambda p: p["tensors"].__setitem__(name, p["tensors"][name][:length])
+    return lambda p: write_tensor(p, name, read_tensor(p, name)[:length])
+
+
+def _recode(name, edit):
+    """Replace tensor `name`'s base64 text s with edit(s)."""
+    return lambda p: p["tensors"].__setitem__(name, edit(p["tensors"][name]))
+
+
+def _cut_bytes(name, n):
+    """Drop the last n bytes of tensor `name`, re-encoded as valid base64."""
+    return lambda p: p["tensors"].__setitem__(
+        name, base64.b64encode(base64.b64decode(p["tensors"][name])[:-n]).decode("ascii"))
+
+
+def _as_list(name, shape):
+    """Store tensor `name` as version 1 wrote it: nested lists of floats."""
+    return lambda p: p["tensors"].__setitem__(name, read_tensor(p, name).reshape(shape).tolist())
+
+
+def _version_one(kind, head):
+    """The whole checkpoint of model(kind, head) as version 1 wrote it."""
+    def damage(p):
+        p["format_version"] = 1
+        p["tensors"] = {name: t.tolist() for name, t in model(kind, head).parameter_blocks().items()}
+    return damage
 
 
 # case -> (checkpoint, command, damage, part of the expected message)
 MALFORMED = {
-    "short shift.w": ("bilstm_crf", "gradcheck", _shorten("shift.w", 2), "'shift.w' has shape (2,), expected (6,)"),
+    "short shift.w": ("bilstm_crf", "gradcheck", _shorten("shift.w", 2),
+                      "'shift.w' has 16 bytes, expected 48 for shape (6,)"),
     "softmax.b of length 3": ("attention_softmax", "predict", _shorten("softmax.b", 3),
-                              "'softmax.b' has shape (3,), expected (7,)"),
+                              "'softmax.b' has 24 bytes, expected 56 for shape (7,)"),
+    "non-base64 character": ("bilstm_crf", "predict", _recode("crf.T", lambda s: "*" + s[1:]),
+                             "'crf.T' is not a numeric array"),
+    "bad padding": ("bilstm_crf", "predict", _recode("crf.b_e", lambda s: s.rstrip("=")),
+                    "'crf.b_e' is not a numeric array"),
+    "bytes not a multiple of 8": ("gcn_crf", "predict", _cut_bytes("gcn.W2", 3),
+                                  "'gcn.W2' has 197 bytes, expected 200 for shape (5, 5)"),
+    "one value short": ("attention_softmax", "predict", _shorten("attn.layer1.V", -1),
+                        "'attn.layer1.V' has 4992 bytes, expected 5000 for shape (25, 25)"),
+    "list tensor in a version-2 file": ("bilstm_crf", "predict", _as_list("bilstm.bwd.Wh", (12, 3)),
+                                        "'bilstm.bwd.Wh' is not a numeric array"),
+    "whole version-1 file": ("gcn_crf", "predict", _version_one("gcn", "crf"), "unsupported version 1, expected 2"),
     "unknown tensor": ("bilstm_crf", "predict", _set("tensors", "bogus.x", [1.0]), "unexpected tensor 'bogus.x'"),
     "window not a list": ("bilstm_crf", "predict", _set("feature", "window", 3), "feature.window has an invalid value"),
     "missing sin_dim": ("bilstm_crf", "predict", _drop("feature", "sin_dim"), "feature is missing 'sin_dim'"),
@@ -195,14 +247,14 @@ def test_mutated_checkpoint_exits_two_with_one_line(workspace, data):
     elif action == "junk":
         entry[key] = data.draw(JUNK, label="value")
     elif action == "extra":
-        entry["?" + data.draw(st.text(max_size=4), label="name")] = [1.0]
+        write_tensor(payload, "?" + data.draw(st.text(max_size=4), label="name"), [1.0])
     elif action == "short":
-        entry[key] = entry[key][:-1]
+        write_tensor(payload, key, read_tensor(payload, key)[:-1])
     else:
-        rows = entry[key]
-        row = rows[0] if isinstance(rows[0], list) else rows
-        row[data.draw(st.integers(0, len(row) - 1), label="index")] = data.draw(
+        values = read_tensor(payload, key)
+        values[data.draw(st.integers(0, len(values) - 1), label="index")] = data.draw(
             st.sampled_from([float("nan"), float("inf"), float("-inf")]), label="bad")
+        write_tensor(payload, key, values)
     code, out, err = run_command("predict", root, corpus, payload)
     assert code == 2
     assert out == ""

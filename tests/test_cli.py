@@ -8,6 +8,7 @@ import pytest
 from rhetseg.cli import main
 from rhetseg.corpus import load_jsonl
 from rhetseg.instructions import INSTRUCTION_TEMPLATES
+from test_checkpoint import read_tensor, write_tensor
 
 # frozen digest of `synth` with builtin defaults (100 docs, noise 0.1, seed 0)
 SYNTH_DEFAULT_SHA256 = "1db6869e5d39cf231fa08ae8efc6b6e871d925ef62fd09139b3b4d7b850e557b"
@@ -81,6 +82,34 @@ class TestUsage:
         code, _, err = run(capsys, "stats", "--input", str(tmp_path / "nope.jsonl"))
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("seed", ["-1", "99999999999999999999", str(2**63), "0", str(2**63 - 1)])
+    @pytest.mark.parametrize("command", ["synth", "split", "train", "train --config"])
+    def test_seed_range(self, tmp_path, capsys, command, seed):
+        corpus = make_corpus(tmp_path)
+        parts = tmp_path / "parts"
+        assert main(["split", "--input", str(corpus), "--output-dir", str(parts)]) == 0
+        argv = {
+            "synth": ["synth", "--output", str(tmp_path / "out.jsonl"), "--n-docs", "3"],
+            "split": ["split", "--input", str(corpus), "--output-dir", str(tmp_path / "out")],
+            "train": ["train", "--input", str(parts / "train.jsonl"), "--val", str(parts / "validation.jsonl"),
+                      "--output", str(tmp_path / "model.json"), "--epochs", "1", "--lstm-hidden", "4",
+                      "--hash-dim", "16"],
+        }[command.split()[0]]
+        if command == "train --config":
+            config = tmp_path / "train.cfg"
+            config.write_text(f"seed={seed}\n")
+            argv += ["--config", str(config)]
+        else:
+            argv += ["--seed", seed]
+        code, out, err = run(capsys, *argv)
+        if 0 <= int(seed) < 2**63:
+            assert code == 0
+            assert err == ""
+        else:
+            assert code == 2
+            assert out == ""
+            assert err == f"error: seed must lie in [0, 2**63), got {seed}\n"
 
 
 class TestSynth:
@@ -271,7 +300,9 @@ class TestTrainPredictEvaluate:
         corpus = make_corpus(tmp_path)
         model, _ = train_small(tmp_path, corpus)
         payload = json.loads(model.read_text())
-        payload["tensors"]["crf.T"][2][3] = float("nan")
+        values = read_tensor(payload, "crf.T")
+        values[2 * 7 + 3] = float("nan")  # row 2, column 3 of the (7, 7) transitions
+        write_tensor(payload, "crf.T", values)
         model.write_text(json.dumps(payload))
         preds = tmp_path / "preds.jsonl"
         code, out, err = run(capsys, "predict", "--input", str(corpus),
@@ -290,8 +321,9 @@ class TestTrainPredictEvaluate:
             del payload["feature"]
         elif damage == "list payload":
             payload = [payload]
-        else:
-            payload["tensors"]["bilstm.fwd.Wx"].pop()
+        else:  # one row of the (4h, feat_dim) input weights short
+            values = read_tensor(payload, "bilstm.fwd.Wx")
+            write_tensor(payload, "bilstm.fwd.Wx", values[: -payload["dims"]["feat_dim"]])
         model.write_text(json.dumps(payload))
         code, out, err = run(capsys, "predict", "--input", str(corpus),
                              "--model", str(model), "--output", str(tmp_path / "preds.jsonl"))

@@ -21,6 +21,7 @@ from rhetseg.train import (
     save_checkpoint,
     train_model,
 )
+from test_checkpoint import read_tensor
 
 BASE_DIM = 12
 SPEC = {"kind": "hash", "dim": BASE_DIM, "ngram_orders": [1], "seed": 0, "signed": True}
@@ -158,8 +159,8 @@ def test_overflow_exits_three(tmp_path, capsys, mode):
     write_jsonl(generate_corpus(2, 6, 6, noise=0.1, seed=3), corpus)
     model = tmp_path / "model.json"
     save_checkpoint(overflowing_attention_model(), model)
-    assert all(np.isfinite(np.array(v)).all()
-               for v in json.loads(model.read_text())["tensors"].values())
+    payload = json.loads(model.read_text())
+    assert all(np.isfinite(read_tensor(payload, name)).all() for name in payload["tensors"])
     capsys.readouterr()
     code = main(["predict", "--input", str(corpus), "--model", str(model),
                  "--output", str(tmp_path / "preds.jsonl"), "--mode", mode])

@@ -23,6 +23,7 @@ from rhetseg.train import (
     shift_loss,
     train_model,
 )
+from test_checkpoint import read_tensor, write_tensor
 
 
 def small_data(n=24, lo=5, hi=10, noise=0.1, seed=5, split_seed=2):
@@ -423,7 +424,9 @@ class TestCheckpoint:
         bundle, path = self.trained(tmp_path)
         for bad in (float("nan"), float("inf"), float("-inf")):
             payload = json.loads(path.read_text())
-            payload["tensors"][name][1][0] = bad
+            values = read_tensor(payload, name)
+            values.reshape(bundle.layout[name])[1, 0] = bad
+            write_tensor(payload, name, values)
             broken = tmp_path / "broken.json"
             broken.write_text(json.dumps(payload))
             with pytest.raises(DataError, match=f"{name}.*non-finite"):
@@ -450,7 +453,7 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="version"):
             load_checkpoint(path)
-        payload["format_version"] = 1
+        payload["format_version"] = 2
         payload["labels"] = ["A", "B"]
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="label set"):
@@ -491,9 +494,10 @@ class TestCheckpoint:
 
         bundle, path = self.trained(tmp_path, context_kind=kind, gcn_hidden=6, epochs=1)
         payload = json.loads(path.read_text())
-        payload["tensors"][name] = payload["tensors"][name][:-1]  # one row short
+        shape = bundle.layout[name]
+        write_tensor(payload, name, read_tensor(payload, name).reshape(shape)[:-1])  # one row short
         path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match=f"{name}' has shape"):
+        with pytest.raises(DataError, match=f"{name}' has .* bytes, expected .* for shape"):
             load_checkpoint(path)
 
     def test_rejects_inconsistent_dims(self, tmp_path):
