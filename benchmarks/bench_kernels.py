@@ -6,7 +6,9 @@ Each kernel in ``rhetseg.kernels`` runs on one document of --doc-len
 sentences; the best of --repeats runs is printed. The recurrence is also run
 over batches of B sequences of BATCH_LEN steps, (T, B, 4h) inputs, and
 reported as time per sequence, with a check that every batch column equals
-the same sequence run on its own. The Adam step updates the parameter vector
+the same sequence run on its own. The BiLSTM row times the training forward,
+context.bilstm_forward_cache, on one BATCH_LEN-sentence document of FEAT_DIM
+feature columns with --hidden units. The Adam step updates the parameter vector
 of the default model (BiLSTM with --hidden units over hashed features of
 width FEAT_DIM, CRF head, shift head) from a gradient dict. The checkpoint
 rows save and load the default BiLSTM and attention models with random
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rhetseg import kernels
+from rhetseg import context, kernels
 from rhetseg.train import (
     TrainConfig,
     build_model,
@@ -119,6 +121,12 @@ def main(argv=None) -> int:
         )
         label = f"lstm_recurrence B={B}"
         print(f"{label:<34}{1e6 * seconds / B:>12.1f}  columns bit-identical: {exact}")
+
+    bilstm = context.init_bilstm_params(FEAT_DIM, h, rng)
+    X = rng.standard_normal((BATCH_LEN, FEAT_DIM))
+    seconds = best_of(context.bilstm_forward_cache, (X, bilstm), args.repeats)
+    print(f"{'bilstm forward':<34}{'us':>12}")
+    print(f"{f'bilstm_forward_cache m={BATCH_LEN}':<34}{1e6 * seconds:>12.1f}")
 
     layout = parameter_layout("bilstm", "crf", FEAT_DIM, 2 * h, 1, True)
     optimizer = make_optimizer(TrainConfig(), layout)

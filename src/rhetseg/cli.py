@@ -1,15 +1,17 @@
 """Command-line pipeline: ingest, stats, split, synth, train, predict,
 evaluate, gradcheck, export-instructions.
 
-Exit codes: 0 success, 1 usage error, 2 data error (bad files, schema,
-labels), 3 numeric failure. Outputs carry no timestamps, so every subcommand
-is byte-idempotent on identical inputs.
+Exit codes: 0 success, 1 usage error or a closed stdout (no traceback), 2
+data error (bad files, schema, labels), 3 numeric failure. Outputs carry no
+timestamps, so every subcommand is byte-idempotent on identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -56,7 +58,12 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def exit(self, status=0, message=None):
+        sys.stdout.flush()  # --help text meets a closed pipe here, inside main
+        super().exit(status, message)
 
+
+@functools.cache  # one tree per process: parse_args keeps no state between calls
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rhetseg", description="Rhetorical-role sequence labeling for legal judgments.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
@@ -119,7 +126,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--output", required=True, help="predictions JSONL")
     p.add_argument("--mode", choices=["free_running", "teacher_forced"], default="free_running")
     p.add_argument("--embeddings", help="embedding file for precomputed-encoder models")
-    p.add_argument("--jobs", type=int, default=1, help="ignored; documents run one after another")
 
     p = sub.add_parser("evaluate", help="score predictions against gold labels")
     p.add_argument("--input", required=True, help="gold corpus JSONL")
@@ -128,7 +134,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=["csv", "markdown"], default="csv")
     p.add_argument("--confusion", help="standalone confusion-grid CSV path")
     p.add_argument("--exclude-none", action="store_true", help="drop the None class from macro averages")
-    p.add_argument("--jobs", type=int, default=1, help="ignored; documents run one after another")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of a model's gradients")
     p.add_argument("--model", required=True, help="checkpoint path")
@@ -499,21 +504,25 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
-        return _COMMANDS[args.command](args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return 1
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except (DataError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # the reader closed stdout; devnull keeps the flush at exit quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Document-level contextualizers: BiLSTM, single-head self-attention, 2-layer GCN.
 
 Each encoder maps an (m, d) sentence matrix to an (m, d_out) matrix and ships
-with an analytic backward pass (no autodiff). Forward-with-cache variants
-return what the backward pass needs; plain encode variants are for inference.
+with an analytic backward pass (no autodiff). Each forward pass returns its
+output and the cache its backward pass needs, and training, validation and
+batched prediction all run it. The row encoders at the end serve
+free-running decoding.
 
 LSTM parameters use the stacked-gate layout: rows of Wx/Wh/b hold the four
 gates in (input, forget, output, candidate) order, h rows each. This stores
@@ -26,10 +28,9 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int)
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _check_finite(name: str, *arrays: np.ndarray) -> None:
-    for arr in arrays:
-        if not np.all(np.isfinite(arr)):
-            raise NumericError(f"numeric overflow in {name}")
+def _check_finite(name: str, arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise NumericError(f"numeric overflow in {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -46,10 +47,6 @@ class LstmParams:
     @property
     def hidden_dim(self) -> int:
         return self.Wh.shape[1]
-
-    @property
-    def input_dim(self) -> int:
-        return self.Wx.shape[1]
 
 
 @dataclass
@@ -75,21 +72,6 @@ def init_bilstm_params(input_dim: int, hidden_dim: int, rng: np.random.Generator
     )
 
 
-def _lstm_forward_cache(X: np.ndarray, p: LstmParams):
-    XW = X @ p.Wx.T
-    G, C, H = kernels.lstm_recurrence(XW, p.Wh, p.b)
-    return H, {"X": X, "G": G, "C": C, "H": H}
-
-
-def lstm_forward(X: np.ndarray, p: LstmParams) -> np.ndarray:
-    """One direction: h_t from the standard gate equations, h_0 = c_0 = 0."""
-    if X.shape[1] != p.input_dim:
-        raise DataError(f"input width {X.shape[1]} != lstm input dim {p.input_dim}")
-    H, _ = _lstm_forward_cache(X, p)
-    _check_finite("lstm_forward", H)
-    return H
-
-
 def _lstm_backward(cache: dict, p: LstmParams, dH: np.ndarray):
     G, C, H, X = cache["G"], cache["C"], cache["H"], cache["X"]
     WhT = np.ascontiguousarray(p.Wh.T)
@@ -103,39 +85,37 @@ def _lstm_backward(cache: dict, p: LstmParams, dH: np.ndarray):
     return {"Wx": dWx, "Wh": dWh, "b": db}, dX
 
 
-def bilstm_forward_cache(X: np.ndarray, p: BilstmParams):
-    Hf, cache_f = _lstm_forward_cache(X, p.fwd)
-    Hb_rev, cache_b = _lstm_forward_cache(X[::-1], p.bwd)
-    H = np.hstack([Hf, Hb_rev[::-1]])
-    _check_finite("bilstm_encode", H)
-    return H, {"fwd": cache_f, "bwd": cache_b}
-
-
-def bilstm_encode(X: np.ndarray, fwd: LstmParams, bwd: LstmParams) -> np.ndarray:
-    """Row t is [forward h_t || backward h_t]; the backward direction runs on
-    the reversed sequence and is re-reversed."""
-    H, _ = bilstm_forward_cache(X, BilstmParams(fwd=fwd, bwd=bwd))
-    return H
-
-
-def bilstm_encode_batch(Xs: list[np.ndarray], p: BilstmParams) -> list[np.ndarray]:
-    """bilstm_encode of each document, bit for bit, with one recurrence per
-    direction over the zero-padded batch. The input projections stay per
-    document: stacked rows would sum in a different order."""
+def bilstm_forward_batch(Xs: list[np.ndarray], p: BilstmParams):
+    """Row t of a document's output is [forward h_t || backward h_t]; the
+    backward direction runs on the reversed document and is re-reversed. One
+    recurrence per direction runs over the zero-padded batch; the input
+    projections stay per document, as stacked rows would sum in a different
+    order. Returns the outputs and each document's cache for bilstm_backward."""
     T = max(X.shape[0] for X in Xs)
-    Hs = []
+    runs = []
     for lp, reverse in ((p.fwd, False), (p.bwd, True)):
         XW = np.zeros((T, len(Xs), lp.Wh.shape[0]))
         for j, X in enumerate(Xs):
             XW[: X.shape[0], j] = (X[::-1] if reverse else X) @ lp.Wx.T
-        Hs.append(kernels.lstm_recurrence(XW, lp.Wh, lp.b)[2])
-    out = []
+        runs.append(kernels.lstm_recurrence(XW, lp.Wh, lp.b))
+    Hs, caches = [], []
     for j, X in enumerate(Xs):
         m = X.shape[0]
-        H = np.hstack([Hs[0][:m, j], Hs[1][:m, j][::-1]])
+        cache = {
+            direction: {"X": Xd, "G": G[:m, j], "C": C[:m, j], "H": H[:m, j]}
+            for direction, Xd, (G, C, H) in zip(("fwd", "bwd"), (X, X[::-1]), runs)
+        }
+        H = np.hstack([cache["fwd"]["H"], cache["bwd"]["H"][::-1]])
         _check_finite("bilstm_encode", H)
-        out.append(H)
-    return out
+        Hs.append(H)
+        caches.append(cache)
+    return Hs, caches
+
+
+def bilstm_forward_cache(X: np.ndarray, p: BilstmParams):
+    """bilstm_forward_batch of one document."""
+    Hs, caches = bilstm_forward_batch([X], p)
+    return Hs[0], caches[0]
 
 
 def bilstm_backward(cache: dict, p: BilstmParams, dH: np.ndarray):
@@ -182,6 +162,7 @@ def _softmax_rows(S: np.ndarray) -> np.ndarray:
 
 
 def attention_forward_cache(X: np.ndarray, p: AttentionParams):
+    """Y = softmax(XQ (XK)^T / sqrt(d)) XV O + X; cache["A"] holds the attention weights."""
     if X.shape[1] != p.d_model:
         raise DataError(f"input width {X.shape[1]} != attention d_model {p.d_model}")
     scale = 1.0 / math.sqrt(p.d_model)
@@ -193,18 +174,6 @@ def attention_forward_cache(X: np.ndarray, p: AttentionParams):
     Y = Z @ p.O + X
     _check_finite("self_attention_encode", Y)
     return Y, {"X": X, "Qx": Qx, "Kx": Kx, "Vx": Vx, "A": A, "Z": Z, "scale": scale}
-
-
-def self_attention_encode(X: np.ndarray, p: AttentionParams) -> np.ndarray:
-    """Y = softmax(XQ (XK)^T / sqrt(d)) XV O + X."""
-    Y, _ = attention_forward_cache(X, p)
-    return Y
-
-
-def attention_weights(X: np.ndarray, p: AttentionParams) -> np.ndarray:
-    """The (m, m) row-stochastic attention matrix, for inspection and tests."""
-    _, cache = attention_forward_cache(X, p)
-    return cache["A"]
 
 
 def attention_backward(cache: dict, p: AttentionParams, dY: np.ndarray):
@@ -299,17 +268,8 @@ def build_graph(
     return DocumentGraph(m=m, edges=tuple(sorted(edges)), a_hat=a_hat)
 
 
-def gcn_layer(H: np.ndarray, g: DocumentGraph, W: np.ndarray, activate: bool) -> np.ndarray:
-    """H' = A_hat H W, with elementwise ReLU when activate is set."""
-    if H.shape[0] != g.m:
-        raise DataError(f"feature rows {H.shape[0]} != graph nodes {g.m}")
-    if H.shape[1] != W.shape[0]:
-        raise DataError(f"feature width {H.shape[1]} != weight rows {W.shape[0]}")
-    Z = (g.a_hat @ H) @ W
-    return np.maximum(Z, 0.0) if activate else Z
-
-
 def gcn_forward_cache(X: np.ndarray, g: DocumentGraph, p: GcnParams):
+    """H2 = relu(A_hat relu(A_hat X W1) W2)."""
     P1 = g.a_hat @ X
     Z1 = P1 @ p.W1
     H1 = np.maximum(Z1, 0.0)
@@ -318,12 +278,6 @@ def gcn_forward_cache(X: np.ndarray, g: DocumentGraph, p: GcnParams):
     H2 = np.maximum(Z2, 0.0)
     _check_finite("gcn_encode", H2)
     return H2, {"P1": P1, "Z1": Z1, "P2": P2, "Z2": Z2, "a_hat": g.a_hat}
-
-
-def gcn_encode(X: np.ndarray, g: DocumentGraph, p: GcnParams) -> np.ndarray:
-    """Two gcn_layer applications with ReLU after each."""
-    H, _ = gcn_forward_cache(X, g, p)
-    return H
 
 
 def gcn_backward(cache: dict, p: GcnParams, dH2: np.ndarray):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .roles import NUM_ROLES, RhetoricalRole
+from .roles import RhetoricalRole
 
 
 @dataclass(frozen=True)
@@ -310,6 +310,3 @@ def label_shift_sequence(labels: list[RhetoricalRole]) -> ShiftSequence:
     for j in range(1, len(labels)):
         bits.append(1 if labels[j] != labels[j - 1] else 0)
     return ShiftSequence(bits=tuple(bits))
-
-
-NUM_LABELS = NUM_ROLES

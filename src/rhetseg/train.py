@@ -561,7 +561,7 @@ def _context_rows(bundle: ModelBundle, Xs: list) -> list[np.ndarray]:
     """Context output of each document: the BiLSTM runs once over the padded
     batch, the other encoders per document."""
     if bundle.context_kind == "bilstm":
-        return ctx.bilstm_encode_batch(Xs, bundle.context_params)
+        return ctx.bilstm_forward_batch(Xs, bundle.context_params)[0]
     return [_context_forward(bundle, X)[0] for X in Xs]
 
 

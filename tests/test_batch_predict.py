@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from rhetseg import context, crf
+from rhetseg import context, crf, kernels
 from rhetseg import train as train_mod
 from rhetseg.corpus import Corpus, Document, label_shift_sequence
 from rhetseg.encode import HashEncoderConfig, HashingEncoder
@@ -52,6 +52,17 @@ def random_model(label_mode, kind, head):
     return bundle
 
 
+def context_rows(bundle, X):
+    """The context output of one document. The BiLSTM runs as one 2-D kernel
+    recurrence per direction, independent of the padded batch path."""
+    if bundle.context_kind != "bilstm":
+        return train_mod._context_forward(bundle, X)[0]
+    p = bundle.context_params
+    Hf = kernels.lstm_recurrence(X @ p.fwd.Wx.T, p.fwd.Wh, p.fwd.b)[2]
+    Hb = kernels.lstm_recurrence(X[::-1] @ p.bwd.Wx.T, p.bwd.Wh, p.bwd.b)[2]
+    return np.hstack([Hf, Hb[::-1]])
+
+
 def per_document(bundle, doc, enc):
     """The per-document reference: featurize, full context forward pass,
     then Viterbi or argmax on this document alone."""
@@ -59,7 +70,7 @@ def per_document(bundle, doc, enc):
     if bundle.label_mode != "off":
         prevs = train_mod._prev_labels(doc.gold_labels(), len(doc))
     X = train_mod._featurize_doc(bundle, enc.encode_document(doc), prevs)
-    H, _ = train_mod._context_forward(bundle, X)
+    H = context_rows(bundle, X)
     p = bundle.head_params
     if bundle.head_kind == "crf":
         labels, _ = crf.viterbi_decode(crf.emissions(H, p), p)
@@ -80,7 +91,7 @@ def test_batched_labels_equal_per_document_labels(kind, head, label_mode):
     assert [[int(r) for r in labels] for labels in got] == [labels for _, _, labels in refs]
     assert len({v for _, _, labels in refs for v in labels}) >= 3
     if kind == "bilstm":
-        Hs = context.bilstm_encode_batch([X for X, _, _ in refs], bundle.context_params)
+        Hs, _ = context.bilstm_forward_batch([X for X, _, _ in refs], bundle.context_params)
         for H, (_, ref_H, _) in zip(Hs, refs):
             assert np.array_equal(H, ref_H)
 
@@ -112,7 +123,7 @@ def per_document_chunk(bundle, bases, mode, golds=None):
         if bundle.label_mode != "off":
             out.append(train_mod._free_running(bundle, base)[0])
             continue
-        H, _ = train_mod._context_forward(bundle, train_mod._featurize_doc(bundle, base, None))
+        H = context_rows(bundle, train_mod._featurize_doc(bundle, base, None))
         p = bundle.head_params
         out.append(crf.viterbi_decode(crf.emissions(H, p), p)[0])
     return out
@@ -142,7 +153,7 @@ def per_document_shift_accuracy(bundle, val, base_map):
         gold = doc.gold_labels()
         bits = np.array(label_shift_sequence(gold).bits, dtype=np.float64)
         prevs = train_mod._prev_labels(gold, len(doc)) if bundle.label_mode != "off" else None
-        H, _ = train_mod._context_forward(bundle, train_mod._featurize_doc(bundle, base_map[doc.doc_id], prevs))
+        H = context_rows(bundle, train_mod._featurize_doc(bundle, base_map[doc.doc_id], prevs))
         z = H @ bundle.shift_params.w + bundle.shift_params.b[0]
         correct += int(((z > 0).astype(np.float64) == bits).sum())
         total += len(bits)

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import sys
 
 import pytest
 
@@ -110,6 +112,52 @@ class TestUsage:
             assert code == 2
             assert out == ""
             assert err == f"error: seed must lie in [0, 2**63), got {seed}\n"
+
+
+def printing_argv(tmp_path, command):
+    """Arguments under which `command` succeeds and prints to stdout."""
+    if command == "--help":
+        return ["--help"]
+    if command == "synth":
+        return ["synth", "--output", str(tmp_path / "out.jsonl"), "--n-docs", "2"]
+    if command == "ingest":
+        (tmp_path / "one.txt").write_text("The court heard counsel. The appeal fails.")
+        return ["ingest", "--input", str(tmp_path / "one.txt"), "--output", str(tmp_path / "out.jsonl")]
+    corpus = make_corpus(tmp_path, n="10", lo="3", hi="5")
+    if command == "stats":
+        return ["stats", "--input", str(corpus)]
+    if command == "export-instructions":
+        return ["export-instructions", "--input", str(corpus), "--output", str(tmp_path / "out.jsonl")]
+    if command == "split":
+        return ["split", "--input", str(corpus), "--output-dir", str(tmp_path / "parts")]
+    if command == "evaluate":
+        return ["evaluate", "--input", str(corpus), "--pred", str(corpus)]
+    model, out_dir = train_small(tmp_path, corpus)
+    if command == "train":
+        return ["train", "--input", str(out_dir / "train.jsonl"), "--val", str(out_dir / "validation.jsonl"),
+                "--output", str(tmp_path / "again.json"), "--epochs", "1", "--lstm-hidden", "4",
+                "--hash-dim", "16"]
+    if command == "predict":
+        return ["predict", "--input", str(corpus), "--model", str(model),
+                "--output", str(tmp_path / "out.jsonl")]
+    return ["gradcheck", "--model", str(model), "--input", str(out_dir / "train.jsonl")]
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("buffering", [1, -1], ids=["line", "block"])
+    @pytest.mark.parametrize("command", ["ingest", "stats", "split", "synth", "train", "predict",
+                                         "evaluate", "gradcheck", "export-instructions", "--help"])
+    def test_exits_one_without_traceback(self, tmp_path, capsys, monkeypatch, command, buffering):
+        argv = printing_argv(tmp_path, command)
+        capsys.readouterr()
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", buffering=buffering) as closed:
+            monkeypatch.setattr(sys, "stdout", closed)
+            code = main(argv)
+        monkeypatch.undo()
+        assert code == 1
+        assert capsys.readouterr().err == ""
 
 
 class TestSynth:
@@ -267,17 +315,6 @@ class TestTrainPredictEvaluate:
         # accuracy and mcc ignore the flag; macros may move
         assert dict(r.split(",") for r in with_none.strip().splitlines())["accuracy"] == \
             dict(r.split(",") for r in without.strip().splitlines())["accuracy"]
-
-    def test_predict_jobs_deterministic(self, tmp_path, capsys):
-        corpus = make_corpus(tmp_path)
-        model, out_dir = train_small(tmp_path, corpus)
-        one = tmp_path / "one.jsonl"
-        four = tmp_path / "four.jsonl"
-        run(capsys, "predict", "--input", str(corpus), "--model", str(model),
-            "--output", str(one))
-        run(capsys, "predict", "--input", str(corpus), "--model", str(model),
-            "--output", str(four), "--jobs", "4")
-        assert one.read_bytes() == four.read_bytes()
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         corpus = make_corpus(tmp_path)

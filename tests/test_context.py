@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rhetseg import kernels
 from rhetseg.context import (
     AttentionParams,
     BilstmParams,
@@ -12,22 +13,17 @@ from rhetseg.context import (
     attention_forward_cache,
     attention_stack_backward,
     attention_stack_forward_cache,
-    attention_weights,
     bilstm_backward,
-    bilstm_encode,
+    bilstm_forward_batch,
     bilstm_forward_cache,
     build_graph,
     gcn_backward,
-    gcn_encode,
     gcn_forward_cache,
-    gcn_layer,
     init_attention_params,
     init_attention_stack,
     init_bilstm_params,
     init_gcn_params,
     init_lstm_params,
-    lstm_forward,
-    self_attention_encode,
 )
 from rhetseg.errors import DataError
 
@@ -96,6 +92,11 @@ def oracle_lstm_backward(X, p, dH):
     return dA
 
 
+def lstm_hiddens(X, p):
+    """One direction's hidden states from the kernel recurrence."""
+    return kernels.lstm_recurrence(X @ p.Wx.T, p.Wh, p.b)[2]
+
+
 def fixed_bilstm_params():
     d = h = 2
     Wx_f = (np.arange(8 * d, dtype=float).reshape(8, d) - 7.5) / 10.0
@@ -115,7 +116,7 @@ def test_lstm_forward_matches_oracle():
         h = int(rng.integers(1, 6))
         p = init_lstm_params(d, h, rng)
         X = rng.normal(size=(m, d))
-        np.testing.assert_allclose(lstm_forward(X, p), oracle_lstm(X, p),
+        np.testing.assert_allclose(lstm_hiddens(X, p), oracle_lstm(X, p),
                                    rtol=0, atol=1e-12)
 
 
@@ -128,7 +129,8 @@ def test_bilstm_frozen_golden():
         [0.064565315002981183, 0.1313375327286449, 0.11829530507963507, 0.19899892577817566],
         [0.1289833571222965, 0.23799815525607751, 0.042541225904370296, 0.078879252138025088],
     ])
-    np.testing.assert_allclose(bilstm_encode(X, fwd, bwd), want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(bilstm_forward_cache(X, BilstmParams(fwd=fwd, bwd=bwd))[0], want,
+                               rtol=0, atol=1e-15)
 
 
 def test_lstm_causality():
@@ -136,10 +138,10 @@ def test_lstm_causality():
     rng = np.random.default_rng(4)
     p = init_lstm_params(3, 4, rng)
     X = rng.normal(size=(6, 3))
-    H = lstm_forward(X, p)
+    H = lstm_hiddens(X, p)
     X2 = X.copy()
     X2[4:] += rng.normal(size=(2, 3))
-    H2 = lstm_forward(X2, p)
+    H2 = lstm_hiddens(X2, p)
     np.testing.assert_array_equal(H[:4], H2[:4])
     assert not np.allclose(H[4:], H2[4:])
 
@@ -148,18 +150,18 @@ def test_bilstm_uses_both_directions():
     rng = np.random.default_rng(8)
     p = init_bilstm_params(3, 4, rng)
     X = rng.normal(size=(5, 3))
-    H = bilstm_encode(X, p.fwd, p.bwd)
+    H = bilstm_forward_cache(X, p)[0]
     assert H.shape == (5, 8)
     X2 = X.copy()
     X2[-1] += 1.0
-    H2 = bilstm_encode(X2, p.fwd, p.bwd)
+    H2 = bilstm_forward_cache(X2, p)[0]
     # last input feeds every backward state, so every row moves
     assert np.all(np.any(H != H2, axis=1))
 
 
 def test_lstm_zero_params_zero_output():
     p = LstmParams(Wx=np.zeros((8, 3)), Wh=np.zeros((8, 2)), b=np.zeros(8))
-    H = lstm_forward(np.random.default_rng(0).normal(size=(4, 3)), p)
+    H = lstm_hiddens(np.random.default_rng(0).normal(size=(4, 3)), p)
     np.testing.assert_array_equal(H, np.zeros((4, 2)))
 
 
@@ -167,12 +169,6 @@ def test_lstm_forget_bias_init():
     p = init_lstm_params(5, 3, np.random.default_rng(0))
     np.testing.assert_array_equal(p.b[3:6], np.ones(3))
     np.testing.assert_array_equal(np.delete(p.b, [3, 4, 5]), np.zeros(9))
-
-
-def test_lstm_input_width_check():
-    p = init_lstm_params(4, 2, np.random.default_rng(0))
-    with pytest.raises(DataError):
-        lstm_forward(np.zeros((3, 5)), p)
 
 
 def test_bilstm_backward_finite_differences():
@@ -185,7 +181,7 @@ def test_bilstm_backward_finite_differences():
     step = 1e-6
 
     def loss(Xv, pv):
-        return float((bilstm_encode(Xv, pv.fwd, pv.bwd) * R).sum())
+        return float((bilstm_forward_cache(Xv, pv)[0] * R).sum())
 
     for name, arr in [("fwd.Wx", p.fwd.Wx), ("fwd.Wh", p.fwd.Wh), ("fwd.b", p.fwd.b),
                       ("bwd.Wx", p.bwd.Wx), ("bwd.Wh", p.bwd.Wh), ("bwd.b", p.bwd.b)]:
@@ -211,12 +207,41 @@ def test_bilstm_backward_finite_differences():
         np.testing.assert_allclose(dX[r, c], (up - dn) / (2 * step), atol=1e-6)
 
 
+def test_bilstm_forward_batch_equals_2d_kernel_runs():
+    rng = np.random.default_rng(17)
+    p = init_bilstm_params(5, 3, rng)
+    Xs = [rng.normal(size=(m, 5)) for m in (1, 2, 13, 40)]
+    Hs, caches = bilstm_forward_batch(Xs, p)
+    for X, H, cache in zip(Xs, Hs, caches):
+        want = {}
+        for direction, lp, Xd in (("fwd", p.fwd, X), ("bwd", p.bwd, X[::-1])):
+            want[direction] = kernels.lstm_recurrence(Xd @ lp.Wx.T, lp.Wh, lp.b)
+            for key, arr in zip("GCH", want[direction]):
+                assert np.array_equal(cache[direction][key], arr), (len(X), direction, key)
+        assert np.array_equal(H, np.hstack([want["fwd"][2], want["bwd"][2][::-1]]))
+
+
+def test_bilstm_backward_of_batch_cache_equals_batch_of_one():
+    rng = np.random.default_rng(18)
+    p = init_bilstm_params(5, 3, rng)
+    Xs = [rng.normal(size=(m, 5)) for m in (1, 2, 13, 40)]
+    _, caches = bilstm_forward_batch(Xs, p)
+    for X, cache in zip(Xs, caches):
+        dH = rng.normal(size=(len(X), 6))
+        grads, dX = bilstm_backward(cache, p, dH)
+        want_grads, want_dX = bilstm_backward(bilstm_forward_cache(X, p)[1], p, dH)
+        assert grads.keys() == want_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], want_grads[name]), (len(X), name)
+        assert np.array_equal(dX, want_dX)
+
+
 def test_attention_rows_are_stochastic():
     rng = np.random.default_rng(6)
     for m in (1, 2, 5):
         p = init_attention_params(4, rng)
         X = rng.normal(size=(m, 4))
-        A = attention_weights(X, p)
+        A = attention_forward_cache(X, p)[1]["A"]
         assert A.shape == (m, m)
         np.testing.assert_allclose(A.sum(axis=1), np.ones(m), atol=1e-12)
         assert np.all(A >= 0)
@@ -224,7 +249,7 @@ def test_attention_rows_are_stochastic():
 
 def test_attention_single_row_weight_is_one():
     p = init_attention_params(3, np.random.default_rng(1))
-    A = attention_weights(np.array([[0.2, -1.0, 0.5]]), p)
+    A = attention_forward_cache(np.array([[0.2, -1.0, 0.5]]), p)[1]["A"]
     np.testing.assert_allclose(A, [[1.0]], atol=1e-15)
 
 
@@ -234,7 +259,7 @@ def test_attention_uniform_weights_give_mean_plus_residual():
     p = AttentionParams(Q=np.zeros((d, d)), K=np.zeros((d, d)),
                         V=np.eye(d), O=np.eye(d))
     X = np.array([[1.0, 2.0, 3.0], [3.0, 0.0, -1.0], [-1.0, 4.0, 1.0]])
-    Y = self_attention_encode(X, p)
+    Y, _ = attention_forward_cache(X, p)
     np.testing.assert_allclose(Y, X.mean(axis=0) + X, atol=1e-12)
 
 
@@ -248,7 +273,7 @@ def test_attention_backward_finite_differences():
     step = 1e-6
 
     def loss():
-        return float((self_attention_encode(X, p) * R).sum())
+        return float((attention_forward_cache(X, p)[0] * R).sum())
 
     for name in ("Q", "K", "V", "O"):
         arr = getattr(p, name)
@@ -281,7 +306,7 @@ def test_attention_stack_composes():
     got, _ = attention_stack_forward_cache(X, layers)
     want = X
     for p in layers:
-        want = self_attention_encode(want, p)
+        want, _ = attention_forward_cache(want, p)
     np.testing.assert_array_equal(got, want)
 
 
@@ -373,26 +398,24 @@ def test_gcn_identity_hand_example():
     # identity features and weights: output is A_hat itself (entries >= 0)
     g = build_graph(2)
     p = GcnParams(W1=np.eye(2), W2=np.eye(2))
-    np.testing.assert_allclose(gcn_encode(np.eye(2), g, p),
+    np.testing.assert_allclose(gcn_forward_cache(np.eye(2), g, p)[0],
                                [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
 
 def test_gcn_layer_relu_toggle():
-    g = build_graph(2)
-    H = np.array([[1.0, -4.0], [-2.0, 3.0]])
-    W = np.eye(2)
-    raw = gcn_layer(H, g, W, activate=False)
-    np.testing.assert_allclose(raw, g.a_hat @ H, atol=1e-15)
-    np.testing.assert_allclose(gcn_layer(H, g, W, activate=True),
-                               np.maximum(raw, 0.0), atol=1e-15)
+    # both layers see negative pre-activations, so each ReLU zeroes something
+    g = build_graph(3)
+    X = np.array([[1.0, -4.0], [-2.0, 3.0], [0.5, -1.0]])
+    p = GcnParams(W1=np.array([[1.0, -1.0, 0.5], [0.5, 1.0, -2.0]]),
+                  W2=np.array([[1.0, -1.0], [-1.0, 0.5], [2.0, -0.25]]))
 
+    def relu(v):
+        return np.maximum(v, 0.0)
 
-def test_gcn_layer_shape_checks():
-    g = build_graph(2)
-    with pytest.raises(DataError):
-        gcn_layer(np.zeros((3, 2)), g, np.eye(2), activate=False)
-    with pytest.raises(DataError):
-        gcn_layer(np.zeros((2, 3)), g, np.eye(2), activate=False)
+    Z1 = g.a_hat @ X @ p.W1
+    Z2 = g.a_hat @ relu(Z1) @ p.W2
+    assert np.any(Z1 < 0) and np.any(Z2 < 0)
+    np.testing.assert_allclose(gcn_forward_cache(X, g, p)[0], relu(Z2), atol=1e-15)
 
 
 def test_gcn_backward_finite_differences():
@@ -406,7 +429,7 @@ def test_gcn_backward_finite_differences():
     step = 1e-6
 
     def loss():
-        return float((gcn_encode(X, g, p) * R).sum())
+        return float((gcn_forward_cache(X, g, p)[0] * R).sum())
 
     for name in ("W1", "W2"):
         arr = getattr(p, name)
