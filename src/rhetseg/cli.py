@@ -15,6 +15,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import (
     Corpus,
     Document,
@@ -39,6 +41,12 @@ from .metrics import compute_report, confusion, confusion_csv, emit_report
 from .roles import ROLE_NAMES, RhetoricalRole
 from .synth import generate_corpus
 from .train import (
+    CONTEXT_KINDS,
+    HEADS,
+    LABEL_MODE_ALIASES,
+    LABEL_MODES,
+    OPTIMIZERS,
+    POSITIONAL_MODES,
     TrainConfig,
     gradcheck,
     inverse_frequency_weights,
@@ -61,6 +69,43 @@ class _Parser(argparse.ArgumentParser):
     def exit(self, status=0, message=None):
         sys.stdout.flush()  # --help text meets a closed pipe here, inside main
         super().exit(status, message)
+
+
+# Every tuning option of `train`, once: flag -> its argparse keywords. Its
+# --config key is its dest, the flag without "--" and with "_" for "-", and a
+# file value passes the same type and choices as the flag. An option given
+# neither way is not passed on, so the defaults are TrainConfig's and
+# HashEncoderConfig's. The metavars keep the --help listing of the canonical
+# names.
+_TRAIN_OPTIONS = {
+    "--head": {"choices": HEADS},
+    "--context": {"choices": CONTEXT_KINDS},
+    "--window": {"choices": sorted(WINDOW_SPECS)},
+    "--label-mode": {"choices": tuple(LABEL_MODE_ALIASES), "metavar": "{%s}" % ",".join(LABEL_MODES)},
+    "--positional": {"choices": POSITIONAL_MODES},
+    "--sin-dim": {"type": int},
+    "--lambda": {"type": float, "metavar": "MTL_LAMBDA", "help": "shift-loss weight in [0,1]"},
+    "--no-mtl": {"dest": "mtl", "action": "store_false", "default": None, "help": "drop the shift head entirely"},
+    "--optimizer": {"choices": OPTIMIZERS},
+    "--lr": {"type": float, "help": "learning rate"},
+    "--epochs": {"type": int},
+    "--patience": {"type": int, "help": "early-stopping patience, 0 disables"},
+    "--seed": {"type": int},
+    "--class-weights": {"choices": ("none", "auto"), "help": "auto = inverse-frequency, softmax head only"},
+    "--lstm-hidden": {"type": int},
+    "--attention-layers": {"type": int},
+    "--gcn-hidden": {"type": int},
+    "--gcn-sim-threshold": {"type": float},
+    "--hash-dim": {"type": int, "help": "hashed-encoder width"},
+    "--ngram-orders": {"help": "comma list over {1,2}, e.g. 1,2"},
+}
+_CONFIG_OPTIONS = {kw.get("dest", flag[2:].replace("-", "_")): kw for flag, kw in _TRAIN_OPTIONS.items()}
+# Config keys that name a TrainConfig field differently, and those that set
+# the hashing encoder instead.
+_TRAIN_FIELDS = {"context": "context_kind", "lambda": "mtl_lambda", "lr": "learning_rate",
+                 "patience": "early_stopping_patience"}
+_ENCODER_FIELDS = {"hash_dim": "dim", "ngram_orders": "ngram_orders"}
+_BOOLEANS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
 
 
 @functools.cache  # one tree per process: parse_args keeps no state between calls
@@ -98,26 +143,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--output", required=True, help="checkpoint path to write")
     p.add_argument("--report", help="optional training-report CSV path")
     p.add_argument("--config", help="key=value file providing defaults for the flags below")
-    p.add_argument("--head", choices=["crf", "softmax"])
-    p.add_argument("--context", choices=["none", "bilstm", "attention", "gcn"])
-    p.add_argument("--window", choices=sorted(WINDOW_SPECS))
-    p.add_argument("--label-mode", choices=["off", "gold", "predicted"])
-    p.add_argument("--positional", choices=["none", "normalized", "sinusoidal"])
-    p.add_argument("--sin-dim", type=int)
-    p.add_argument("--lambda", dest="mtl_lambda", type=float, help="shift-loss weight in [0,1]")
-    p.add_argument("--no-mtl", action="store_true", help="drop the shift head entirely")
-    p.add_argument("--optimizer", choices=["sgd", "adam"])
-    p.add_argument("--lr", type=float, help="learning rate")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int, help="early-stopping patience, 0 disables")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--class-weights", choices=["none", "auto"], help="auto = inverse-frequency, softmax head only")
-    p.add_argument("--lstm-hidden", type=int)
-    p.add_argument("--attention-layers", type=int)
-    p.add_argument("--gcn-hidden", type=int)
-    p.add_argument("--gcn-sim-threshold", type=float)
-    p.add_argument("--hash-dim", type=int, help="hashed-encoder width")
-    p.add_argument("--ngram-orders", help="comma list over {1,2}, e.g. 1,2")
+    for flag, keywords in _TRAIN_OPTIONS.items():
+        p.add_argument(flag, **keywords)
     p.add_argument("--embeddings", help="precomputed embedding file instead of the hashed encoder")
 
     p = sub.add_parser("predict", help="label a corpus with a trained model")
@@ -264,123 +291,58 @@ def _read_config_file(path) -> dict[str, str]:
     return values
 
 
-_CONFIG_KEYS = {
-    "head": str,
-    "context": str,
-    "window": str,
-    "label_mode": str,
-    "positional": str,
-    "sin_dim": int,
-    "lambda": float,
-    "mtl": lambda v: v.lower() in ("1", "true", "yes", "on"),
-    "optimizer": str,
-    "lr": float,
-    "epochs": int,
-    "patience": int,
-    "seed": int,
-    "class_weights": str,
-    "lstm_hidden": int,
-    "attention_layers": int,
-    "gcn_hidden": int,
-    "gcn_sim_threshold": float,
-    "hash_dim": int,
-    "ngram_orders": str,
-}
+def _config_value(key: str, text: str):
+    """A --config value, converted and checked as its flag's would be."""
+    if key not in _CONFIG_OPTIONS:
+        raise DataError(f"unknown config key {key!r}")
+    option = _CONFIG_OPTIONS[key]
+    try:
+        value = _BOOLEANS[text.lower()] if "action" in option else option.get("type", str)(text)
+        if value in option.get("choices", (value,)):
+            return value
+    except (KeyError, ValueError):
+        pass
+    raise DataError(f"config key {key!r} has invalid value {text!r}")
 
 
-def _train_settings(args) -> dict:
-    """Merge precedence: explicit flag > config file > builtin default."""
-    file_values: dict = {}
+def _train_options(args) -> dict:
+    """The train options given, by config key. Precedence: flag > config file."""
+    given = {}
     if args.config:
-        raw = _read_config_file(args.config)
-        for key, value in raw.items():
-            if key not in _CONFIG_KEYS:
-                raise DataError(f"unknown config key {key!r}")
-            try:
-                file_values[key] = _CONFIG_KEYS[key](value)
-            except ValueError:
-                raise DataError(f"config key {key!r} has invalid value {value!r}") from None
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return file_values[key]
-        return default
-
-    settings = {
-        "head": pick(args.head, "head", "crf"),
-        "context": pick(args.context, "context", "bilstm"),
-        "window": pick(args.window, "window", "i"),
-        "label_mode": pick(args.label_mode, "label_mode", "off"),
-        "positional": pick(args.positional, "positional", "normalized"),
-        "sin_dim": pick(args.sin_dim, "sin_dim", 8),
-        "mtl_lambda": pick(args.mtl_lambda, "lambda", 0.3),
-        "mtl": False if args.no_mtl else file_values.get("mtl", True),
-        "optimizer": pick(args.optimizer, "optimizer", "adam"),
-        "lr": pick(args.lr, "lr", 1e-3),
-        "epochs": pick(args.epochs, "epochs", 20),
-        "patience": pick(args.patience, "patience", 3),
-        "seed": _seed(pick(args.seed, "seed", 0)),
-        "class_weights": pick(args.class_weights, "class_weights", "none"),
-        "lstm_hidden": pick(args.lstm_hidden, "lstm_hidden", 32),
-        "attention_layers": pick(args.attention_layers, "attention_layers", 1),
-        "gcn_hidden": pick(args.gcn_hidden, "gcn_hidden", 128),
-        "gcn_sim_threshold": pick(args.gcn_sim_threshold, "gcn_sim_threshold", None),
-        "hash_dim": pick(args.hash_dim, "hash_dim", 128),
-        "ngram_orders": pick(args.ngram_orders, "ngram_orders", "1,2"),
-    }
-    return settings
+        given = {key: _config_value(key, text) for key, text in _read_config_file(args.config).items()}
+    given.update((key, value) for key, value in vars(args).items() if key in _CONFIG_OPTIONS and value is not None)
+    return given
 
 
 def _parse_ngram_orders(text: str) -> tuple[int, ...]:
     try:
-        orders = tuple(int(v) for v in str(text).split(","))
+        orders = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise DataError(f"invalid ngram orders {text!r}") from None
     return orders
 
 
 def _cmd_train(args) -> int:
-    s = _train_settings(args)
+    options = _train_options(args)
+    if "seed" in options:
+        _seed(options["seed"])
+    encoder_options = {_ENCODER_FIELDS[key]: options.pop(key) for key in list(options) if key in _ENCODER_FIELDS}
+    if "window" in options:
+        options["window"] = parse_window_spec(options["window"])
     train_corpus = load_jsonl(args.input)
     val_corpus = load_jsonl(args.val)
-    class_weights = None
-    if s["class_weights"] == "auto":
-        class_weights = inverse_frequency_weights(train_corpus)
-    cfg = TrainConfig(
-        head=s["head"],
-        context_kind=s["context"],
-        window=parse_window_spec(s["window"]),
-        positional=s["positional"],
-        sin_dim=s["sin_dim"],
-        label_mode=s["label_mode"],
-        mtl=s["mtl"],
-        mtl_lambda=s["mtl_lambda"],
-        learning_rate=s["lr"],
-        epochs=s["epochs"],
-        seed=s["seed"],
-        optimizer=s["optimizer"],
-        class_weights=class_weights,
-        early_stopping_patience=s["patience"],
-        lstm_hidden=s["lstm_hidden"],
-        attention_layers=s["attention_layers"],
-        gcn_hidden=s["gcn_hidden"],
-        gcn_sim_threshold=s["gcn_sim_threshold"],
-    )
+    if options.pop("class_weights", None) == "auto":
+        options["class_weights"] = inverse_frequency_weights(train_corpus)
+    cfg = TrainConfig(**{_TRAIN_FIELDS.get(key, key): value for key, value in options.items()})
     if args.embeddings:
         matrices = load_embeddings(args.embeddings, train_corpus)
         matrices.update(load_embeddings(args.embeddings, val_corpus))
         dim = next(iter(matrices.values())).shape[1]
         encoder = PrecomputedEncoder(matrices, dim)
     else:
-        encoder = HashingEncoder(
-            HashEncoderConfig(
-                dim=s["hash_dim"],
-                ngram_orders=_parse_ngram_orders(s["ngram_orders"]),
-                seed=s["seed"],
-            )
-        )
+        if "ngram_orders" in encoder_options:
+            encoder_options["ngram_orders"] = _parse_ngram_orders(encoder_options["ngram_orders"])
+        encoder = HashingEncoder(HashEncoderConfig(seed=cfg.seed, **encoder_options))
     bundle, report = train_model(train_corpus, val_corpus, cfg, encoder)
     save_checkpoint(bundle, args.output)
     if args.report:
@@ -509,7 +471,8 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        code = _COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):  # stderr gets the NumericError line, not numpy's warnings
+            code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except (DataError, FileNotFoundError) as exc:

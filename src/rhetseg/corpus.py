@@ -249,7 +249,7 @@ def split_corpus(
     below the exact integer.
     """
     r_train, r_val, r_test = ratios
-    if min(ratios) < 0 or abs(sum(ratios) - 1.0) > 1e-9:
+    if not all(map(math.isfinite, ratios)) or min(ratios) < 0 or abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError(f"ratios must be positive and sum to 1, got {ratios}")
     n = len(corpus)
     if n < 3 and all(r > 0 for r in ratios):

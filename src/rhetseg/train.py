@@ -37,13 +37,20 @@ from .roles import NUM_ROLES, ROLE_NAMES, RhetoricalRole
 
 CHECKPOINT_VERSION = 2
 
-_LABEL_MODE_ALIASES = {
+# The values each setting may take; the CLI, TrainConfig and the checkpoint
+# loader all read these.
+HEADS = ("crf", "softmax")
+CONTEXT_KINDS = ("none", "bilstm", "attention", "gcn")
+POSITIONAL_MODES = ("none", "normalized", "sinusoidal")
+OPTIMIZERS = ("sgd", "adam")
+LABEL_MODE_ALIASES = {  # accepted spelling -> label mode
     "off": "off",
     "gold": "gold",
     "gold_previous": "gold",
     "predicted": "predicted",
     "predicted_previous": "predicted",
 }
+LABEL_MODES = tuple(dict.fromkeys(LABEL_MODE_ALIASES.values()))
 
 
 @dataclass
@@ -71,25 +78,30 @@ class TrainConfig:
     gcn_sim_threshold: float | None = None
 
     def __post_init__(self) -> None:
-        self.label_mode = _LABEL_MODE_ALIASES.get(self.label_mode, self.label_mode)
-        if self.head not in ("crf", "softmax"):
+        self.label_mode = LABEL_MODE_ALIASES.get(self.label_mode, self.label_mode)
+        if self.head not in HEADS:
             raise DataError(f"unknown head {self.head!r}")
-        if self.context_kind not in ("none", "bilstm", "attention", "gcn"):
+        if self.context_kind not in CONTEXT_KINDS:
             raise DataError(f"unknown context kind {self.context_kind!r}")
-        if self.label_mode not in ("off", "gold", "predicted"):
+        if self.label_mode not in LABEL_MODES:
             raise DataError(f"unknown label mode {self.label_mode!r}")
-        if self.positional not in ("none", "normalized", "sinusoidal"):
+        if self.positional not in POSITIONAL_MODES:
             raise DataError(f"unknown positional mode {self.positional!r}")
-        if self.optimizer not in ("sgd", "adam"):
+        if self.optimizer not in OPTIMIZERS:
             raise DataError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 <= self.mtl_lambda <= 1.0:
             raise DataError(f"lambda must lie in [0, 1], got {self.mtl_lambda}")
-        if self.learning_rate <= 0:
-            raise DataError("learning rate must be positive")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise DataError(f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise DataError("epochs must be >= 1")
         if self.early_stopping_patience < 0:
             raise DataError("patience must be >= 0")
+        for size in ("lstm_hidden", "gcn_hidden", "attention_layers"):
+            if getattr(self, size) < 1:
+                raise DataError(f"{size} must be >= 1, got {getattr(self, size)}")
+        if self.gcn_sim_threshold is not None and not math.isfinite(self.gcn_sim_threshold):
+            raise DataError(f"gcn similarity threshold must be finite, got {self.gcn_sim_threshold}")
         self.window = tuple(self.window)
         if self.class_weights is not None:
             if self.head != "softmax":
@@ -805,8 +817,10 @@ def gradcheck(
     Blocks with at most max_coords entries are checked exhaustively; larger
     ones on max_coords seeded sample coordinates. Relative error guards the
     denominator at 1e-6 so near-zero pairs are compared absolutely."""
-    if step <= 0:
-        raise DataError("finite-difference step must be positive")
+    if not (step > 0 and math.isfinite(step)):
+        raise DataError(f"finite-difference step must be positive and finite, got {step}")
+    if not (tolerance >= 0 and math.isfinite(tolerance)):
+        raise DataError(f"gradcheck tolerance must be finite and >= 0, got {tolerance}")
     if encoder is None:
         encoder = bundle.make_encoder()
     X = _gold_features(bundle, encoder.encode_document(doc), doc.gold_labels())
@@ -907,11 +921,10 @@ _FIELDS = {
     "encoder": {"kind": ("hash", "precomputed"), "dim": lambda v: _is_int(v) and v > 0},
     "hash": {"ngram_orders": _is_int_list, "seed": lambda v: _is_int(v) and -(2**63) <= v < 2**63,
              "signed": lambda v: type(v) is bool},
-    "feature": {"window": _is_int_list, "positional": ("none", "normalized", "sinusoidal"), "sin_dim": _is_int,
-                "label_mode": ("off", "gold", "predicted")},
-    "context": {"kind": ("none", "bilstm", "attention", "gcn"),
+    "feature": {"window": _is_int_list, "positional": POSITIONAL_MODES, "sin_dim": _is_int, "label_mode": LABEL_MODES},
+    "context": {"kind": CONTEXT_KINDS,
                 "sim_threshold": lambda v: v is None or (type(v) in (int, float) and math.isfinite(v))},
-    "head": {"kind": ("crf", "softmax")},
+    "head": {"kind": HEADS},
     "dims": {"feat_dim": lambda v: _is_int(v) and v > 0, "context_dim": lambda v: _is_int(v) and v > 0},
 }
 
