@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the numeric kernels, the LSTM recurrence over padded batches, one
-optimizer step, and a checkpoint save and load.
+optimizer step, a checkpoint save and load, and free-running decoding.
 
 Each kernel in ``rhetseg.kernels`` runs on one document of --doc-len
 sentences; the best of --repeats runs is printed. The recurrence is also run
@@ -13,7 +13,9 @@ of the default model (BiLSTM with --hidden units over hashed features of
 width FEAT_DIM, CRF head, shift head) from a gradient dict. The checkpoint
 rows save and load the default BiLSTM and attention models with random
 parameters, and assert that the loaded vector and a second save are
-bit-identical to the first.
+bit-identical to the first. The free-running rows time the greedy decode,
+train._free_running, of one FREE_LEN-sentence document for a label_mode=gold
+model of each context in FREE_RUNNING.
 
     python3 benchmarks/bench_kernels.py --doc-len 2000 --hidden 32
 """
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rhetseg import context, kernels
+from rhetseg import context, kernels, train
 from rhetseg.train import (
     TrainConfig,
     build_model,
@@ -41,6 +43,14 @@ BATCH_SIZES = (1, 64)
 BATCH_LEN = 14
 FEAT_DIM = 130  # 128 hashed buckets plus 2 normalized-position columns
 HASH_SPEC = {"kind": "hash", "dim": FEAT_DIM - 2, "ngram_orders": [1, 2], "seed": 0, "signed": True}
+FREE_LEN = 120
+FREE_RUNNING = {  # row label -> TrainConfig settings
+    "bilstm": {"context_kind": "bilstm"},
+    "attention layers=1": {"context_kind": "attention"},
+    "attention layers=2": {"context_kind": "attention", "attention_layers": 2},
+    "gcn": {"context_kind": "gcn"},
+    "gcn sim_threshold=0.3": {"context_kind": "gcn", "gcn_sim_threshold": 0.3},
+}
 
 
 def build_cases(doc_len: int, hidden: int, rng) -> dict[str, tuple]:
@@ -142,6 +152,13 @@ def main(argv=None) -> int:
             save_s, load_s, size = checkpoint_times(kind, h, args.repeats, rng, Path(workdir))
             label = f"{kind} params={size}"
             print(f"{label:<34}{1000 * save_s:>12.3f}{1000 * load_s:>12.3f}  round trip bit-exact")
+
+    print(f"{f'free-running decode m={FREE_LEN}':<34}{'ms':>12}")
+    base = rng.standard_normal((FREE_LEN, HASH_SPEC["dim"]))
+    for label, settings in FREE_RUNNING.items():
+        bundle = build_model(TrainConfig(label_mode="gold", lstm_hidden=h, **settings), HASH_SPEC, rng)
+        seconds = best_of(train._free_running, (bundle, base), args.repeats)
+        print(f"{label:<34}{1000 * seconds:>12.3f}")
     return 0
 
 

@@ -475,17 +475,17 @@ def main(argv=None) -> int:
             code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
-    except (DataError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
     except BrokenPipeError:  # the reader closed stdout; devnull keeps the flush at exit quiet
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
+    except (DataError, OSError, UnicodeDecodeError) as exc:  # OSError: a missing, unreadable or directory path
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except NumericError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -248,24 +248,20 @@ def build_graph(
         raise DataError(f"graph needs m >= 1, got {m}")
     if sim_threshold is not None and X is None:
         raise DataError("similarity threshold given without sentence vectors")
-    edges = {(j, j + 1) for j in range(m - 1)}
+    upper = np.eye(m, k=1, dtype=bool)  # edge (i, j), i < j
     if sim_threshold is not None:
         norms = np.linalg.norm(X, axis=1)
         safe = np.where(norms > 0, norms, 1.0)
         unit = X / safe[:, None]
-        sims = unit @ unit.T
-        for i in range(m):
-            for j in range(i + 1, m):
-                if norms[i] > 0 and norms[j] > 0 and sims[i, j] >= sim_threshold:
-                    edges.add((i, j))
-    A = np.eye(m)
-    for i, j in edges:
-        A[i, j] = 1.0
-        A[j, i] = 1.0
+        nonzero = norms > 0
+        # only sims[i, j] with i < j is read: unit @ unit.T need not be symmetric bit for bit
+        upper |= np.triu(unit @ unit.T >= sim_threshold, 1) & nonzero[:, None] & nonzero[None, :]
+    A = np.eye(m) + upper + upper.T
     degrees = A.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(degrees)
     a_hat = A * inv_sqrt[:, None] * inv_sqrt[None, :]
-    return DocumentGraph(m=m, edges=tuple(sorted(edges)), a_hat=a_hat)
+    rows, cols = np.nonzero(upper)
+    return DocumentGraph(m=m, edges=tuple(zip(rows.tolist(), cols.tolist())), a_hat=a_hat)
 
 
 def gcn_forward_cache(X: np.ndarray, g: DocumentGraph, p: GcnParams):
@@ -305,23 +301,10 @@ def gcn_backward(cache: dict, p: GcnParams, dH2: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def lstm_cell_step(xw: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, p: LstmParams):
-    """One step of kernels.lstm_recurrence for xw = x @ Wx.T: gate order
-    (i, f, o, g), pre-activations clipped to +-60. Returns (h, c)."""
-    h = p.hidden_dim
-    a = np.clip(xw + p.Wh @ h_prev + p.b, -kernels._CLIP, kernels._CLIP)
-    i = 1.0 / (1.0 + np.exp(-a[:h]))
-    f = 1.0 / (1.0 + np.exp(-a[h : 2 * h]))
-    o = 1.0 / (1.0 + np.exp(-a[2 * h : 3 * h]))
-    g = np.tanh(a[3 * h :])
-    c = f * c_prev + i * g
-    return o * np.tanh(c), c
-
-
 class BilstmRows:
-    """Forward direction: one cell step per row. Backward direction: the
-    state after rows > j comes from one pass over reversed X0, then one cell
-    step on row j."""
+    """Forward direction: one kernels.lstm_step per row. Backward direction:
+    the state after rows > j comes from one pass over reversed X0, then one
+    lstm_step on row j."""
 
     def __init__(self, X0: np.ndarray, p: BilstmParams):
         self.p = p
@@ -333,10 +316,10 @@ class BilstmRows:
 
     def row(self, j: int, x: np.ndarray) -> np.ndarray:
         p = self.p
-        self.hf, self.cf = lstm_cell_step(p.fwd.Wx @ x, self.hf, self.cf, p.fwd)
+        _, self.cf, self.hf = kernels.lstm_step(p.fwd.Wx @ x, p.fwd.Wh, p.fwd.b, self.hf, self.cf)
         after = self.Hb.shape[0] - 2 - j  # reversed index of row j + 1
         h_next, c_next = (self.Hb[after], self.Cb[after]) if after >= 0 else (self.zero, self.zero)
-        hb, _ = lstm_cell_step(p.bwd.Wx @ x, h_next, c_next, p.bwd)
+        _, _, hb = kernels.lstm_step(p.bwd.Wx @ x, p.bwd.Wh, p.bwd.b, h_next, c_next)
         out = np.concatenate([self.hf, hb])
         _check_finite("bilstm_encode", out)
         return out

@@ -4,6 +4,8 @@ Only genuinely sequential loops live here, written in vectorised numpy.
 Matmul-bound work (gate pre-activations, parameter-gradient assembly,
 attention, GCN) is done by the callers in BLAS-backed numpy.
 
+``lstm_step`` is the LSTM gate formula, written once: ``lstm_recurrence``
+runs it per time step and free-running decoding per sentence.
 ``lstm_recurrence`` and ``crf_viterbi_tables`` are rank-polymorphic: they
 take one sequence as an (m, n) array or B sequences padded to T steps as a
 (T, B, n) array, and run one body with ``...`` indexing. Each batch column is
@@ -105,32 +107,38 @@ def crf_viterbi(E, T, start, end):
 _CLIP = 60.0
 
 
-def lstm_recurrence(XW, Wh, b):
-    """Run the gate recurrence over XW (m, 4h), or (T, B, 4h) for B padded
-    sequences. Returns (gates G, cells C, hiddens H) with XW's leading axes.
+def lstm_step(xw, Wh, b, h_prev, c_prev):
+    """One gate step for one state, h_prev and c_prev of shape (h,), or a
+    batch of states, (B, h), with xw = x @ Wx.T of shape (4h,) or (B, 4h).
+    Returns (gates, c, h): the activated gates in (i, f, o, g) order and the
+    new cell and hidden states.
 
-    The recurrent term is one matrix-vector product per sequence,
+    The recurrent term is one matrix-vector product per state,
     Wh @ h_prev[..., None]: a single (B, h) @ Wh.T product sums in a
-    different order and is not bit-identical per sequence."""
-    XW, Wh, b = _as_c(XW), _as_c(Wh), _as_c(b)
-    h = XW.shape[-1] // 4
+    different order and is not bit-identical per state."""
+    h = h_prev.shape[-1]
     h3 = 3 * h
+    gates = np.clip(xw + (Wh @ h_prev[..., None])[..., 0] + b, -_CLIP, _CLIP)
+    sig = gates[..., :h3]  # i, f, o
+    np.divide(1.0, 1.0 + np.exp(-sig), out=sig)
+    g = gates[..., h3:]
+    np.tanh(g, out=g)
+    c = sig[..., h : 2 * h] * c_prev + sig[..., :h] * g
+    return gates, c, sig[..., 2 * h :] * np.tanh(c)
+
+
+def lstm_recurrence(XW, Wh, b):
+    """Run lstm_step over XW (m, 4h), or (T, B, 4h) for B padded sequences,
+    from zero states. Returns (gates G, cells C, hiddens H) with XW's leading
+    axes."""
+    XW, Wh, b = _as_c(XW), _as_c(Wh), _as_c(b)
     G = np.empty(XW.shape)
-    C = np.empty(XW.shape[:-1] + (h,))
+    C = np.empty(XW.shape[:-1] + (XW.shape[-1] // 4,))
     H = np.empty(C.shape)
-    h_prev = np.zeros(C.shape[1:] + (1,))  # h_{t-1} as a column per sequence
-    c_prev = np.zeros(C.shape[1:])
+    h_prev = c_prev = np.zeros(C.shape[1:])
     for t in range(XW.shape[0]):
-        a = np.clip(XW[t] + (Wh @ h_prev)[..., 0] + b, -_CLIP, _CLIP)
-        sig = 1.0 / (1.0 + np.exp(-a[..., :h3]))  # i, f, o
-        g = np.tanh(a[..., h3:])
-        c = sig[..., h : 2 * h] * c_prev + sig[..., :h] * g
-        G[t, ..., :h3] = sig
-        G[t, ..., h3:] = g
-        C[t] = c
-        H[t] = sig[..., 2 * h : h3] * np.tanh(c)
-        h_prev = H[t][..., None]
-        c_prev = c
+        G[t], C[t], H[t] = lstm_step(XW[t], Wh, b, h_prev, c_prev)
+        h_prev, c_prev = H[t], C[t]
     return G, C, H
 
 

@@ -212,7 +212,6 @@ class ModelBundle:
     context_dim: int
     layout: dict[str, tuple[int, ...]]
     flat: np.ndarray
-    labels: tuple[str, ...] = ROLE_NAMES
     config_echo: dict = field(default_factory=dict)
     context_params: object = field(init=False)  # BilstmParams | list[AttentionParams] | GcnParams | None
     head_params: object = field(init=False)  # CrfParams | SoftmaxParams
@@ -249,15 +248,6 @@ def _hash_config(spec: dict) -> HashEncoderConfig:
     return HashEncoderConfig(
         dim=spec["dim"], ngram_orders=tuple(spec["ngram_orders"]), seed=spec["seed"], signed=spec["signed"]
     )
-
-
-def mtl_loss(rr_loss: float, shift_loss_value: float, lam: float) -> float:
-    """L = lambda * L_shift + (1 - lambda) * L_RR."""
-    if not 0.0 <= lam <= 1.0:
-        raise DataError(f"lambda must lie in [0, 1], got {lam}")
-    if not (np.isfinite(rr_loss) and np.isfinite(shift_loss_value)):
-        raise NumericError("non-finite loss passed to mtl_loss")
-    return lam * shift_loss_value + (1.0 - lam) * rr_loss
 
 
 def shift_loss(features: np.ndarray, shifts, head: ShiftParams) -> tuple[float, dict]:
@@ -591,21 +581,25 @@ def _step_score(bundle: ModelBundle, h: np.ndarray, j: int, m: int, preds: list[
 
 
 def _row_encoder(bundle: ModelBundle, X0: np.ndarray):
-    """row(j, x) -> context output row j (see the row encoders in context),
-    or None where one committed label reaches every output row: stacked
-    attention and GCN with similarity edges."""
+    """row(j, x) -> context output row j (see the row encoders in context).
+    Where one committed label reaches every output row, stacked attention and
+    GCN with similarity edges, row j is read from a full forward pass."""
     kind = bundle.context_kind
     if kind == "none":
         return lambda j, x: x
     if kind == "bilstm":
         return ctx.BilstmRows(X0, bundle.context_params).row
-    if kind == "attention":
-        if len(bundle.context_params) > 1:
-            return None
+    if kind == "attention" and len(bundle.context_params) == 1:
         return ctx.AttentionRows(X0, bundle.context_params[0]).row
-    if bundle.gcn_sim_threshold is not None:
-        return None
-    return ctx.GcnRows(X0, ctx.build_graph(X0.shape[0]), bundle.context_params).row
+    if kind == "gcn" and bundle.gcn_sim_threshold is None:
+        return ctx.GcnRows(X0, ctx.build_graph(X0.shape[0]), bundle.context_params).row
+    X = X0.copy()
+
+    def full_forward_row(j: int, x: np.ndarray) -> np.ndarray:
+        X[j] = x
+        return _context_forward(bundle, X)[0][j]
+
+    return full_forward_row
 
 
 def _free_running(bundle: ModelBundle, base: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -614,13 +608,10 @@ def _free_running(bundle: ModelBundle, base: np.ndarray) -> tuple[list[int], np.
     step scores they were taken from.
 
     Committing label j-1 changes only row j of the features, so the document
-    is featurized once and one context row is computed per sentence; the
-    configurations without a row encoder re-encode per sentence."""
+    is featurized once and one context row is computed per sentence."""
     m = base.shape[0]
     X = _featurize_doc(bundle, base, [None] * m)
     row = _row_encoder(bundle, X)
-    if row is None:
-        return _free_running_reencode(bundle, base)
     label_col = X.shape[1] - NUM_ROLES
     preds: list[int] = []
     scores = np.empty((m, NUM_ROLES))
@@ -628,21 +619,6 @@ def _free_running(bundle: ModelBundle, base: np.ndarray) -> tuple[list[int], np.
         if j > 0:
             X[j, label_col + preds[-1]] = 1.0
         scores[j] = _step_score(bundle, row(j, X[j]), j, m, preds)
-        preds.append(int(np.argmax(scores[j])))
-    return preds, scores
-
-
-def _free_running_reencode(bundle: ModelBundle, base: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """The same decode by re-encoding the whole document once per sentence,
-    O(m^2): the path for configurations without a row encoder, and the
-    reference the row encoders are tested against."""
-    m = base.shape[0]
-    preds: list[int] = []
-    scores = np.empty((m, NUM_ROLES))
-    for j in range(m):
-        prevs = _prev_labels([RhetoricalRole(v) for v in preds], m)
-        H, _ = _context_forward(bundle, _featurize_doc(bundle, base, prevs))
-        scores[j] = _step_score(bundle, H[j], j, m, preds)
         preds.append(int(np.argmax(scores[j])))
     return preds, scores
 
@@ -879,7 +855,7 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
             "sim_threshold": bundle.gcn_sim_threshold,
         },
         "head": {"kind": bundle.head_kind},
-        "labels": list(bundle.labels),
+        "labels": list(ROLE_NAMES),
         "dims": {"feat_dim": bundle.feat_dim, "context_dim": bundle.context_dim},
         "tensors": {
             name: base64.b64encode(t.astype("<f8", copy=False).tobytes()).decode("ascii")
@@ -997,7 +973,6 @@ def load_checkpoint(path) -> ModelBundle:
         context_dim=context_dim,
         layout=layout,
         flat=flat,
-        labels=tuple(payload["labels"]),
         config_echo=payload.get("config", {}),
     )
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from rhetseg.cli import main
 from rhetseg.corpus import write_jsonl
+from rhetseg.roles import ROLE_NAMES
 from rhetseg.synth import generate_corpus
 from rhetseg.train import (
     TrainConfig,
@@ -64,7 +65,7 @@ def json_dump_bytes(bundle) -> bytes:
         },
         "context": {"kind": bundle.context_kind, "sim_threshold": bundle.gcn_sim_threshold},
         "head": {"kind": bundle.head_kind},
-        "labels": list(bundle.labels),
+        "labels": list(ROLE_NAMES),
         "dims": {"feat_dim": bundle.feat_dim, "context_dim": bundle.context_dim},
         "tensors": {},
         "config": bundle.config_echo,

@@ -85,6 +85,28 @@ class TestUsage:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        "stats --input BAD",
+        "stats --input DIR",
+        "ingest --input BAD --output OUT",
+        "train --input DIR --val CORPUS --output OUT",
+        "train --input CORPUS --val CORPUS --output OUT --embeddings BAD",
+        "train --config DIR --input CORPUS --val CORPUS --output OUT",
+        "train --config BAD --input CORPUS --val CORPUS --output OUT",
+        "predict --model BAD --input CORPUS --output OUT",
+        "predict --model DIR --input CORPUS --output OUT",
+    ])
+    def test_unreadable_input_exits_two(self, capsys, tmp_path, argv):
+        """A path that is a directory, or a file that is not UTF-8, is a data error."""
+        corpus = make_corpus(tmp_path, n="4", lo="3", hi="4")
+        bad = tmp_path / "bad"
+        bad.write_bytes(b'\xff\xfe{"doc_id": "d"}\n')
+        paths = {"BAD": bad, "DIR": tmp_path, "CORPUS": corpus, "OUT": tmp_path / "out"}
+        code, out, err = run(capsys, *(str(paths.get(word, word)) for word in argv.split()))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("seed", ["-1", "99999999999999999999", str(2**63), "0", str(2**63 - 1)])
     @pytest.mark.parametrize("command", ["synth", "split", "train", "train --config"])
     def test_seed_range(self, tmp_path, capsys, command, seed):

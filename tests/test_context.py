@@ -387,6 +387,41 @@ def test_graph_a_hat_symmetric_and_bounded():
         assert np.all(g.a_hat >= 0) and np.all(g.a_hat <= 1.0 + 1e-12)
 
 
+def loop_graph(m, X=None, sim_threshold=None):
+    """Reference graph: edges from a double loop over sentence pairs, then
+    A_hat = D^{-1/2}(A + I)D^{-1/2} with A filled edge by edge."""
+    edges = {(j, j + 1) for j in range(m - 1)}
+    if sim_threshold is not None:
+        norms = np.linalg.norm(X, axis=1)
+        unit = X / np.where(norms > 0, norms, 1.0)[:, None]
+        sims = unit @ unit.T
+        for i in range(m):
+            for j in range(i + 1, m):
+                if norms[i] > 0 and norms[j] > 0 and sims[i, j] >= sim_threshold:
+                    edges.add((i, j))
+    A = np.eye(m)
+    for i, j in edges:
+        A[i, j] = A[j, i] = 1.0
+    inv_sqrt = 1.0 / np.sqrt(A.sum(axis=1))
+    return tuple(sorted(edges)), A * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
+def test_graph_similarity_mask_matches_pair_loop():
+    rng = np.random.default_rng(17)
+    for case in range(400):
+        m = int(rng.integers(1, 25))
+        X = rng.normal(size=(m, 5))
+        X[rng.random(m) < 0.2] = 0.0  # zero rows take no similarity edges
+        threshold = 0.0 if case % 4 == 0 else float(rng.uniform(-1.0, 1.0))
+        g = build_graph(m, X=X, sim_threshold=threshold)
+        edges, a_hat = loop_graph(m, X, threshold)
+        assert g.edges == edges
+        assert np.array_equal(g.a_hat, a_hat)
+    g = build_graph(6)
+    edges, a_hat = loop_graph(6)
+    assert g.edges == edges and np.array_equal(g.a_hat, a_hat)
+
+
 def test_graph_threshold_requires_vectors():
     with pytest.raises(DataError):
         build_graph(3, X=None, sim_threshold=0.5)

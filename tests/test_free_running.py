@@ -13,6 +13,7 @@ from rhetseg.cli import main
 from rhetseg.corpus import Corpus, write_jsonl
 from rhetseg.encode import HashEncoderConfig, HashingEncoder
 from rhetseg.errors import NumericError
+from rhetseg.roles import NUM_ROLES, RhetoricalRole
 from rhetseg.synth import generate_corpus
 from rhetseg.train import (
     TrainConfig,
@@ -42,6 +43,20 @@ def random_model(seed, **overrides):
     return bundle, rng
 
 
+def free_running_reencode(bundle, base):
+    """Reference decode: featurize and encode the whole document again for
+    every sentence, O(m^2)."""
+    m = base.shape[0]
+    preds = []
+    scores = np.empty((m, NUM_ROLES))
+    for j in range(m):
+        prevs = train_mod._prev_labels([RhetoricalRole(v) for v in preds], m)
+        H, _ = train_mod._context_forward(bundle, train_mod._featurize_doc(bundle, base, prevs))
+        scores[j] = train_mod._step_score(bundle, H[j], j, m, preds)
+        preds.append(int(np.argmax(scores[j])))
+    return preds, scores
+
+
 @pytest.mark.parametrize("positional", POSITIONAL)
 @pytest.mark.parametrize("window", WINDOWS)
 @pytest.mark.parametrize("head", ["crf", "softmax"])
@@ -53,7 +68,7 @@ def test_row_decode_matches_reencode(kind, head, window, positional):
     for m in LENGTHS:
         base = rng.normal(size=(m, BASE_DIM))
         labels, scores = train_mod._free_running(bundle, base)
-        ref_labels, ref_scores = train_mod._free_running_reencode(bundle, base)
+        ref_labels, ref_scores = free_running_reencode(bundle, base)
         assert labels == ref_labels
         np.testing.assert_allclose(scores, ref_scores, rtol=0, atol=1e-10)
         if m == 37:
@@ -68,24 +83,28 @@ def test_configurations_without_row_encoder_keep_reencode(overrides):
     bundle, rng = random_model(11, **overrides)
     base = rng.normal(size=(9, BASE_DIM))
     labels, scores = train_mod._free_running(bundle, base)
-    ref_labels, ref_scores = train_mod._free_running_reencode(bundle, base)
+    ref_labels, ref_scores = free_running_reencode(bundle, base)
     assert labels == ref_labels
     assert np.array_equal(scores, ref_scores)
 
 
-def test_lstm_cell_step_reproduces_recurrence():
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["one", "batch"])
+def test_lstm_step_reproduces_recurrence(batch):
+    """lstm_step from a carried state, on one state or a batch of states,
+    gives the recurrence's gates, cells and hiddens bit for bit."""
     rng = np.random.default_rng(4)
     h, m = 5, 23
     p = context.init_lstm_params(7, h, rng)
     p.Wh *= 3.0
-    XW = rng.normal(size=(m, 4 * h)) * 4.0
+    XW = rng.normal(size=(m,) + batch + (4 * h,)) * 4.0
     XW[5] *= 100.0  # past the +-60 pre-activation clip
-    _, C, H = kernels.lstm_recurrence(XW, p.Wh, p.b)
-    h_t, c_t = np.zeros(h), np.zeros(h)
+    G, C, H = kernels.lstm_recurrence(XW, p.Wh, p.b)
+    h_t, c_t = np.zeros(batch + (h,)), np.zeros(batch + (h,))
     for t in range(m):
-        h_t, c_t = context.lstm_cell_step(XW[t], h_t, c_t, p)
-        np.testing.assert_allclose(h_t, H[t], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(c_t, C[t], rtol=0, atol=1e-12)
+        g_t, c_t, h_t = kernels.lstm_step(XW[t], p.Wh, p.b, h_t, c_t)
+        assert np.array_equal(g_t, G[t])
+        assert np.array_equal(c_t, C[t])
+        assert np.array_equal(h_t, H[t])
 
 
 def hash_encoder():
@@ -101,7 +120,7 @@ def test_predicted_mode_checkpoint_bytes_match_reencode(tmp_path, monkeypatch, k
                       gcn_hidden=8, early_stopping_patience=0, seed=0)
     fast = tmp_path / "fast.json"
     save_checkpoint(train_model(train, val, cfg, hash_encoder())[0], fast)
-    monkeypatch.setattr(train_mod, "_free_running", train_mod._free_running_reencode)
+    monkeypatch.setattr(train_mod, "_free_running", free_running_reencode)
     ref = tmp_path / "reencode.json"
     save_checkpoint(train_model(train, val, cfg, hash_encoder())[0], ref)
     assert fast.read_bytes() == ref.read_bytes()

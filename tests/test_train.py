@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from rhetseg import train as train_mod
 from rhetseg.corpus import label_shift_sequence, split_corpus
 from rhetseg.encode import HashEncoderConfig, HashingEncoder
-from rhetseg.errors import DataError, NumericError
+from rhetseg.errors import DataError
 from rhetseg.roles import RhetoricalRole
 from rhetseg.synth import generate_corpus
 from rhetseg.train import (
@@ -14,10 +15,10 @@ from rhetseg.train import (
     TrainConfig,
     build_model,
     bundles_equal,
+    document_loss_and_grads,
     gradcheck,
     inverse_frequency_weights,
     load_checkpoint,
-    mtl_loss,
     predict_document,
     save_checkpoint,
     shift_loss,
@@ -38,24 +39,44 @@ def encoder(dim=32, seed=0):
 FAST = dict(epochs=3, lstm_hidden=8, early_stopping_patience=0, seed=0)
 
 
+def mtl_case(head, seed=0):
+    """A model with a shift head, one document's features, labels and shift
+    bits, and the RR and shift losses computed separately."""
+    cfg = TrainConfig(head=head, lstm_hidden=4, seed=seed)
+    bundle = build_model(cfg, encoder(dim=8).spec(), np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    bundle.parameter_blocks()["shift.w"][:] = rng.normal(size=bundle.context_dim)
+    X = rng.normal(size=(6, bundle.feat_dim))
+    gold = [RhetoricalRole(int(v)) for v in rng.integers(0, 7, size=6)]
+    y, bits = train_mod._targets(bundle, gold)
+    H, _ = train_mod._context_forward(bundle, X)
+    cw = np.ones(7)
+    rr, _, _ = train_mod._rr_loss_and_grads(bundle, H, y, cw)
+    shift, _ = shift_loss(H, bits, bundle.shift_params)
+    return bundle, X, y, bits, cw, rr, shift
+
+
 class TestMtlLoss:
+    """The composite objective as training computes it."""
+
     def test_convex_mix(self):
-        assert mtl_loss(2.0, 4.0, 0.5) == 3.0
-        assert mtl_loss(2.0, 4.0, 0.0) == 2.0
-        assert mtl_loss(2.0, 4.0, 1.0) == 4.0
-        assert mtl_loss(1.0, 0.0, 0.3) == pytest.approx(0.7)
+        for head in ("crf", "softmax"):
+            bundle, X, y, bits, cw, rr, shift = mtl_case(head)
+            for lam in (0.5, 0.0, 1.0, 0.3):
+                total, _ = document_loss_and_grads(bundle, X, y, bits, lam, cw)
+                assert total == lam * shift + (1 - lam) * rr
 
     def test_lambda_zero_is_exact_identity(self):
-        for rr in (0.1, 1.7, 313.25, 1e-12):
-            assert mtl_loss(rr, 99.0, 0.0) == rr
+        for head in ("crf", "softmax"):
+            for seed in range(4):
+                bundle, X, y, bits, cw, rr, _ = mtl_case(head, seed)
+                total, _ = document_loss_and_grads(bundle, X, y, bits, 0.0, cw)
+                assert total == rr
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(DataError):
-            mtl_loss(1.0, 1.0, 1.5)
-        with pytest.raises(NumericError):
-            mtl_loss(float("nan"), 1.0, 0.5)
-        with pytest.raises(NumericError):
-            mtl_loss(1.0, float("inf"), 0.5)
+        for lam in (1.5, -0.1, float("nan")):
+            with pytest.raises(DataError, match="lambda"):
+                TrainConfig(mtl_lambda=lam)
 
 
 class TestShiftLoss:
