@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Digest the outputs of a fixed set of rhetseg runs, so that two source
+trees can be shown to produce the same bytes.
+
+--out DIR synthesizes fixed corpora and, for each of ten train
+configurations, writes into DIR/<configuration>/ the checkpoint, the report
+CSV, train's stdout, the `predict` output and stdout in free-running and
+teacher-forced mode, and gradcheck's stdout. It prints one SHA-256 per file,
+as `sha256sum` does. Every command runs in-process through rhetseg.cli.main
+from the src/ tree next to this script, so copy the script into another
+checkout to digest that one.
+
+--compare DIR_A DIR_B lists every file that differs between two output
+trees, or is in only one, and exits 1 if there is any.
+
+    python3 benchmarks/golden.py --out /tmp/golden-a
+    python3 benchmarks/golden.py --compare /tmp/golden-a /tmp/golden-b
+
+The digests depend on the numpy and BLAS build, so compare trees made on one
+machine.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from rhetseg import cli  # noqa: E402
+
+# Corpus name -> synth flags. "predict" mixes lengths 1 to 30 over more
+# documents than three prediction chunks hold.
+CORPORA = {
+    "train": ("--n-docs", "24", "--seed", "0"),
+    "val": ("--n-docs", "8", "--seed", "1"),
+    "predict": ("--n-docs", "40", "--min-sentences", "1", "--max-sentences", "30", "--seed", "2"),
+}
+TRAIN_FLAGS = ("--epochs", "3")
+
+# Configuration name -> train flags.
+CONFIGURATIONS = {
+    "default": (),
+    "predicted": ("--label-mode", "predicted"),
+    "gold-softmax": ("--label-mode", "gold", "--head", "softmax"),
+    "gold-attention": ("--label-mode", "gold", "--context", "attention"),
+    "gold-gcn": ("--label-mode", "gold", "--context", "gcn"),
+    "none-window-predicted": ("--context", "none", "--window", "i-1:i:i+1", "--label-mode", "predicted"),
+    "sgd": ("--optimizer", "sgd"),
+    "no-mtl-sinusoidal": ("--no-mtl", "--positional", "sinusoidal"),
+    "attention2-predicted": ("--context", "attention", "--attention-layers", "2", "--label-mode", "predicted"),
+    "gcn-sim-sgd-predicted": ("--context", "gcn", "--gcn-sim-threshold", "0.3", "--optimizer", "sgd",
+                              "--label-mode", "predicted"),
+}
+
+
+def run(out_file: Path, *argv) -> None:
+    """Run one command; write its exit code and stdout to out_file."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main([str(a) for a in argv])
+    out_file.write_text(f"exit,{code}\n{stdout.getvalue()}", encoding="utf-8")
+
+
+def write_outputs(root: Path) -> None:
+    """Write every output under root, with paths relative to it, so that
+    stdout names the same paths in any output tree."""
+    root.mkdir(parents=True)
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        data = Path("data")
+        data.mkdir()
+        for name, flags in CORPORA.items():
+            run(data / f"{name}.out", "synth", "--output", data / f"{name}.jsonl", *flags)
+        for name, flags in CONFIGURATIONS.items():
+            out = Path(name)
+            out.mkdir()
+            model = out / "model.json"
+            run(out / "train.out", "train", "--input", data / "train.jsonl", "--val", data / "val.jsonl",
+                "--output", model, "--report", out / "report.csv", *TRAIN_FLAGS, *flags)
+            for mode in ("free_running", "teacher_forced"):
+                run(out / f"predict-{mode}.out", "predict", "--input", data / "predict.jsonl", "--model", model,
+                    "--output", out / f"predict-{mode}.jsonl", "--mode", mode)
+            run(out / "gradcheck.out", "gradcheck", "--model", model, "--input", data / "val.jsonl")
+    finally:
+        os.chdir(cwd)
+
+
+def digests(root: Path) -> dict[str, str]:
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--out", type=Path, help="new directory for the outputs")
+    group.add_argument("--compare", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"))
+    args = parser.parse_args(argv)
+    if args.out:
+        if args.out.exists():
+            parser.error(f"{args.out} exists")
+        write_outputs(args.out)
+        for name, digest in digests(args.out).items():
+            print(f"{digest}  {name}")
+        return 0
+    a, b = (digests(d) for d in args.compare)
+    differ = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+    for name in differ:
+        print(f"differs: {name}" if name in a and name in b else f"only in {'A' if name in a else 'B'}: {name}")
+    print(f"{len(differ)} of {len(a.keys() | b.keys())} files differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -35,7 +35,7 @@ from .encode import (
     load_embeddings,
     parse_window_spec,
 )
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, open_text
 from .instructions import instruction_records
 from .metrics import compute_report, confusion, confusion_csv, emit_report
 from .roles import ROLE_NAMES, RhetoricalRole
@@ -189,7 +189,8 @@ def _cmd_ingest(args) -> int:
         raise DataError(f"input {src} does not exist")
     documents = []
     for path in files:
-        sentences = segment_text(path.read_text(encoding="utf-8"))
+        with open_text(path) as fh:
+            sentences = segment_text(fh.read())
         if not sentences:
             raise DataError(f"{path} contains no sentences")
         documents.append(
@@ -279,7 +280,7 @@ def _cmd_synth(args) -> int:
 
 def _read_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -371,19 +372,8 @@ def _cmd_predict(args) -> int:
     bundle = load_checkpoint(args.model)
     encoder = _make_predict_encoder(args, bundle, corpus)
     predictions = predict_documents(corpus.documents, bundle, mode=args.mode, encoder=encoder)
-    labeled_docs = []
-    for doc, labels in zip(corpus.documents, predictions):
-        labeled_docs.append(
-            Document(
-                doc_id=doc.doc_id,
-                sentences=tuple(
-                    Sentence(index=s.index, text=s.text, gold=labels[s.index])
-                    for s in doc.sentences
-                ),
-            )
-        )
-    write_jsonl(Corpus(documents=tuple(labeled_docs)), args.output)
-    print(f"predicted {len(labeled_docs)} documents -> {args.output}")
+    write_jsonl(corpus, args.output, labels=predictions)
+    print(f"predicted {len(corpus)} documents -> {args.output}")
     return 0
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
-from .roles import RhetoricalRole
+from .errors import DataError, open_text
+from .roles import ROLE_NAMES, RhetoricalRole
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def load_jsonl(path) -> Corpus:
     """
     documents: list[Document] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -177,22 +177,15 @@ def load_jsonl(path) -> Corpus:
     return Corpus(documents=tuple(documents))
 
 
-def write_jsonl(corpus: Corpus, path) -> None:
-    """Write the canonical schema; the label key is always present."""
+def write_jsonl(corpus: Corpus, path, labels=None) -> None:
+    """Write the canonical schema; the label key is always present. labels,
+    one role list per document, stand in for the gold roles."""
     with open(path, "w", encoding="utf-8") as fh:
-        for doc in corpus:
-            record = {
-                "doc_id": doc.doc_id,
-                "sentences": [
-                    {
-                        "text": s.text,
-                        "label": s.gold.canonical_name if s.gold is not None else None,
-                    }
-                    for s in doc.sentences
-                ],
-            }
-            fh.write(json.dumps(record, ensure_ascii=False))
-            fh.write("\n")
+        for k, doc in enumerate(corpus):
+            roles = [s.gold for s in doc.sentences] if labels is None else labels[k]
+            sentences = [{"text": s.text, "label": None if r is None else ROLE_NAMES[r]}
+                         for s, r in zip(doc.sentences, roles)]
+            fh.write(json.dumps({"doc_id": doc.doc_id, "sentences": sentences}, ensure_ascii=False) + "\n")
 
 
 # Sentence boundary: terminal punctuation, whitespace, then uppercase/digit.

@@ -9,13 +9,14 @@ matrices, one row per sentence.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, open_text
 from .roles import NUM_ROLES, RhetoricalRole
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,89 +51,94 @@ class HashEncoderConfig:
             raise DataError(f"ngram orders must be a non-empty subset of {{1, 2}}, got {self.ngram_orders}")
 
 
-def _hash64(text: str, key: bytes) -> int:
-    digest = hashlib.blake2b(text.encode("utf-8"), key=key, digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+def _hash64(text: str, keyed) -> int:
+    """Keyed 8-byte blake2b of text, little-endian; copying keyed skips hashing the key block again."""
+    h = keyed.copy()
+    h.update(text.encode("utf-8"))
+    return int.from_bytes(h.digest(), "little")
 
 
-def hash_embed(tokens: list[str], cfg: HashEncoderConfig) -> np.ndarray:
-    """Hash n-grams into a fixed-width vector, then L2-normalize.
-
-    Bucket comes from the low bits of a keyed blake2b digest, the sign from
-    bit 63, so identical inputs map identically for a fixed seed regardless
-    of process state. An empty token list yields the zero vector.
-    """
-    vec = np.zeros(cfg.dim)
-    if not tokens:
-        return vec
-    key = cfg.seed.to_bytes(8, "little", signed=True)
-    for order in cfg.ngram_orders:
-        for j in range(len(tokens) - order + 1):
-            gram = f"{order}:" + " ".join(tokens[j : j + order])
-            h = _hash64(gram, key)
-            sign = 1.0
-            if cfg.signed and (h >> 63) & 1:
-                sign = -1.0
-            vec[h % cfg.dim] += sign
-    norm = float(np.linalg.norm(vec))
-    if norm > 0.0:
-        vec /= norm
-    return vec
-
-
-# Most n-grams of a corpus recur, so each HashingEncoder remembers the hash
-# of up to this many distinct n-grams; n-grams met once it is full are
-# hashed on every occurrence.
+# Each HashingEncoder keeps ids for up to this many distinct tokens and codes for up
+# to this many distinct n-grams; n-grams past it are hashed in each chunk they occur in.
 _MEMO_CAP = 1 << 16
 
 
 class HashingEncoder:
     """Self-contained sentence encoder over hashed n-grams.
 
-    Produces exactly the rows of hash_embed. Each n-gram's bucket and sign
-    are looked up in a per-encoder memo, packed as 2 * bucket + (1 if the
-    sign is negative), and one document's entries are summed with a single
-    bincount. Entries before normalization are integer sums of +-1, so they
-    and their squared norms are exact in any summation order."""
+    Row j is the L2-normalized sum of +-1 over sentence j's n-grams: bucket
+    keyed blake2b("<order>:<tokens joined by spaces>") mod dim, negative where
+    bit 63 is set unless unsigned. A chunk is coded at once: tokens map to int
+    ids, n-grams to int64 keys (id, or (id_a + 1) << 32 | id_b), distinct keys
+    to codes 2 * bucket + (1 if negative) through a sorted key -> code table
+    (new keys wait in a dict until a merge), and one bincount sums the chunk,
+    exactly: entries are integer sums of +-1."""
 
     kind = "hash"
 
     def __init__(self, cfg: HashEncoderConfig):
         self.cfg = cfg
         self.dim = cfg.dim
-        self._key = cfg.seed.to_bytes(8, "little", signed=True)
-        self._memo: dict[str, int] = {}
-
-    def _code(self, gram: str) -> int:
-        h = _hash64(gram, self._key)
-        code = 2 * (h % self.dim) + (1 if self.cfg.signed and (h >> 63) & 1 else 0)
-        if len(self._memo) < _MEMO_CAP:
-            self._memo[gram] = code
-        return code
+        self._keyed = hashlib.blake2b(key=cfg.seed.to_bytes(8, "little", signed=True), digest_size=8)
+        self._ids, self._names = {}, []  # token -> id, and the tokens by id
+        self._keys = np.array([np.iinfo(np.int64).max])  # sorted n-gram keys, ending in one no n-gram has,
+        self._codes = np.zeros(1, dtype=np.int64)
+        self._recent: dict[int, int] = {}  # and the keys coded since the last merge
 
     def encode_document(self, doc: "Document") -> np.ndarray:
-        memo = self._memo
-        codes: list[int] = []
-        counts = []
-        for s in doc.sentences:
-            tokens = tokenize(s.text)
-            grams = []
-            for order in self.cfg.ngram_orders:  # the strings hash_embed hashes
-                if order == 1:
-                    grams += ["1:" + t for t in tokens]
-                else:
-                    grams += [f"2:{a} {b}" for a, b in zip(tokens, tokens[1:])]
-            codes += [memo[g] if g in memo else self._code(g) for g in grams]
-            counts.append(len(grams))
-        m = len(counts)
-        codes_arr = np.array(codes, dtype=np.int64)
-        rows = np.repeat(np.arange(m), counts)
-        signs = 1.0 - 2.0 * (codes_arr & 1)
-        M = np.bincount(rows * self.dim + (codes_arr >> 1), weights=signs, minlength=m * self.dim)
-        M = M.reshape(m, self.dim)
-        norms = np.sqrt(np.einsum("ij,ij->i", M, M))
-        norms[norms == 0.0] = 1.0  # empty rows stay zero
-        return M / norms[:, None]
+        return self.encode_documents([doc])[0]
+
+    def encode_documents(self, docs) -> list[np.ndarray]:
+        """One (m, dim) matrix per document."""
+        sentences = [tokenize(s.text) for doc in docs for s in doc.sentences]
+        tokens = list(itertools.chain.from_iterable(sentences))
+        ids, cap = self._ids, _MEMO_CAP
+        new = [t for t in dict.fromkeys(tokens) if t not in ids]
+        ids.update(zip(new, itertools.count(len(ids))))
+        self._names += new
+        tid = np.fromiter(map(ids.__getitem__, tokens), np.int64, len(tokens))
+        m = len(sentences)
+        cell = np.repeat(np.arange(0, m * self.dim, self.dim), [len(t) for t in sentences])  # row j starts at j * dim
+        pair = cell[1:] == cell[:-1]  # the bigrams within one sentence
+        grams = {1: (tid, cell), 2: (((tid[:-1] + 1) << 32 | tid[1:])[pair], cell[1:][pair])}
+        keys, rows = (np.concatenate(parts) for parts in zip(*(grams[n] for n in self.cfg.ngram_orders)))
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        pos = np.searchsorted(self._keys, uniq)
+        codes = self._codes[pos]
+        miss = np.flatnonzero(self._keys[pos] != uniq)
+        if len(miss):
+            codes[miss] = self._hash_keys(uniq[miss].tolist())
+            if len(self._recent) > len(self._keys) // 4:  # merge; the table grows geometrically
+                keys = np.concatenate([self._keys, np.fromiter(self._recent, np.int64, len(self._recent))])
+                order = keys.argsort(kind="stable")  # the table is one sorted run
+                self._keys = keys[order]
+                self._codes = np.concatenate([self._codes, np.fromiter(self._recent.values(), np.int64)])[order]
+                self._recent.clear()
+        for t in self._names[cap:]:  # ids from the cap up last for this chunk only
+            del ids[t]
+        del self._names[cap:]
+        codes = codes[inverse]
+        M = np.bincount(rows + (codes >> 1), weights=1.0 - 2.0 * (codes & 1), minlength=m * self.dim).reshape(m, -1)
+        M = M / np.maximum(np.sqrt(np.einsum("ij,ij->i", M, M)), 1.0)[:, None]  # nonzero rows have norm >= 1
+        ends = list(itertools.accumulate(map(len, docs)))
+        return [M[lo:hi] for lo, hi in zip([0, *ends], ends)]
+
+    def _hash_keys(self, keys: list[int]) -> list[int]:
+        """Codes of distinct keys the table lacks; new keys of lasting tokens are kept while there is room."""
+        recent, names, cap, dim, signed = self._recent, self._names, _MEMO_CAP, self.dim, self.cfg.signed
+        room = cap + 1 - len(self._keys) - len(recent)
+        codes = []
+        for k in keys:
+            code = recent.get(k)
+            if code is None:
+                a, b = k >> 32, k & 0xFFFFFFFF
+                h = _hash64(f"2:{names[a - 1]} {names[b]}" if a else "1:" + names[b], self._keyed)
+                code = 2 * (h % dim) + (1 if signed and h >> 63 else 0)
+                if room > 0 and a <= cap and b < cap:
+                    recent[k] = code
+                    room -= 1
+            codes.append(code)
+        return codes
 
     def spec(self) -> dict:
         return {
@@ -154,14 +160,16 @@ class PrecomputedEncoder:
         self.dim = dim
 
     def encode_document(self, doc: "Document") -> np.ndarray:
-        if doc.doc_id not in self.matrices:
-            raise DataError(f"no embeddings for document {doc.doc_id!r}")
-        mat = self.matrices[doc.doc_id]
-        if mat.shape[0] != len(doc):
-            raise DataError(
-                f"embeddings for {doc.doc_id!r} cover {mat.shape[0]} sentences, document has {len(doc)}"
-            )
-        return mat
+        return self.encode_documents([doc])[0]
+
+    def encode_documents(self, docs) -> list[np.ndarray]:
+        for doc in docs:
+            mat = self.matrices.get(doc.doc_id)
+            if mat is None:
+                raise DataError(f"no embeddings for document {doc.doc_id!r}")
+            if mat.shape[0] != len(doc):
+                raise DataError(f"embeddings for {doc.doc_id!r} cover {mat.shape[0]} sentences, document has {len(doc)}")
+        return [self.matrices[doc.doc_id] for doc in docs]
 
     def spec(self) -> dict:
         return {"kind": "precomputed", "dim": self.dim}
@@ -175,7 +183,7 @@ def load_embeddings(path, corpus: "Corpus") -> dict[str, np.ndarray]:
     width with finite values.
     """
     rows: dict[str, dict[int, np.ndarray]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().strip()
         match = re.fullmatch(r"dim=(\d+)", header)
         if not match:

@@ -31,7 +31,7 @@ from . import context as ctx
 from . import crf as crf_mod
 from .corpus import Corpus, Document, label_shift_sequence
 from .encode import HashEncoderConfig, HashingEncoder, featurize, feature_width, validate_offsets
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, open_text
 from .metrics import confusion, macro_prf
 from .roles import NUM_ROLES, ROLE_NAMES, RhetoricalRole
 
@@ -628,9 +628,12 @@ def _free_running(bundle: ModelBundle, base: np.ndarray) -> tuple[list[int], np.
 _CHUNK_DOCS = 16
 
 
-def _chunks(items) -> list:
-    items = list(items)
-    return [items[lo : lo + _CHUNK_DOCS] for lo in range(0, len(items), _CHUNK_DOCS)]
+def _chunks(docs) -> list[tuple[list[int], list]]:
+    """(input positions, documents) of each chunk, cut from a stable sort by
+    sentence count so that a padded batch holds documents of near-equal length."""
+    order = sorted(range(len(docs)), key=lambda i: len(docs[i]))
+    cuts = [order[lo : lo + _CHUNK_DOCS] for lo in range(0, len(docs), _CHUNK_DOCS)]
+    return [(idx, [docs[i] for i in idx]) for idx in cuts]
 
 
 def predict_documents(
@@ -642,13 +645,13 @@ def predict_documents(
     free_running feeds the model's own greedy predictions."""
     if encoder is None:
         encoder = bundle.make_encoder()
-    forced = bundle.label_mode != "off" and mode == "teacher_forced"
-    out = []
-    for chunk in _chunks(docs):
-        bases = [encoder.encode_document(doc) for doc in chunk]
-        golds = [doc.gold_labels() for doc in chunk] if forced else None
-        for ids in _predict_chunk(bundle, bases, mode, golds):
-            out.append([RhetoricalRole(v) for v in ids])
+    docs = list(docs)
+    golds = [doc.gold_labels() for doc in docs] if bundle.label_mode != "off" and mode == "teacher_forced" else None
+    out: list = [None] * len(docs)
+    for idx, chunk in _chunks(docs):
+        chunk_golds = [golds[i] for i in idx] if golds else None
+        for i, ids in zip(idx, _predict_chunk(bundle, encoder.encode_documents(chunk), mode, chunk_golds)):
+            out[i] = [RhetoricalRole(v) for v in ids]
     return out
 
 
@@ -665,9 +668,9 @@ def predict_document(
 
 
 def _validation_macro_f1(bundle: ModelBundle, val: Corpus, base_map: dict) -> float:
-    gold_seqs = [[int(r) for r in doc.gold_labels()] for doc in val]
-    pred_seqs = []
-    for chunk in _chunks(val):
+    gold_seqs, pred_seqs = [], []  # paired a chunk at a time; the confusion counts ignore the order
+    for _, chunk in _chunks(val.documents):
+        gold_seqs += [[int(r) for r in doc.gold_labels()] for doc in chunk]
         pred_seqs += _predict_chunk(bundle, [base_map[doc.doc_id] for doc in chunk], "free_running")
     cm = confusion(gold_seqs, pred_seqs)
     _, _, macro_f1, _ = macro_prf(cm)
@@ -679,7 +682,7 @@ def _shift_validation_accuracy(bundle: ModelBundle, val: Corpus, base_map: dict)
     sentences, a chunk of documents at a time. Features are teacher-forced
     when label features are on."""
     correct = total = ones = 0
-    for chunk in _chunks(val):
+    for _, chunk in _chunks(val.documents):
         golds = [doc.gold_labels() for doc in chunk]
         Xs = [_gold_features(bundle, base_map[doc.doc_id], gold) for doc, gold in zip(chunk, golds)]
         for H, gold in zip(_context_rows(bundle, Xs), golds):
@@ -703,8 +706,8 @@ def train_model(
     if len(val) == 0:
         raise DataError("validation corpus is empty")
     rng = np.random.default_rng(cfg.seed)
-    base_train = {doc.doc_id: encoder.encode_document(doc) for doc in train}
-    base_val = {doc.doc_id: encoder.encode_document(doc) for doc in val}
+    base_train, base_val = ({doc.doc_id: x for _, chunk in _chunks(part.documents)  # coded a chunk at a time
+                             for doc, x in zip(chunk, encoder.encode_documents(chunk))} for part in (train, val))
     bundle = build_model(cfg, encoder.spec(), rng)
     cw = _class_weight_vector(cfg)
     lam = cfg.mtl_lambda if cfg.mtl else 0.0
@@ -917,7 +920,7 @@ def _check_fields(entry: dict, section: str) -> None:
 def load_checkpoint(path) -> ModelBundle:
     """Read a checkpoint, checking every field, and every tensor against the
     layout the fields imply."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -975,9 +978,3 @@ def load_checkpoint(path) -> ModelBundle:
         flat=flat,
         config_echo=payload.get("config", {}),
     )
-
-
-def bundles_equal(a: ModelBundle, b: ModelBundle) -> bool:
-    """Bitwise equality of every tensor plus structural fields; used by the
-    determinism and MTL-consistency checks."""
-    return a.layout == b.layout and np.array_equal(a.flat, b.flat)

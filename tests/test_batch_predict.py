@@ -29,11 +29,12 @@ def encoder():
 
 
 def mixed_docs():
-    """Lengths 1, 2, 13 and 40 over more documents than one chunk, with two
-    13-sentence documents on either side of the first chunk boundary."""
+    """Lengths 1, 2, 13 and 40 in turn over three chunks' worth of documents.
+    Chunks are cut from the documents in length order, so each chunk takes
+    documents from all over the input, and equal lengths straddle both chunk
+    boundaries."""
     n = train_mod._CHUNK_DOCS
-    lengths = [(1, 2, 13, 40)[i % 4] for i in range(n + 7)]
-    lengths[n - 1] = lengths[n] = 13
+    lengths = [(1, 2, 13, 40)[i % 4] for i in range(2 * n + 7)]
     docs = []
     for i, m in enumerate(lengths):
         doc = generate_corpus(1, m, m, noise=0.2, seed=i).documents[0]
@@ -94,6 +95,20 @@ def test_batched_labels_equal_per_document_labels(kind, head, label_mode):
         Hs, _ = context.bilstm_forward_batch([X for X, _, _ in refs], bundle.context_params)
         for H, (_, ref_H, _) in zip(Hs, refs):
             assert np.array_equal(H, ref_H)
+
+
+@pytest.mark.parametrize("mode", ["free_running", "teacher_forced"])
+@pytest.mark.parametrize("head", ["crf", "softmax"])
+@pytest.mark.parametrize("kind", ["none", "bilstm", "attention", "gcn"])
+def test_labels_come_back_in_input_order(kind, head, mode):
+    """Labels of a corpus over three length-ordered chunks are in input
+    order, each equal to predict_document's labels for that document alone."""
+    docs = mixed_docs()
+    assert len(docs) > 2 * train_mod._CHUNK_DOCS
+    assert [len(doc) for doc in docs] != sorted(len(doc) for doc in docs)
+    bundle = random_model("gold", kind, head)
+    got = predict_documents(docs, bundle, mode=mode, encoder=encoder())
+    assert got == [predict_document(doc, bundle, mode=mode, encoder=encoder()) for doc in docs]
 
 
 @pytest.mark.parametrize("mode", ["free_running", "teacher_forced"])

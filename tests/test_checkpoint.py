@@ -19,7 +19,6 @@ from rhetseg.synth import generate_corpus
 from rhetseg.train import (
     TrainConfig,
     build_model,
-    bundles_equal,
     load_checkpoint,
     save_checkpoint,
 )
@@ -37,6 +36,12 @@ KINDS = {
 def model(kind="bilstm", head="crf", mtl=True, seed=0, **extra):
     cfg = TrainConfig(head=head, mtl=mtl, window=(-1, 0), label_mode="gold", **KINDS[kind], **extra)
     return build_model(cfg, SPEC, np.random.default_rng(seed))
+
+
+def bundles_equal(a, b) -> bool:
+    """Bitwise equality of every tensor and of the layout; used by the
+    determinism and MTL-consistency checks."""
+    return a.layout == b.layout and np.array_equal(a.flat, b.flat)
 
 
 def read_tensor(payload, name) -> np.ndarray:

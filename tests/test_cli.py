@@ -8,8 +8,9 @@ import sys
 import pytest
 
 from rhetseg.cli import main
-from rhetseg.corpus import load_jsonl
+from rhetseg.corpus import Corpus, Document, Sentence, load_jsonl, write_jsonl
 from rhetseg.instructions import INSTRUCTION_TEMPLATES
+from rhetseg.train import load_checkpoint, predict_documents
 from test_checkpoint import read_tensor, write_tensor
 
 # frozen digest of `synth` with builtin defaults (100 docs, noise 0.1, seed 0)
@@ -95,17 +96,30 @@ class TestUsage:
         "train --config BAD --input CORPUS --val CORPUS --output OUT",
         "predict --model BAD --input CORPUS --output OUT",
         "predict --model DIR --input CORPUS --output OUT",
+        "train --input BAD --val CORPUS --output OUT",
+        "train --input CORPUS --val BAD --output OUT",
+        "predict --model MODEL --input BAD --output OUT",
+        "evaluate --input CORPUS --pred BAD",
+        "evaluate --input BAD --pred CORPUS",
+        "gradcheck --model BAD --input CORPUS",
+        "export-instructions --input BAD --output OUT",
     ])
     def test_unreadable_input_exits_two(self, capsys, tmp_path, argv):
-        """A path that is a directory, or a file that is not UTF-8, is a data error."""
+        """A path that is a directory, or a file that is not UTF-8, is a data
+        error, and the line names the path."""
         corpus = make_corpus(tmp_path, n="4", lo="3", hi="4")
         bad = tmp_path / "bad"
         bad.write_bytes(b'\xff\xfe{"doc_id": "d"}\n')
-        paths = {"BAD": bad, "DIR": tmp_path, "CORPUS": corpus, "OUT": tmp_path / "out"}
+        model = tmp_path / "model.json"
+        if "MODEL" in argv:
+            assert main(["train", "--input", str(corpus), "--val", str(corpus), "--output", str(model),
+                         "--epochs", "1", "--lstm-hidden", "4", "--hash-dim", "16"]) == 0
+        paths = {"BAD": bad, "DIR": tmp_path, "CORPUS": corpus, "OUT": tmp_path / "out", "MODEL": model}
         code, out, err = run(capsys, *(str(paths.get(word, word)) for word in argv.split()))
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(str(bad if "BAD" in argv else tmp_path)) in err
 
     @pytest.mark.parametrize("seed", ["-1", "99999999999999999999", str(2**63), "0", str(2**63 - 1)])
     @pytest.mark.parametrize("command", ["synth", "split", "train", "train --config"])
@@ -337,6 +351,31 @@ class TestTrainPredictEvaluate:
         # accuracy and mcc ignore the flag; macros may move
         assert dict(r.split(",") for r in with_none.strip().splitlines())["accuracy"] == \
             dict(r.split(",") for r in without.strip().splitlines())["accuracy"]
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_predict_writes_the_rebuilt_corpus(self, tmp_path, capsys, labeled):
+        """`rhetseg predict` writes the bytes of write_jsonl on the input
+        corpus rebuilt with the predicted labels, for non-ASCII ids and text
+        and for unlabeled input."""
+        corpus = make_corpus(tmp_path, n="12")
+        model, _ = train_small(tmp_path, corpus)
+        docs = []
+        for i, doc in enumerate(load_jsonl(corpus)):
+            sentences = tuple(Sentence(index=s.index, text=s.text + (" «§ naïve» 日本\u2028ß" if i % 2 else ""),
+                                       gold=s.gold if labeled else None) for s in doc.sentences)
+            docs.append(Document(doc_id=f"dok-{i}-ü€" if i % 3 else f"d{i}", sentences=sentences))
+        given = tmp_path / "given.jsonl"
+        write_jsonl(Corpus(documents=tuple(docs)), given)
+        assert ('"label": null' in given.read_text(encoding="utf-8")) != labeled
+        code, _, _ = run(capsys, "predict", "--input", str(given), "--model", str(model),
+                         "--output", str(tmp_path / "pred.jsonl"))
+        assert code == 0
+        predictions = predict_documents(docs, load_checkpoint(model))
+        rebuilt = [Document(doc_id=doc.doc_id, sentences=tuple(
+            Sentence(index=s.index, text=s.text, gold=labels[s.index]) for s in doc.sentences))
+            for doc, labels in zip(docs, predictions)]
+        write_jsonl(Corpus(documents=tuple(rebuilt)), tmp_path / "rebuilt.jsonl")
+        assert (tmp_path / "pred.jsonl").read_bytes() == (tmp_path / "rebuilt.jsonl").read_bytes()
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         corpus = make_corpus(tmp_path)

@@ -1,7 +1,12 @@
 """Tokenizer, hashed n-gram vectors, and the feature pipeline."""
 
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhetseg import encode as encode_mod
 from rhetseg.corpus import Corpus, Document, Sentence
@@ -12,7 +17,6 @@ from rhetseg.encode import (
     PrecomputedEncoder,
     feature_width,
     featurize,
-    hash_embed,
     label_feature,
     load_embeddings,
     parse_window_spec,
@@ -22,6 +26,31 @@ from rhetseg.encode import (
 )
 from rhetseg.errors import DataError
 from rhetseg.roles import RhetoricalRole
+
+
+def hash_embed(tokens, cfg):
+    """The hashing oracle: one sentence's n-grams hashed one at a time into a
+    fixed-width vector, then L2-normalized.
+
+    Bucket comes from the low bits of a keyed blake2b digest, the sign from
+    bit 63, so identical inputs map identically for a fixed seed regardless
+    of process state. An empty token list yields the zero vector."""
+    vec = np.zeros(cfg.dim)
+    if not tokens:
+        return vec
+    key = cfg.seed.to_bytes(8, "little", signed=True)
+    for order in cfg.ngram_orders:
+        for j in range(len(tokens) - order + 1):
+            gram = f"{order}:" + " ".join(tokens[j : j + order])
+            h = int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), key=key, digest_size=8).digest(), "little")
+            sign = 1.0
+            if cfg.signed and (h >> 63) & 1:
+                sign = -1.0
+            vec[h % cfg.dim] += sign
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
 
 
 class TestTokenize:
@@ -144,6 +173,57 @@ def uncached(doc, cfg):
     return np.vstack([hash_embed(tokenize(s.text), cfg) for s in doc.sentences])
 
 
+def ngrams(text, orders):
+    """The n-gram strings of one sentence that hash_embed hashes."""
+    toks = tokenize(text)
+    return [f"{order}:" + " ".join(toks[j : j + order]) for order in orders for j in range(len(toks) - order + 1)]
+
+
+CHUNK_WORDS = WORDS + ["MÜNCHEN", "İstanbul", "ΟΔΟΣ", "x,y", "日本"]
+SENTENCE = st.lists(st.sampled_from(CHUNK_WORDS), min_size=1, max_size=6).map(" ".join)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    texts=st.lists(st.lists(SENTENCE, min_size=1, max_size=5), min_size=1, max_size=6),
+    picks=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+    cuts=st.lists(st.integers(1, 4), max_size=12),
+    orders=st.sampled_from([(1,), (2,), (1, 2)]),
+    signed=st.booleans(),
+    capped=st.booleans(),
+)
+def test_chunk_coder_matches_hash_embed(texts, picks, cuts, orders, signed, capped):
+    """Random documents, some repeated, coded in random chunks: every row is
+    the oracle's, and below the cap every distinct n-gram is hashed once."""
+    pool = [Document(doc_id=f"d{i}", sentences=tuple(Sentence(index=j, text=t) for j, t in enumerate(doc)))
+            for i, doc in enumerate(texts)]
+    docs = [pool[p % len(pool)] for p in picks]
+    chunks, lo = [], 0
+    for size in cuts + [len(docs)]:  # the last chunk takes what is left
+        if docs[lo : lo + size]:
+            chunks.append(docs[lo : lo + size])
+        lo += size
+    cfg = HashEncoderConfig(dim=8, ngram_orders=orders, seed=7, signed=signed)
+    enc = HashingEncoder(cfg)
+    calls = []
+    real = encode_mod._hash64
+    cap = 5 if capped else encode_mod._MEMO_CAP
+    with mock.patch.object(encode_mod, "_hash64", lambda text, key: calls.append(text) or real(text, key)), \
+            mock.patch.object(encode_mod, "_MEMO_CAP", cap):
+        for chunk in chunks:
+            start = len(calls)
+            rows = enc.encode_documents(chunk)
+            assert len(rows) == len(chunk)
+            for doc, got in zip(chunk, rows):
+                np.testing.assert_array_equal(got, uncached(doc, cfg))
+            hashed = calls[start:]
+            assert len(hashed) == len(set(hashed))
+            assert set(hashed) <= {g for doc in chunk for s in doc.sentences for g in ngrams(s.text, orders)}
+    assert len(enc._keys) - 1 + len(enc._recent) <= cap and len(enc._ids) <= cap
+    if not capped:
+        assert sorted(calls) == sorted({g for doc in docs for s in doc.sentences for g in ngrams(s.text, orders)})
+
+
 class TestHashingMemo:
     @pytest.mark.parametrize("signed", [True, False])
     @pytest.mark.parametrize("orders", [(1,), (2,), (1, 2)])
@@ -162,8 +242,7 @@ class TestHashingMemo:
         enc = HashingEncoder(HashEncoderConfig(dim=16))
         doc = random_doc(np.random.default_rng(1), 12)
         first = enc.encode_document(doc)
-        assert sorted(calls) == sorted(set(calls))
-        assert len(calls) == len(enc._memo)
+        assert sorted(calls) == sorted({g for s in doc.sentences for g in ngrams(s.text, (1, 2))})
         calls.clear()
         np.testing.assert_array_equal(enc.encode_document(doc), first)
         assert calls == []
@@ -176,7 +255,20 @@ class TestHashingMemo:
         for _ in range(3):
             doc = random_doc(rng, 10)
             np.testing.assert_array_equal(enc.encode_document(doc), uncached(doc, cfg))
-        assert len(enc._memo) == 5
+        assert len(enc._keys) - 1 + len(enc._recent) == 5  # the sorted table ends in a key no n-gram has
+        assert len(enc._ids) == 5
+
+    def test_chunk_only_ids_never_join_the_table(self, monkeypatch):
+        """With the token ids full and the n-gram table not, a bigram of two
+        chunk-only ids is not kept: the next chunk gives the same ids to other
+        tokens."""
+        monkeypatch.setattr(encode_mod, "_MEMO_CAP", 5)
+        cfg = HashEncoderConfig(dim=16, ngram_orders=(2,))
+        enc = HashingEncoder(cfg)
+        texts = [["a", "b", "c", "d", "e", "court held"], ["appeal dismissed"]]
+        for n, chunk in enumerate(texts):
+            doc = Document(doc_id=f"d{n}", sentences=tuple(Sentence(index=j, text=t) for j, t in enumerate(chunk)))
+            np.testing.assert_array_equal(enc.encode_documents([doc])[0], uncached(doc, cfg))
 
 
 class TestLoadEmbeddings:

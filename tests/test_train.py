@@ -14,7 +14,6 @@ from rhetseg.train import (
     ShiftParams,
     TrainConfig,
     build_model,
-    bundles_equal,
     document_loss_and_grads,
     gradcheck,
     inverse_frequency_weights,
@@ -24,7 +23,7 @@ from rhetseg.train import (
     shift_loss,
     train_model,
 )
-from test_checkpoint import read_tensor, write_tensor
+from test_checkpoint import bundles_equal, read_tensor, write_tensor
 
 
 def small_data(n=24, lo=5, hi=10, noise=0.1, seed=5, split_seed=2):
