@@ -6,9 +6,12 @@ Each kernel in ``rhetseg.kernels`` runs on one document of --doc-len
 sentences; the best of --repeats runs is printed. The recurrence is also run
 over batches of B sequences of BATCH_LEN steps, (T, B, 4h) inputs, and
 reported as time per sequence, with a check that every batch column equals
-the same sequence run on its own. The BiLSTM row times the training forward,
-context.bilstm_forward_cache, on one BATCH_LEN-sentence document of FEAT_DIM
-feature columns with --hidden units. The Adam step updates the parameter vector
+the same sequence run on its own. The BiLSTM rows time, on one
+BATCH_LEN-sentence document of FEAT_DIM feature columns with --hidden units,
+the training forward context.bilstm_forward_cache (both directions in one
+recurrence) against the same forward as two 2-D recurrences, one per
+direction, with a check that both give the same bits, and the training
+backward context.bilstm_backward. The Adam step updates the parameter vector
 of the default model (BiLSTM with --hidden units over hashed features of
 width FEAT_DIM, CRF head, shift head) from a gradient dict. The checkpoint
 rows save and load the default BiLSTM and attention models with random
@@ -70,6 +73,13 @@ def build_cases(doc_len: int, hidden: int, rng) -> dict[str, tuple]:
         "lstm_recurrence": (XW, Wh, b),
         "lstm_recurrence_backward": (G, C, Wh.T.copy(), dH),
     }
+
+
+def two_direction_runs(X, p):
+    """The BiLSTM forward as one 2-D recurrence per direction."""
+    (_, _, Hf), (_, _, Hb) = (kernels.lstm_recurrence(Xd @ lp.Wx.T, lp.Wh, lp.b)
+                              for lp, Xd in ((p.fwd, X), (p.bwd, X[::-1])))
+    return np.hstack([Hf, Hb[::-1]])
 
 
 def best_of(fn, args: tuple, repeats: int) -> float:
@@ -134,9 +144,18 @@ def main(argv=None) -> int:
 
     bilstm = context.init_bilstm_params(FEAT_DIM, h, rng)
     X = rng.standard_normal((BATCH_LEN, FEAT_DIM))
-    seconds = best_of(context.bilstm_forward_cache, (X, bilstm), args.repeats)
-    print(f"{'bilstm forward':<34}{'us':>12}")
-    print(f"{f'bilstm_forward_cache m={BATCH_LEN}':<34}{1e6 * seconds:>12.1f}")
+    H, cache = context.bilstm_forward_cache(X, bilstm)
+    dH = rng.standard_normal(H.shape)
+    exact = np.array_equal(H, two_direction_runs(X, bilstm))
+    print(f"{f'bilstm training, m={BATCH_LEN}':<34}{'us':>12}")
+    for label, fn, inputs in (
+        ("bilstm_forward_cache", context.bilstm_forward_cache, (X, bilstm)),
+        ("two 2-D direction runs", two_direction_runs, (X, bilstm)),
+        ("bilstm_backward", context.bilstm_backward, (cache, bilstm, dH)),
+    ):
+        seconds = best_of(fn, inputs, 10 * args.repeats)
+        print(f"{label:<34}{1e6 * seconds:>12.1f}")
+    print(f"{'forward bit-identical to 2-D runs':<34}{str(exact):>12}")
 
     layout = parameter_layout("bilstm", "crf", FEAT_DIM, 2 * h, 1, True)
     optimizer = make_optimizer(TrainConfig(), layout)

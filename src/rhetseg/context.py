@@ -85,29 +85,36 @@ def _lstm_backward(cache: dict, p: LstmParams, dH: np.ndarray):
     return {"Wx": dWx, "Wh": dWh, "b": db}, dX
 
 
+def _stacked_recurrent(p: BilstmParams):
+    """Wh as (2, 1, 4h, h) and b as (2, 1, 4h), forward direction first: the
+    recurrent weights of kernels.lstm_recurrence over both directions."""
+    return np.stack([p.fwd.Wh, p.bwd.Wh])[:, None], np.stack([p.fwd.b, p.bwd.b])[:, None]
+
+
 def bilstm_forward_batch(Xs: list[np.ndarray], p: BilstmParams):
     """Row t of a document's output is [forward h_t || backward h_t]; the
     backward direction runs on the reversed document and is re-reversed. One
-    recurrence per direction runs over the zero-padded batch; the input
-    projections stay per document, as stacked rows would sum in a different
-    order. Returns the outputs and each document's cache for bilstm_backward."""
+    recurrence runs both directions over the zero-padded batch, (T, 2, B, 4h);
+    the input projections stay per document and direction, as stacked rows
+    would sum in a different order. Returns the outputs and each document's
+    cache for bilstm_backward."""
     T = max(X.shape[0] for X in Xs)
-    runs = []
-    for lp, reverse in ((p.fwd, False), (p.bwd, True)):
-        XW = np.zeros((T, len(Xs), lp.Wh.shape[0]))
-        for j, X in enumerate(Xs):
-            XW[: X.shape[0], j] = (X[::-1] if reverse else X) @ lp.Wx.T
-        runs.append(kernels.lstm_recurrence(XW, lp.Wh, lp.b))
+    XW = np.zeros((T, 2, len(Xs), p.fwd.Wh.shape[0]))
+    for j, X in enumerate(Xs):
+        m = X.shape[0]
+        XW[:m, 0, j] = X @ p.fwd.Wx.T
+        XW[:m, 1, j] = X[::-1] @ p.bwd.Wx.T
+    G, C, H = kernels.lstm_recurrence(XW, *_stacked_recurrent(p))
     Hs, caches = [], []
     for j, X in enumerate(Xs):
         m = X.shape[0]
         cache = {
-            direction: {"X": Xd, "G": G[:m, j], "C": C[:m, j], "H": H[:m, j]}
-            for direction, Xd, (G, C, H) in zip(("fwd", "bwd"), (X, X[::-1]), runs)
+            direction: {"X": Xd, "G": G[:m, k, j], "C": C[:m, k, j], "H": H[:m, k, j]}
+            for k, (direction, Xd) in enumerate((("fwd", X), ("bwd", X[::-1])))
         }
-        H = np.hstack([cache["fwd"]["H"], cache["bwd"]["H"][::-1]])
-        _check_finite("bilstm_encode", H)
-        Hs.append(H)
+        out = np.hstack([cache["fwd"]["H"], cache["bwd"]["H"][::-1]])
+        _check_finite("bilstm_encode", out)
+        Hs.append(out)
         caches.append(cache)
     return Hs, caches
 
@@ -302,25 +309,33 @@ def gcn_backward(cache: dict, p: GcnParams, dH2: np.ndarray):
 
 
 class BilstmRows:
-    """Forward direction: one kernels.lstm_step per row. Backward direction:
-    the state after rows > j comes from one pass over reversed X0, then one
-    lstm_step on row j."""
+    """Both directions take one kernels.lstm_step per row, with the stacked
+    Wh and b of bilstm_forward_batch. The forward state carries from row to
+    row; the backward state after rows > j comes from one pass over reversed
+    X0."""
 
     def __init__(self, X0: np.ndarray, p: BilstmParams):
         self.p = p
-        h = p.fwd.hidden_dim
+        Wh, b = _stacked_recurrent(p)
+        self.Wh, self.b = Wh[:, 0], b[:, 0]  # (2, 4h, h), (2, 4h): one state per direction
         _, self.Cb, self.Hb = kernels.lstm_recurrence(X0[::-1] @ p.bwd.Wx.T, p.bwd.Wh, p.bwd.b)
-        self.hf = np.zeros(h)
-        self.cf = np.zeros(h)
-        self.zero = np.zeros(p.bwd.hidden_dim)
+        h = p.fwd.hidden_dim
+        self.xw = np.empty((2, 4 * h))
+        self.h_prev = np.zeros((2, h))  # rows: forward state, backward state
+        self.c_prev = np.zeros((2, h))
 
     def row(self, j: int, x: np.ndarray) -> np.ndarray:
         p = self.p
-        _, self.cf, self.hf = kernels.lstm_step(p.fwd.Wx @ x, p.fwd.Wh, p.fwd.b, self.hf, self.cf)
+        np.matmul(p.fwd.Wx, x, out=self.xw[0])
+        np.matmul(p.bwd.Wx, x, out=self.xw[1])
         after = self.Hb.shape[0] - 2 - j  # reversed index of row j + 1
-        h_next, c_next = (self.Hb[after], self.Cb[after]) if after >= 0 else (self.zero, self.zero)
-        _, _, hb = kernels.lstm_step(p.bwd.Wx @ x, p.bwd.Wh, p.bwd.b, h_next, c_next)
-        out = np.concatenate([self.hf, hb])
+        if after >= 0:
+            self.h_prev[1], self.c_prev[1] = self.Hb[after], self.Cb[after]
+        else:
+            self.h_prev[1] = self.c_prev[1] = 0.0
+        _, c, hs = kernels.lstm_step(self.xw, self.Wh, self.b, self.h_prev, self.c_prev)
+        self.h_prev[0], self.c_prev[0] = hs[0], c[0]
+        out = hs.reshape(-1)
         _check_finite("bilstm_encode", out)
         return out
 

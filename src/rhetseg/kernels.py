@@ -11,6 +11,9 @@ take one sequence as an (m, n) array or B sequences padded to T steps as a
 (T, B, n) array, and run one body with ``...`` indexing. Each batch column is
 bit-identical to the same sequence run on its own, and a sequence's padding
 steps come after its last real step, so they never reach its outputs.
+``lstm_recurrence`` also takes a direction axis, (T, 2, B, 4h), with Wh
+stacked as (2, 1, 4h, h) and b as (2, 1, 4h): both directions of a BiLSTM
+then run in one loop, each state still multiplied by its own direction's Wh.
 """
 
 from __future__ import annotations
@@ -118,7 +121,9 @@ def lstm_step(xw, Wh, b, h_prev, c_prev):
     different order and is not bit-identical per state."""
     h = h_prev.shape[-1]
     h3 = 3 * h
-    gates = np.clip(xw + (Wh @ h_prev[..., None])[..., 0] + b, -_CLIP, _CLIP)
+    gates = xw + (Wh @ h_prev[..., None])[..., 0] + b
+    np.maximum(gates, -_CLIP, out=gates)
+    np.minimum(gates, _CLIP, out=gates)
     sig = gates[..., :h3]  # i, f, o
     np.divide(1.0, 1.0 + np.exp(-sig), out=sig)
     g = gates[..., h3:]
@@ -130,7 +135,13 @@ def lstm_step(xw, Wh, b, h_prev, c_prev):
 def lstm_recurrence(XW, Wh, b):
     """Run lstm_step over XW (m, 4h), or (T, B, 4h) for B padded sequences,
     from zero states. Returns (gates G, cells C, hiddens H) with XW's leading
-    axes."""
+    axes.
+
+    XW may carry a direction axis, (T, 2, B, 4h), with Wh of shape
+    (2, 1, 4h, h) and b of shape (2, 1, 4h): the size-1 axis broadcasts each
+    direction's Wh and b over its B states, and every state is still one
+    matrix-vector product, so each direction and column is bit-identical to
+    its own 2-D run."""
     XW, Wh, b = _as_c(XW), _as_c(Wh), _as_c(b)
     G = np.empty(XW.shape)
     C = np.empty(XW.shape[:-1] + (XW.shape[-1] // 4,))
@@ -143,27 +154,33 @@ def lstm_recurrence(XW, Wh, b):
 
 
 def lstm_recurrence_backward(G, C, WhT, dH):
-    """Backpropagate through time. Returns pre-activation grads dA (m, 4h)."""
+    """Backpropagate through time. Returns pre-activation grads dA (m, 4h).
+
+    Per gate, with dh the hidden-state gradient and dc the cell gradient:
+      dA_i = dc * g * i * (1-i)          dA_f = dc * c_prev * f * (1-f)
+      dA_o = dh * tanh(c) * o * (1-o)    dA_g = dc * i * (1-g*g)
+    The factors that do not depend on dh or dc are stacked once over the
+    whole sequence as V1, V2, V3 (m, 4h), so each step forms dA[t] as one
+    product u * V1[t] * V2[t] * V3[t] with u = [dc, dc, dh * tanh(c), dc],
+    left to right as in the formulas; the 1s that pad V3 multiply exactly."""
     G, C, WhT, dH = _as_c(G), _as_c(C), _as_c(WhT), _as_c(dH)
     m, h4 = G.shape
     h = h4 // 4
+    i, f, o, g = G[:, :h], G[:, h : 2 * h], G[:, 2 * h : 3 * h], G[:, 3 * h :]
+    tc = np.tanh(C)
+    dtc = 1.0 - tc * tc
+    C_prev = np.vstack([np.zeros((1, h)), C[:-1]])
+    ones = np.ones((m, h))
+    V1 = np.hstack([g, C_prev, o, i])
+    V2 = np.hstack([i, f, 1.0 - o, 1.0 - g * g])
+    V3 = np.hstack([1.0 - i, 1.0 - f, ones, ones])
     dA = np.empty((m, h4))
     dh_next = np.zeros(h)
     dc_next = np.zeros(h)
     for t in range(m - 1, -1, -1):
-        i = G[t, :h]
-        f = G[t, h : 2 * h]
-        o = G[t, 2 * h : 3 * h]
-        g = G[t, 3 * h :]
-        c_prev = C[t - 1] if t > 0 else np.zeros(h)
-        tc = np.tanh(C[t])
         dh = dH[t] + dh_next
-        do = dh * tc
-        dc = dh * o * (1.0 - tc * tc) + dc_next
-        dA[t, :h] = dc * g * i * (1.0 - i)
-        dA[t, h : 2 * h] = dc * c_prev * f * (1.0 - f)
-        dA[t, 2 * h : 3 * h] = do * o * (1.0 - o)
-        dA[t, 3 * h :] = dc * i * (1.0 - g * g)
-        dc_next = dc * f
+        dc = dh * o[t] * dtc[t] + dc_next
+        dA[t] = np.concatenate((dc, dc, dh * tc[t], dc)) * V1[t] * V2[t] * V3[t]
+        dc_next = dc * f[t]
         dh_next = WhT @ dA[t]
     return dA

@@ -208,17 +208,20 @@ def test_bilstm_backward_finite_differences():
 
 
 def test_bilstm_forward_batch_equals_2d_kernel_runs():
+    """Padded batches and batches of one, at a small width and the default
+    training width h=32."""
     rng = np.random.default_rng(17)
-    p = init_bilstm_params(5, 3, rng)
-    Xs = [rng.normal(size=(m, 5)) for m in (1, 2, 13, 40)]
-    Hs, caches = bilstm_forward_batch(Xs, p)
-    for X, H, cache in zip(Xs, Hs, caches):
-        want = {}
-        for direction, lp, Xd in (("fwd", p.fwd, X), ("bwd", p.bwd, X[::-1])):
-            want[direction] = kernels.lstm_recurrence(Xd @ lp.Wx.T, lp.Wh, lp.b)
-            for key, arr in zip("GCH", want[direction]):
-                assert np.array_equal(cache[direction][key], arr), (len(X), direction, key)
-        assert np.array_equal(H, np.hstack([want["fwd"][2], want["bwd"][2][::-1]]))
+    for h, lengths in ((3, (1, 2, 13, 40)), (32, (1, 2, 13, 40)), (3, (14,)), (32, (14,)), (32, (1,))):
+        p = init_bilstm_params(5, h, rng)
+        Xs = [rng.normal(size=(m, 5)) for m in lengths]
+        Hs, caches = bilstm_forward_batch(Xs, p)
+        for X, H, cache in zip(Xs, Hs, caches):
+            want = {}
+            for direction, lp, Xd in (("fwd", p.fwd, X), ("bwd", p.bwd, X[::-1])):
+                want[direction] = kernels.lstm_recurrence(Xd @ lp.Wx.T, lp.Wh, lp.b)
+                for key, arr in zip("GCH", want[direction]):
+                    assert np.array_equal(cache[direction][key], arr), (h, len(X), direction, key)
+            assert np.array_equal(H, np.hstack([want["fwd"][2], want["bwd"][2][::-1]]))
 
 
 def test_bilstm_backward_of_batch_cache_equals_batch_of_one():

@@ -107,6 +107,27 @@ def test_lstm_step_reproduces_recurrence(batch):
         assert np.array_equal(h_t, H[t])
 
 
+def test_bilstm_rows_equal_per_direction_steps():
+    """The stacked step of BilstmRows gives, bit for bit, one lstm_step per
+    direction: the forward state carried from row to row, the backward state
+    read from the pass over reversed X0."""
+    rng = np.random.default_rng(9)
+    for h, m in ((1, 1), (6, 9), (32, 30)):
+        p = context.init_bilstm_params(11, h, rng)
+        p.fwd.Wh *= 3.0
+        X0 = rng.normal(size=(m, 11)) * 4.0
+        X = X0 + rng.normal(size=(m, 11))
+        rows = context.BilstmRows(X0, p)
+        _, Cb, Hb = kernels.lstm_recurrence(X0[::-1] @ p.bwd.Wx.T, p.bwd.Wh, p.bwd.b)
+        hf = cf = np.zeros(h)
+        for j, x in enumerate(X):
+            _, cf, hf = kernels.lstm_step(p.fwd.Wx @ x, p.fwd.Wh, p.fwd.b, hf, cf)
+            after = m - 2 - j
+            h_next, c_next = (Hb[after], Cb[after]) if after >= 0 else (np.zeros(h), np.zeros(h))
+            _, _, hb = kernels.lstm_step(p.bwd.Wx @ x, p.bwd.Wh, p.bwd.b, h_next, c_next)
+            assert np.array_equal(rows.row(j, x), np.concatenate([hf, hb])), (h, m, j)
+
+
 def hash_encoder():
     return HashingEncoder(HashEncoderConfig(dim=32, seed=0))
 

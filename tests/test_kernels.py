@@ -1,8 +1,9 @@
 """Kernels against independent oracles: CRF dynamic programs against
 enumeration of every label sequence (and, for sequences too long to
 enumerate, against scalar per-label loops), the LSTM recurrence and its
-backward pass against the per-gate oracle of tests/test_context.py, and
-padded batches against the same sequences run one at a time. A
+backward pass against the per-gate oracle of tests/test_context.py and,
+bit for bit, against a per-step loop, and padded batches and stacked
+directions against the same sequences run one at a time. A
 `*_paths_agree` test checks that the kernel and its oracle agree."""
 
 import itertools
@@ -208,6 +209,68 @@ def test_lstm_backward_paths_agree(m, h):
     np.testing.assert_allclose(dA, oracle_lstm_backward(X, p, dH), rtol=0, atol=1e-10)
 
 
+def loop_lstm_backward(G, C, WhT, dH):
+    """Reference backward pass: slices every gate and recomputes each factor
+    at every step, in the left-to-right order the kernel keeps."""
+    m, h4 = G.shape
+    h = h4 // 4
+    dA = np.empty((m, h4))
+    dh_next = np.zeros(h)
+    dc_next = np.zeros(h)
+    for t in range(m - 1, -1, -1):
+        i = G[t, :h]
+        f = G[t, h : 2 * h]
+        o = G[t, 2 * h : 3 * h]
+        g = G[t, 3 * h :]
+        c_prev = C[t - 1] if t > 0 else np.zeros(h)
+        tc = np.tanh(C[t])
+        dh = dH[t] + dh_next
+        do = dh * tc
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        dA[t, :h] = dc * g * i * (1.0 - i)
+        dA[t, h : 2 * h] = dc * c_prev * f * (1.0 - f)
+        dA[t, 2 * h : 3 * h] = do * o * (1.0 - o)
+        dA[t, 3 * h :] = dc * i * (1.0 - g * g)
+        dc_next = dc * f
+        dh_next = WhT @ dA[t]
+    return dA
+
+
+def test_lstm_backward_equals_per_step_loop():
+    """The hoisted kernel against the per-step loop, bit for bit, on 300
+    random sequences whose pre-activations reach past the +-60 clip."""
+    rng = np.random.default_rng(2024)
+    clipped = 0
+    for _ in range(300):
+        m = int(rng.integers(1, 40))
+        h = int(rng.integers(1, 40))
+        scale = float(rng.uniform(0.1, 30.0))
+        XW = rng.normal(size=(m, 4 * h)) * scale
+        Wh = rng.normal(size=(4 * h, h)) * scale / np.sqrt(h)
+        G, C, _ = kernels.lstm_recurrence(XW, Wh, rng.normal(size=4 * h))
+        clipped += bool(np.any(np.abs(XW) > 60.0))
+        WhT = np.ascontiguousarray(Wh.T)
+        dH = rng.normal(size=(m, h)) * rng.uniform(0.1, 10.0)
+        assert np.array_equal(kernels.lstm_recurrence_backward(G, C, WhT, dH),
+                              loop_lstm_backward(G, C, WhT, dH)), (m, h, scale)
+    assert clipped >= 50
+
+
+def test_lstm_step_clamp_equals_clip():
+    """The in-place clamp gives np.clip's values, NaN and infinities included."""
+    h = 3
+    xw = np.array([np.nan, np.inf, -np.inf, 60.0, -60.0, 60.5, -61.0, 0.0, -0.0, 59.9, 1e300, -1e-300])
+    Wh = np.zeros((4 * h, h))
+    b = np.zeros(4 * h)
+    with np.errstate(invalid="ignore"):
+        gates, c, hh = kernels.lstm_step(xw, Wh, b, np.zeros(h), np.zeros(h))
+    want = np.clip(xw, -60.0, 60.0)
+    want[: 3 * h] = 1.0 / (1.0 + np.exp(-want[: 3 * h]))
+    want[3 * h :] = np.tanh(want[3 * h :])
+    np.testing.assert_array_equal(gates, want)
+    assert np.isnan(gates[0]) and np.isnan(c[0]) and np.isnan(hh[0])
+
+
 def test_saturation_matches_across_paths():
     # huge pre-activations exercise the +-60 clip
     h = 4
@@ -221,6 +284,8 @@ def test_saturation_matches_across_paths():
 
 
 def test_batched_recurrence_columns_equal_single_runs():
+    """(T, B, 4h) padded batches, and a direction axis (T, 2, B, 4h) with Wh
+    stacked as (2, 1, 4h, h): every column equals its own 2-D run."""
     rng = np.random.default_rng(12)
     for h in (4, 17, 32):
         Wh = rng.normal(size=(4 * h, h)) / np.sqrt(h)
@@ -231,6 +296,17 @@ def test_batched_recurrence_columns_equal_single_runs():
         for j, XW in enumerate(XWs):
             for part, one in zip(batch, kernels.lstm_recurrence(XW, Wh, b)):
                 assert np.array_equal(part[: len(XW), j], one)
+        Wh2 = np.stack([Wh, rng.normal(size=(4 * h, h)) / np.sqrt(h)])
+        b2 = np.stack([b, rng.normal(size=4 * h)])
+        for lengths in ((14,), (1, 2, 13, 40, 7)):
+            dirs = [[rng.normal(size=(m, 4 * h)) * 3.0 for m in lengths] for _ in range(2)]
+            dirs[1][-1][0] *= 100.0  # past the clip
+            batch = kernels.lstm_recurrence(np.stack([padded(d) for d in dirs], axis=1),
+                                            Wh2[:, None], b2[:, None])
+            for k, d in enumerate(dirs):
+                for j, XW in enumerate(d):
+                    for part, one in zip(batch, kernels.lstm_recurrence(XW, Wh2[k], b2[k])):
+                        assert np.array_equal(part[: len(XW), k, j], one), (h, k, j)
 
 
 def test_dispatchers_accept_noncontiguous_input():
