@@ -142,7 +142,7 @@ def main(argv=None) -> int:
         label = f"lstm_recurrence B={B}"
         print(f"{label:<34}{1e6 * seconds / B:>12.1f}  columns bit-identical: {exact}")
 
-    bilstm = context.init_bilstm_params(FEAT_DIM, h, rng)
+    bilstm = build_model(TrainConfig(lstm_hidden=h), HASH_SPEC, rng).context_params
     X = rng.standard_normal((BATCH_LEN, FEAT_DIM))
     H, cache = context.bilstm_forward_cache(X, bilstm)
     dH = rng.standard_normal(H.shape)
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     layout = parameter_layout("bilstm", "crf", FEAT_DIM, 2 * h, 1, True)
     optimizer = make_optimizer(TrainConfig(), layout)
     flat = rng.standard_normal(layout_size(layout))
-    grads = {name: rng.standard_normal(shape) for name, shape in layout.items()}
+    grads = {name: rng.standard_normal(spec.shape) for name, spec in layout.items()}
     seconds = best_of(optimizer.step, (flat, grads), args.repeats)
     print(f"{'optimizer step':<34}{'ms':>12}")
     print(f"{f'adam_step params={flat.size}':<34}{1000 * seconds:>12.3f}")

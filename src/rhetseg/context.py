@@ -23,11 +23,6 @@ from . import kernels
 from .errors import DataError, NumericError
 
 
-def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def _check_finite(name: str, arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"numeric overflow in {name}")
@@ -53,23 +48,6 @@ class LstmParams:
 class BilstmParams:
     fwd: LstmParams
     bwd: LstmParams
-
-
-def init_lstm_params(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> LstmParams:
-    """uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)); forget-gate bias starts at 1."""
-    h = hidden_dim
-    Wx = _uniform_init(rng, (4 * h, input_dim), input_dim)
-    Wh = _uniform_init(rng, (4 * h, h), h)
-    b = np.zeros(4 * h)
-    b[h : 2 * h] = 1.0
-    return LstmParams(Wx=Wx, Wh=Wh, b=b)
-
-
-def init_bilstm_params(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> BilstmParams:
-    return BilstmParams(
-        fwd=init_lstm_params(input_dim, hidden_dim, rng),
-        bwd=init_lstm_params(input_dim, hidden_dim, rng),
-    )
 
 
 def _lstm_backward(cache: dict, p: LstmParams, dH: np.ndarray):
@@ -153,15 +131,6 @@ class AttentionParams:
         return self.Q.shape[0]
 
 
-def init_attention_params(d_model: int, rng: np.random.Generator) -> AttentionParams:
-    return AttentionParams(
-        Q=_uniform_init(rng, (d_model, d_model), d_model),
-        K=_uniform_init(rng, (d_model, d_model), d_model),
-        V=_uniform_init(rng, (d_model, d_model), d_model),
-        O=_uniform_init(rng, (d_model, d_model), d_model),
-    )
-
-
 def _softmax_rows(S: np.ndarray) -> np.ndarray:
     shifted = S - S.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
@@ -199,10 +168,6 @@ def attention_backward(cache: dict, p: AttentionParams, dY: np.ndarray):
     return grads, dX
 
 
-def init_attention_stack(d_model: int, n_layers: int, rng: np.random.Generator) -> list[AttentionParams]:
-    return [init_attention_params(d_model, rng) for _ in range(n_layers)]
-
-
 def attention_stack_forward_cache(X: np.ndarray, layers: list[AttentionParams]):
     caches = []
     H = X
@@ -237,13 +202,6 @@ class DocumentGraph:
 class GcnParams:
     W1: np.ndarray  # (d_in, hidden)
     W2: np.ndarray  # (hidden, hidden)
-
-
-def init_gcn_params(d_in: int, hidden: int, rng: np.random.Generator) -> GcnParams:
-    return GcnParams(
-        W1=_uniform_init(rng, (d_in, hidden), d_in),
-        W2=_uniform_init(rng, (hidden, hidden), hidden),
-    )
 
 
 def build_graph(

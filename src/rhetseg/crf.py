@@ -10,7 +10,6 @@ kernels module. The label axis is fixed at 7.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,17 +49,6 @@ class CrfGrad:
     transitions: np.ndarray
     start: np.ndarray
     end: np.ndarray
-
-
-def init_crf_params(context_dim: int, rng: np.random.Generator) -> CrfParams:
-    bound = 1.0 / math.sqrt(context_dim)
-    return CrfParams(
-        W_e=rng.uniform(-bound, bound, size=(context_dim, NUM_ROLES)),
-        b_e=np.zeros(NUM_ROLES),
-        T=np.zeros((NUM_ROLES, NUM_ROLES)),
-        start=np.zeros(NUM_ROLES),
-        end=np.zeros(NUM_ROLES),
-    )
 
 
 def emissions(H: np.ndarray, p: CrfParams) -> np.ndarray:

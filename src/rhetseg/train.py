@@ -23,7 +23,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -158,40 +158,66 @@ class GradCheckReport:
         return all(v <= self.tolerance for v in self.max_rel_error.values())
 
 
+class ParamSpec(NamedTuple):
+    shape: tuple[int, ...]
+    init: str = "zeros"  # zeros | uniform | lstm_bias
+    fan_in: int = 0  # of a uniform entry
+
+
 def parameter_layout(
     context_kind: str, head_kind: str, feat_dim: int, context_dim: int, attention_layers: int, shift: bool
-) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every trainable tensor, in the order the tensors sit
-    in a bundle's parameter vector (and the order build_model draws them)."""
-    layout: dict[str, tuple[int, ...]] = {}
+) -> dict[str, ParamSpec]:
+    """Name -> shape and init rule of every trainable tensor, in the order
+    the tensors sit in a bundle's parameter vector. A uniform entry starts at
+    uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)); an LSTM bias (4h,) starts at
+    zero but for its forget-gate block [h:2h], which starts at 1; every
+    other entry starts at zero."""
+    layout: dict[str, ParamSpec] = {}
     if context_kind == "bilstm":
         h = context_dim // 2
         for d in ("fwd", "bwd"):
-            layout.update({f"bilstm.{d}.Wx": (4 * h, feat_dim), f"bilstm.{d}.Wh": (4 * h, h)})
-            layout[f"bilstm.{d}.b"] = (4 * h,)
+            layout[f"bilstm.{d}.Wx"] = ParamSpec((4 * h, feat_dim), "uniform", feat_dim)
+            layout[f"bilstm.{d}.Wh"] = ParamSpec((4 * h, h), "uniform", h)
+            layout[f"bilstm.{d}.b"] = ParamSpec((4 * h,), "lstm_bias")
     elif context_kind == "attention":
-        for idx in range(attention_layers):
-            layout.update({f"attn.layer{idx}.{name}": (feat_dim, feat_dim) for name in "QKVO"})
+        square = ParamSpec((feat_dim, feat_dim), "uniform", feat_dim)
+        layout.update({f"attn.layer{idx}.{n}": square for idx in range(attention_layers) for n in "QKVO"})
     elif context_kind == "gcn":
-        layout.update({"gcn.W1": (feat_dim, context_dim), "gcn.W2": (context_dim, context_dim)})
+        layout["gcn.W1"] = ParamSpec((feat_dim, context_dim), "uniform", feat_dim)
+        layout["gcn.W2"] = ParamSpec((context_dim, context_dim), "uniform", context_dim)
     k = NUM_ROLES
     if head_kind == "crf":
-        layout.update({"crf.W_e": (context_dim, k), "crf.b_e": (k,), "crf.T": (k, k)})
-        layout.update({"crf.start": (k,), "crf.end": (k,)})
+        layout["crf.W_e"] = ParamSpec((context_dim, k), "uniform", context_dim)
+        layout.update({"crf.b_e": ParamSpec((k,)), "crf.T": ParamSpec((k, k))})
+        layout.update({"crf.start": ParamSpec((k,)), "crf.end": ParamSpec((k,))})
     else:
-        layout.update({"softmax.W": (context_dim, k), "softmax.b": (k,)})
+        layout.update({"softmax.W": ParamSpec((context_dim, k), "uniform", context_dim), "softmax.b": ParamSpec((k,))})
     if shift:
-        layout.update({"shift.w": (context_dim,), "shift.b": (1,)})
+        layout.update({"shift.w": ParamSpec((context_dim,)), "shift.b": ParamSpec((1,))})
     return layout
 
 
-def layout_size(layout: dict[str, tuple[int, ...]]) -> int:
-    return sum(math.prod(shape) for shape in layout.values())
+def layout_size(layout: dict[str, ParamSpec]) -> int:
+    return sum(math.prod(spec.shape) for spec in layout.values())
 
 
-def _views(flat: np.ndarray, layout: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    parts = np.split(flat, np.cumsum([math.prod(shape) for shape in layout.values()])[:-1])
-    return {name: part.reshape(shape) for (name, shape), part in zip(layout.items(), parts)}
+def _views(flat: np.ndarray, layout: dict[str, ParamSpec]) -> dict[str, np.ndarray]:
+    parts = np.split(flat, np.cumsum([math.prod(spec.shape) for spec in layout.values()])[:-1])
+    return {name: part.reshape(spec.shape) for (name, spec), part in zip(layout.items(), parts)}
+
+
+def init_parameters(layout: dict[str, ParamSpec], rng: np.random.Generator) -> np.ndarray:
+    """A parameter vector with every tensor at its init rule. Only the
+    uniform entries draw from rng, in layout order."""
+    flat = np.zeros(layout_size(layout))
+    for spec, view in zip(layout.values(), _views(flat, layout).values()):
+        if spec.init == "uniform":
+            bound = 1.0 / math.sqrt(spec.fan_in)
+            view[...] = rng.uniform(-bound, bound, size=spec.shape)
+        elif spec.init == "lstm_bias":
+            h = spec.shape[0] // 4
+            view[h : 2 * h] = 1.0
+    return flat
 
 
 @dataclass
@@ -210,7 +236,7 @@ class ModelBundle:
     head_kind: str
     feat_dim: int
     context_dim: int
-    layout: dict[str, tuple[int, ...]]
+    layout: dict[str, ParamSpec]
     flat: np.ndarray
     config_echo: dict = field(default_factory=dict)
     context_params: object = field(init=False)  # BilstmParams | list[AttentionParams] | GcnParams | None
@@ -297,32 +323,12 @@ def _class_weight_vector(cfg: TrainConfig) -> np.ndarray:
 
 
 def build_model(cfg: TrainConfig, encoder_spec: dict, rng: np.random.Generator) -> ModelBundle:
-    """Assemble a fresh bundle. Parameters draw from rng in a fixed order
-    (context, head); the shift head starts at zero and draws nothing."""
+    """Assemble a fresh bundle, its parameters at their layout init rules:
+    only the uniform entries draw from rng, in layout order."""
     base_dim = encoder_spec["dim"]
     with_labels = cfg.label_mode != "off"
     feat_dim = feature_width(base_dim, cfg.window, cfg.positional, cfg.sin_dim, with_labels)
-    if cfg.context_kind == "none":
-        context_params = None
-        context_dim = feat_dim
-    elif cfg.context_kind == "bilstm":
-        context_params = ctx.init_bilstm_params(feat_dim, cfg.lstm_hidden, rng)
-        context_dim = 2 * cfg.lstm_hidden
-    elif cfg.context_kind == "attention":
-        context_params = ctx.init_attention_stack(feat_dim, cfg.attention_layers, rng)
-        context_dim = feat_dim
-    else:
-        context_params = ctx.init_gcn_params(feat_dim, cfg.gcn_hidden, rng)
-        context_dim = cfg.gcn_hidden
-    if cfg.head == "crf":
-        head_params = crf_mod.init_crf_params(context_dim, rng)
-    else:
-        bound = 1.0 / np.sqrt(context_dim)
-        head_params = SoftmaxParams(
-            W=rng.uniform(-bound, bound, size=(context_dim, NUM_ROLES)),
-            b=np.zeros(NUM_ROLES),
-        )
-    shift_params = ShiftParams(w=np.zeros(context_dim), b=np.zeros(1)) if cfg.mtl else None
+    context_dim = {"bilstm": 2 * cfg.lstm_hidden, "gcn": cfg.gcn_hidden}.get(cfg.context_kind, feat_dim)
     layout = parameter_layout(cfg.context_kind, cfg.head, feat_dim, context_dim, cfg.attention_layers, cfg.mtl)
     return ModelBundle(
         encoder_spec=dict(encoder_spec),
@@ -336,20 +342,9 @@ def build_model(cfg: TrainConfig, encoder_spec: dict, rng: np.random.Generator) 
         feat_dim=feat_dim,
         context_dim=context_dim,
         layout=layout,
-        flat=np.concatenate([t.reshape(-1) for t in _tensors([context_params, head_params, shift_params])]),
+        flat=init_parameters(layout, rng),
         config_echo=cfg.to_echo(),
     )
-
-
-def _tensors(tree) -> list[np.ndarray]:
-    """The arrays of a tree of parameter dataclasses and lists, in field
-    order, which is parameter_layout's order."""
-    if isinstance(tree, np.ndarray):
-        return [tree]
-    if tree is None:
-        return []
-    items = tree if isinstance(tree, list) else [getattr(tree, f.name) for f in dataclasses.fields(tree)]
-    return [t for item in items for t in _tensors(item)]
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +453,7 @@ class _Sgd:
     """Updates a bundle's parameter vector in place. Each step gathers the
     gradient dict, in layout order, into one buffer allocated once."""
 
-    def __init__(self, layout: dict[str, tuple[int, ...]], lr: float):
+    def __init__(self, layout: dict[str, ParamSpec], lr: float):
         self.names = list(layout)
         self.g = np.empty(layout_size(layout))
         self.lr = lr
@@ -476,7 +471,7 @@ class _Adam(_Sgd):
     """Kingma & Ba's Adam with in-place vector ops; each element sees the
     same operations in the same order as the textbook per-tensor update."""
 
-    def __init__(self, layout: dict[str, tuple[int, ...]], lr: float, beta1: float, beta2: float, eps: float):
+    def __init__(self, layout: dict[str, ParamSpec], lr: float, beta1: float, beta2: float, eps: float):
         super().__init__(layout, lr)
         self.beta1 = beta1
         self.beta2 = beta2
@@ -507,7 +502,7 @@ class _Adam(_Sgd):
         flat -= g
 
 
-def make_optimizer(cfg: TrainConfig, layout: dict[str, tuple[int, ...]]):
+def make_optimizer(cfg: TrainConfig, layout: dict[str, ParamSpec]):
     if cfg.optimizer == "sgd":
         return _Sgd(layout, cfg.learning_rate)
     return _Adam(layout, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)

@@ -1,5 +1,7 @@
 """Context encoders against independent recurrences and finite differences."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,13 +21,10 @@ from rhetseg.context import (
     build_graph,
     gcn_backward,
     gcn_forward_cache,
-    init_attention_params,
-    init_attention_stack,
-    init_bilstm_params,
-    init_gcn_params,
-    init_lstm_params,
 )
 from rhetseg.errors import DataError
+from rhetseg.train import CONTEXT_KINDS, HEADS, TrainConfig, build_model
+from test_parameter_init import draw_params
 
 
 # --------------------------------------------------------------------------
@@ -114,7 +113,7 @@ def test_lstm_forward_matches_oracle():
         m = int(rng.integers(1, 7))
         d = int(rng.integers(1, 6))
         h = int(rng.integers(1, 6))
-        p = init_lstm_params(d, h, rng)
+        p = draw_params("bilstm", rng, d, h).fwd
         X = rng.normal(size=(m, d))
         np.testing.assert_allclose(lstm_hiddens(X, p), oracle_lstm(X, p),
                                    rtol=0, atol=1e-12)
@@ -136,7 +135,7 @@ def test_bilstm_frozen_golden():
 def test_lstm_causality():
     # forward output at t is untouched by changes to inputs after t
     rng = np.random.default_rng(4)
-    p = init_lstm_params(3, 4, rng)
+    p = draw_params("bilstm", rng, 3, 4).fwd
     X = rng.normal(size=(6, 3))
     H = lstm_hiddens(X, p)
     X2 = X.copy()
@@ -148,7 +147,7 @@ def test_lstm_causality():
 
 def test_bilstm_uses_both_directions():
     rng = np.random.default_rng(8)
-    p = init_bilstm_params(3, 4, rng)
+    p = draw_params("bilstm", rng, 3, 4)
     X = rng.normal(size=(5, 3))
     H = bilstm_forward_cache(X, p)[0]
     assert H.shape == (5, 8)
@@ -166,14 +165,15 @@ def test_lstm_zero_params_zero_output():
 
 
 def test_lstm_forget_bias_init():
-    p = init_lstm_params(5, 3, np.random.default_rng(0))
-    np.testing.assert_array_equal(p.b[3:6], np.ones(3))
-    np.testing.assert_array_equal(np.delete(p.b, [3, 4, 5]), np.zeros(9))
+    bilstm = draw_params("bilstm", np.random.default_rng(0), 5, 3)
+    for p in (bilstm.fwd, bilstm.bwd):
+        np.testing.assert_array_equal(p.b[3:6], np.ones(3))
+        np.testing.assert_array_equal(np.delete(p.b, [3, 4, 5]), np.zeros(9))
 
 
 def test_bilstm_backward_finite_differences():
     rng = np.random.default_rng(33)
-    p = init_bilstm_params(3, 2, rng)
+    p = draw_params("bilstm", rng, 3, 2)
     X = rng.normal(size=(4, 3))
     R = rng.normal(size=(4, 4))
     H, cache = bilstm_forward_cache(X, p)
@@ -212,7 +212,7 @@ def test_bilstm_forward_batch_equals_2d_kernel_runs():
     training width h=32."""
     rng = np.random.default_rng(17)
     for h, lengths in ((3, (1, 2, 13, 40)), (32, (1, 2, 13, 40)), (3, (14,)), (32, (14,)), (32, (1,))):
-        p = init_bilstm_params(5, h, rng)
+        p = draw_params("bilstm", rng, 5, h)
         Xs = [rng.normal(size=(m, 5)) for m in lengths]
         Hs, caches = bilstm_forward_batch(Xs, p)
         for X, H, cache in zip(Xs, Hs, caches):
@@ -226,7 +226,7 @@ def test_bilstm_forward_batch_equals_2d_kernel_runs():
 
 def test_bilstm_backward_of_batch_cache_equals_batch_of_one():
     rng = np.random.default_rng(18)
-    p = init_bilstm_params(5, 3, rng)
+    p = draw_params("bilstm", rng, 5, 3)
     Xs = [rng.normal(size=(m, 5)) for m in (1, 2, 13, 40)]
     _, caches = bilstm_forward_batch(Xs, p)
     for X, cache in zip(Xs, caches):
@@ -242,7 +242,7 @@ def test_bilstm_backward_of_batch_cache_equals_batch_of_one():
 def test_attention_rows_are_stochastic():
     rng = np.random.default_rng(6)
     for m in (1, 2, 5):
-        p = init_attention_params(4, rng)
+        p = draw_params("attention", rng, 4)[0]
         X = rng.normal(size=(m, 4))
         A = attention_forward_cache(X, p)[1]["A"]
         assert A.shape == (m, m)
@@ -251,7 +251,7 @@ def test_attention_rows_are_stochastic():
 
 
 def test_attention_single_row_weight_is_one():
-    p = init_attention_params(3, np.random.default_rng(1))
+    p = draw_params("attention", np.random.default_rng(1), 3)[0]
     A = attention_forward_cache(np.array([[0.2, -1.0, 0.5]]), p)[1]["A"]
     np.testing.assert_allclose(A, [[1.0]], atol=1e-15)
 
@@ -268,7 +268,7 @@ def test_attention_uniform_weights_give_mean_plus_residual():
 
 def test_attention_backward_finite_differences():
     rng = np.random.default_rng(12)
-    p = init_attention_params(3, rng)
+    p = draw_params("attention", rng, 3)[0]
     X = rng.normal(size=(4, 3))
     R = rng.normal(size=(4, 3))
     _, cache = attention_forward_cache(X, p)
@@ -304,7 +304,7 @@ def test_attention_backward_finite_differences():
 
 def test_attention_stack_composes():
     rng = np.random.default_rng(21)
-    layers = init_attention_stack(4, 3, rng)
+    layers = draw_params("attention", rng, 4, layers=3)
     X = rng.normal(size=(5, 4))
     got, _ = attention_stack_forward_cache(X, layers)
     want = X
@@ -315,7 +315,7 @@ def test_attention_stack_composes():
 
 def test_attention_stack_backward_finite_differences():
     rng = np.random.default_rng(22)
-    layers = init_attention_stack(3, 2, rng)
+    layers = draw_params("attention", rng, 3, layers=2)
     X = rng.normal(size=(3, 3))
     R = rng.normal(size=(3, 3))
     _, caches = attention_stack_forward_cache(X, layers)
@@ -459,7 +459,7 @@ def test_gcn_layer_relu_toggle():
 def test_gcn_backward_finite_differences():
     rng = np.random.default_rng(44)
     g = build_graph(4)
-    p = init_gcn_params(3, 5, rng)
+    p = draw_params("gcn", rng, 3, 5)
     X = rng.normal(size=(4, 3))
     R = rng.normal(size=(4, 5))
     _, cache = gcn_forward_cache(X, g, p)
@@ -495,9 +495,21 @@ def test_gcn_backward_finite_differences():
 
 def test_init_bounds_follow_fan_in():
     rng = np.random.default_rng(2)
-    p = init_gcn_params(16, 4, rng)
+    p = draw_params("gcn", rng, 16, 4)
     assert np.all(np.abs(p.W1) <= 0.25)
     assert np.all(np.abs(p.W2) <= 0.5)
-    a = init_attention_params(25, rng)
+    a = draw_params("attention", rng, 25)[0]
     for arr in (a.Q, a.K, a.V, a.O):
         assert np.all(np.abs(arr) <= 0.2)
+    # every uniform entry of every context and head; fan_in is the width of
+    # the input a matrix multiplies: columns of the LSTM Wx and Wh, rows of
+    # the others
+    spec = {"kind": "precomputed", "dim": 16}
+    for context_kind, head in itertools.product(CONTEXT_KINDS, HEADS):
+        cfg = TrainConfig(context_kind=context_kind, head=head, lstm_hidden=5, gcn_hidden=9, attention_layers=2)
+        bundle = build_model(cfg, spec, rng)
+        for name, tensor in bundle.parameter_blocks().items():
+            if bundle.layout[name].init == "uniform":
+                fan_in = tensor.shape[1 if name.startswith("bilstm.") else 0]
+                assert bundle.layout[name].fan_in == fan_in, name
+                assert np.all(np.abs(tensor) <= 1.0 / np.sqrt(fan_in)), name

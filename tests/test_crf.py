@@ -14,7 +14,6 @@ from rhetseg import kernels
 from rhetseg.crf import (
     CrfParams,
     emissions,
-    init_crf_params,
     log_partition,
     marginals,
     nll_and_grad,
@@ -22,6 +21,7 @@ from rhetseg.crf import (
     viterbi_decode,
 )
 from rhetseg.errors import DataError
+from test_parameter_init import draw_params
 
 K = 7
 
@@ -236,12 +236,12 @@ def test_nll_grad_start_end_match_marginal_identity():
 def test_emissions_affine():
     rng = np.random.default_rng(2)
     H = rng.normal(size=(4, 5))
-    p = init_crf_params(5, rng)
+    p = draw_params("crf", rng, 5)
     np.testing.assert_allclose(emissions(H, p), H @ p.W_e + p.b_e)
 
 
 def test_init_shapes_and_zero_structure():
-    p = init_crf_params(12, np.random.default_rng(0))
+    p = draw_params("crf", np.random.default_rng(0), 12)
     assert p.W_e.shape == (12, K)
     assert p.b_e.shape == (K,)
     assert np.all(p.T == 0.0) and np.all(p.start == 0.0) and np.all(p.end == 0.0)

@@ -23,6 +23,7 @@ from rhetseg.train import (
     train_model,
 )
 from test_checkpoint import read_tensor
+from test_parameter_init import draw_params
 
 BASE_DIM = 12
 SPEC = {"kind": "hash", "dim": BASE_DIM, "ngram_orders": [1], "seed": 0, "signed": True}
@@ -94,7 +95,7 @@ def test_lstm_step_reproduces_recurrence(batch):
     gives the recurrence's gates, cells and hiddens bit for bit."""
     rng = np.random.default_rng(4)
     h, m = 5, 23
-    p = context.init_lstm_params(7, h, rng)
+    p = draw_params("bilstm", rng, 7, h).fwd
     p.Wh *= 3.0
     XW = rng.normal(size=(m,) + batch + (4 * h,)) * 4.0
     XW[5] *= 100.0  # past the +-60 pre-activation clip
@@ -113,7 +114,7 @@ def test_bilstm_rows_equal_per_direction_steps():
     read from the pass over reversed X0."""
     rng = np.random.default_rng(9)
     for h, m in ((1, 1), (6, 9), (32, 30)):
-        p = context.init_bilstm_params(11, h, rng)
+        p = draw_params("bilstm", rng, 11, h)
         p.fwd.Wh *= 3.0
         X0 = rng.normal(size=(m, 11)) * 4.0
         X = X0 + rng.normal(size=(m, 11))

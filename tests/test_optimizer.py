@@ -95,7 +95,7 @@ def test_step_updates_the_bundle_tensors_in_place():
     bundle = build_model(cfg, SPEC, np.random.default_rng(1))
     Wx = bundle.context_params.fwd.Wx
     before = Wx.copy()
-    grads = {name: np.ones(shape) for name, shape in bundle.layout.items()}
+    grads = {name: np.ones(spec.shape) for name, spec in bundle.layout.items()}
     make_optimizer(cfg, bundle.layout).step(bundle.flat, grads)
     assert bundle.context_params.fwd.Wx is Wx
     assert np.all(Wx < before)

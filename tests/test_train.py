@@ -445,7 +445,7 @@ class TestCheckpoint:
         for bad in (float("nan"), float("inf"), float("-inf")):
             payload = json.loads(path.read_text())
             values = read_tensor(payload, name)
-            values.reshape(bundle.layout[name])[1, 0] = bad
+            values.reshape(bundle.layout[name].shape)[1, 0] = bad
             write_tensor(payload, name, values)
             broken = tmp_path / "broken.json"
             broken.write_text(json.dumps(payload))
@@ -514,7 +514,7 @@ class TestCheckpoint:
 
         bundle, path = self.trained(tmp_path, context_kind=kind, gcn_hidden=6, epochs=1)
         payload = json.loads(path.read_text())
-        shape = bundle.layout[name]
+        shape = bundle.layout[name].shape
         write_tensor(payload, name, read_tensor(payload, name).reshape(shape)[:-1])  # one row short
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=f"{name}' has .* bytes, expected .* for shape"):
