@@ -77,8 +77,8 @@ def build_cases(doc_len: int, hidden: int, rng) -> dict[str, tuple]:
 
 def two_direction_runs(X, p):
     """The BiLSTM forward as one 2-D recurrence per direction."""
-    (_, _, Hf), (_, _, Hb) = (kernels.lstm_recurrence(Xd @ lp.Wx.T, lp.Wh, lp.b)
-                              for lp, Xd in ((p.fwd, X), (p.bwd, X[::-1])))
+    (_, _, Hf), (_, _, Hb) = (kernels.lstm_recurrence(Xd @ p[f"{d}.Wx"].T, p[f"{d}.Wh"], p[f"{d}.b"])
+                              for d, Xd in (("fwd", X), ("bwd", X[::-1])))
     return np.hstack([Hf, Hb[::-1]])
 
 
@@ -142,7 +142,7 @@ def main(argv=None) -> int:
         label = f"lstm_recurrence B={B}"
         print(f"{label:<34}{1e6 * seconds / B:>12.1f}  columns bit-identical: {exact}")
 
-    bilstm = build_model(TrainConfig(lstm_hidden=h), HASH_SPEC, rng).context_params
+    bilstm = build_model(TrainConfig(lstm_hidden=h), HASH_SPEC, rng).params["bilstm"]
     X = rng.standard_normal((BATCH_LEN, FEAT_DIM))
     H, cache = context.bilstm_forward_cache(X, bilstm)
     dH = rng.standard_normal(H.shape)

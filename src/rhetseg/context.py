@@ -6,6 +6,10 @@ output and the cache its backward pass needs, and training, validation and
 batched prediction all run it. The row encoders at the end serve
 free-running decoding.
 
+Each encoder reads its tensors from `p`, one block of the parameter layout
+keyed by the rest of the layout name ("fwd.Wx", "layer0.Q", "W1"), and each
+backward pass returns its gradients under the keys it read.
+
 LSTM parameters use the stacked-gate layout: rows of Wx/Wh/b hold the four
 gates in (input, forget, output, candidate) order, h rows each. This stores
 the per-gate matrices W_i..W_g and U_i..U_g contiguously so the recurrence is
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -33,43 +38,26 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LstmParams:
-    Wx: np.ndarray  # (4h, d)
-    Wh: np.ndarray  # (4h, h)
-    b: np.ndarray  # (4h,)
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.Wh.shape[1]
+Params = Mapping[str, np.ndarray]
 
 
-@dataclass
-class BilstmParams:
-    fwd: LstmParams
-    bwd: LstmParams
-
-
-def _lstm_backward(cache: dict, p: LstmParams, dH: np.ndarray):
+def _lstm_backward(cache: dict, p: Params, d: str, dH: np.ndarray):
+    """Gradients of direction d ("fwd" or "bwd"), keyed "d.Wx", "d.Wh", "d.b"."""
     G, C, H, X = cache["G"], cache["C"], cache["H"], cache["X"]
-    WhT = np.ascontiguousarray(p.Wh.T)
-    dA = kernels.lstm_recurrence_backward(G, C, WhT, dH)
-    h = p.hidden_dim
-    H_prev = np.vstack([np.zeros((1, h)), H[:-1]])
-    dWx = dA.T @ X
-    dWh = dA.T @ H_prev
-    db = dA.sum(axis=0)
-    dX = dA @ p.Wx
-    return {"Wx": dWx, "Wh": dWh, "b": db}, dX
+    Wh = p[f"{d}.Wh"]
+    dA = kernels.lstm_recurrence_backward(G, C, np.ascontiguousarray(Wh.T), dH)
+    H_prev = np.vstack([np.zeros((1, Wh.shape[1])), H[:-1]])
+    dX = dA @ p[f"{d}.Wx"]
+    return {f"{d}.Wx": dA.T @ X, f"{d}.Wh": dA.T @ H_prev, f"{d}.b": dA.sum(axis=0)}, dX
 
 
-def _stacked_recurrent(p: BilstmParams):
+def _stacked_recurrent(p: Params):
     """Wh as (2, 1, 4h, h) and b as (2, 1, 4h), forward direction first: the
     recurrent weights of kernels.lstm_recurrence over both directions."""
-    return np.stack([p.fwd.Wh, p.bwd.Wh])[:, None], np.stack([p.fwd.b, p.bwd.b])[:, None]
+    return np.stack([p["fwd.Wh"], p["bwd.Wh"]])[:, None], np.stack([p["fwd.b"], p["bwd.b"]])[:, None]
 
 
-def bilstm_forward_batch(Xs: list[np.ndarray], p: BilstmParams):
+def bilstm_forward_batch(Xs: list[np.ndarray], p: Params):
     """Row t of a document's output is [forward h_t || backward h_t]; the
     backward direction runs on the reversed document and is re-reversed. One
     recurrence runs both directions over the zero-padded batch, (T, 2, B, 4h);
@@ -77,11 +65,12 @@ def bilstm_forward_batch(Xs: list[np.ndarray], p: BilstmParams):
     would sum in a different order. Returns the outputs and each document's
     cache for bilstm_backward."""
     T = max(X.shape[0] for X in Xs)
-    XW = np.zeros((T, 2, len(Xs), p.fwd.Wh.shape[0]))
+    Wx_f, Wx_b = p["fwd.Wx"], p["bwd.Wx"]
+    XW = np.zeros((T, 2, len(Xs), Wx_f.shape[0]))
     for j, X in enumerate(Xs):
         m = X.shape[0]
-        XW[:m, 0, j] = X @ p.fwd.Wx.T
-        XW[:m, 1, j] = X[::-1] @ p.bwd.Wx.T
+        XW[:m, 0, j] = X @ Wx_f.T
+        XW[:m, 1, j] = X[::-1] @ Wx_b.T
     G, C, H = kernels.lstm_recurrence(XW, *_stacked_recurrent(p))
     Hs, caches = [], []
     for j, X in enumerate(Xs):
@@ -97,38 +86,23 @@ def bilstm_forward_batch(Xs: list[np.ndarray], p: BilstmParams):
     return Hs, caches
 
 
-def bilstm_forward_cache(X: np.ndarray, p: BilstmParams):
+def bilstm_forward_cache(X: np.ndarray, p: Params):
     """bilstm_forward_batch of one document."""
     Hs, caches = bilstm_forward_batch([X], p)
     return Hs[0], caches[0]
 
 
-def bilstm_backward(cache: dict, p: BilstmParams, dH: np.ndarray):
-    h = p.fwd.hidden_dim
-    grads_f, dX_f = _lstm_backward(cache["fwd"], p.fwd, np.ascontiguousarray(dH[:, :h]))
-    dHb_rev = np.ascontiguousarray(dH[:, h:][::-1])
-    grads_b, dX_b_rev = _lstm_backward(cache["bwd"], p.bwd, dHb_rev)
-    dX = dX_f + dX_b_rev[::-1]
-    grads = {f"fwd.{k}": v for k, v in grads_f.items()}
-    grads.update({f"bwd.{k}": v for k, v in grads_b.items()})
-    return grads, dX
+def bilstm_backward(cache: dict, p: Params, dH: np.ndarray):
+    h = p["fwd.Wh"].shape[1]
+    grads, dX_f = _lstm_backward(cache["fwd"], p, "fwd", np.ascontiguousarray(dH[:, :h]))
+    grads_b, dX_b_rev = _lstm_backward(cache["bwd"], p, "bwd", np.ascontiguousarray(dH[:, h:][::-1]))
+    grads.update(grads_b)
+    return grads, dX_f + dX_b_rev[::-1]
 
 
 # ---------------------------------------------------------------------------
 # Single-head self-attention with residual
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class AttentionParams:
-    Q: np.ndarray
-    K: np.ndarray
-    V: np.ndarray
-    O: np.ndarray
-
-    @property
-    def d_model(self) -> int:
-        return self.Q.shape[0]
 
 
 def _softmax_rows(S: np.ndarray) -> np.ndarray:
@@ -137,52 +111,64 @@ def _softmax_rows(S: np.ndarray) -> np.ndarray:
     return expd / expd.sum(axis=1, keepdims=True)
 
 
-def attention_forward_cache(X: np.ndarray, p: AttentionParams):
-    """Y = softmax(XQ (XK)^T / sqrt(d)) XV O + X; cache["A"] holds the attention weights."""
-    if X.shape[1] != p.d_model:
-        raise DataError(f"input width {X.shape[1]} != attention d_model {p.d_model}")
-    scale = 1.0 / math.sqrt(p.d_model)
-    Qx = X @ p.Q
-    Kx = X @ p.K
-    Vx = X @ p.V
+def _layer(p: Params, idx: int) -> list[np.ndarray]:
+    """Q, K, V, O of attention layer idx."""
+    return [p[f"layer{idx}.{n}"] for n in "QKVO"]
+
+
+def _attention_scale(X: np.ndarray, Q: np.ndarray) -> float:
+    if X.shape[1] != Q.shape[0]:
+        raise DataError(f"input width {X.shape[1]} != attention d_model {Q.shape[0]}")
+    return 1.0 / math.sqrt(Q.shape[0])
+
+
+def attention_forward_cache(X: np.ndarray, p: Params, idx: int = 0):
+    """Layer idx: Y = softmax(XQ (XK)^T / sqrt(d)) XV O + X; cache["A"] holds
+    the attention weights."""
+    Q, K, V, O = _layer(p, idx)
+    scale = _attention_scale(X, Q)
+    Qx = X @ Q
+    Kx = X @ K
+    Vx = X @ V
     A = _softmax_rows((Qx @ Kx.T) * scale)
     Z = A @ Vx
-    Y = Z @ p.O + X
+    Y = Z @ O + X
     _check_finite("self_attention_encode", Y)
     return Y, {"X": X, "Qx": Qx, "Kx": Kx, "Vx": Vx, "A": A, "Z": Z, "scale": scale}
 
 
-def attention_backward(cache: dict, p: AttentionParams, dY: np.ndarray):
+def attention_backward(cache: dict, p: Params, dY: np.ndarray, idx: int = 0):
+    Q, K, V, O = _layer(p, idx)
     X, Qx, Kx, Vx, A, Z = cache["X"], cache["Qx"], cache["Kx"], cache["Vx"], cache["A"], cache["Z"]
     scale = cache["scale"]
     dO = Z.T @ dY
-    dZ = dY @ p.O.T
+    dZ = dY @ O.T
     dA = dZ @ Vx.T
     dVx = A.T @ dZ
     # softmax rows: dS_r = A_r * (dA_r - <dA_r, A_r>)
     dS = A * (dA - (dA * A).sum(axis=1, keepdims=True))
     dQx = (dS @ Kx) * scale
     dKx = (dS.T @ Qx) * scale
-    grads = {"Q": X.T @ dQx, "K": X.T @ dKx, "V": X.T @ dVx, "O": dO}
-    dX = dY + dQx @ p.Q.T + dKx @ p.K.T + dVx @ p.V.T
+    grads = {f"layer{idx}.{n}": g for n, g in zip("QKVO", (X.T @ dQx, X.T @ dKx, X.T @ dVx, dO))}
+    dX = dY + dQx @ Q.T + dKx @ K.T + dVx @ V.T
     return grads, dX
 
 
-def attention_stack_forward_cache(X: np.ndarray, layers: list[AttentionParams]):
+def attention_stack_forward_cache(X: np.ndarray, p: Params):
+    """Every layer of p in order, four tensors (Q, K, V, O) each."""
     caches = []
     H = X
-    for p in layers:
-        H, cache = attention_forward_cache(H, p)
+    for idx in range(len(p) // 4):
+        H, cache = attention_forward_cache(H, p, idx)
         caches.append(cache)
     return H, caches
 
 
-def attention_stack_backward(caches: list[dict], layers: list[AttentionParams], dY: np.ndarray):
+def attention_stack_backward(caches: list[dict], p: Params, dY: np.ndarray):
     grads: dict[str, np.ndarray] = {}
-    for idx in range(len(layers) - 1, -1, -1):
-        layer_grads, dY = attention_backward(caches[idx], layers[idx], dY)
-        for k, v in layer_grads.items():
-            grads[f"layer{idx}.{k}"] = v
+    for idx in range(len(caches) - 1, -1, -1):
+        layer_grads, dY = attention_backward(caches[idx], p, dY, idx)
+        grads.update(layer_grads)
     return grads, dY
 
 
@@ -196,12 +182,6 @@ class DocumentGraph:
     m: int
     edges: tuple[tuple[int, int], ...]
     a_hat: np.ndarray  # D^{-1/2} (A + I) D^{-1/2}
-
-
-@dataclass
-class GcnParams:
-    W1: np.ndarray  # (d_in, hidden)
-    W2: np.ndarray  # (hidden, hidden)
 
 
 def build_graph(
@@ -229,26 +209,26 @@ def build_graph(
     return DocumentGraph(m=m, edges=tuple(zip(rows.tolist(), cols.tolist())), a_hat=a_hat)
 
 
-def gcn_forward_cache(X: np.ndarray, g: DocumentGraph, p: GcnParams):
-    """H2 = relu(A_hat relu(A_hat X W1) W2)."""
+def gcn_forward_cache(X: np.ndarray, g: DocumentGraph, p: Params):
+    """H2 = relu(A_hat relu(A_hat X W1) W2); W1 is (d_in, hidden), W2 (hidden, hidden)."""
     P1 = g.a_hat @ X
-    Z1 = P1 @ p.W1
+    Z1 = P1 @ p["W1"]
     H1 = np.maximum(Z1, 0.0)
     P2 = g.a_hat @ H1
-    Z2 = P2 @ p.W2
+    Z2 = P2 @ p["W2"]
     H2 = np.maximum(Z2, 0.0)
     _check_finite("gcn_encode", H2)
     return H2, {"P1": P1, "Z1": Z1, "P2": P2, "Z2": Z2, "a_hat": g.a_hat}
 
 
-def gcn_backward(cache: dict, p: GcnParams, dH2: np.ndarray):
+def gcn_backward(cache: dict, p: Params, dH2: np.ndarray):
     a_hat = cache["a_hat"]
     dZ2 = dH2 * (cache["Z2"] > 0)
     dW2 = cache["P2"].T @ dZ2
-    dH1 = a_hat @ (dZ2 @ p.W2.T)
+    dH1 = a_hat @ (dZ2 @ p["W2"].T)
     dZ1 = dH1 * (cache["Z1"] > 0)
     dW1 = cache["P1"].T @ dZ1
-    dX = a_hat @ (dZ1 @ p.W1.T)
+    dX = a_hat @ (dZ1 @ p["W1"].T)
     return {"W1": dW1, "W2": dW2}, dX
 
 
@@ -272,20 +252,19 @@ class BilstmRows:
     row; the backward state after rows > j comes from one pass over reversed
     X0."""
 
-    def __init__(self, X0: np.ndarray, p: BilstmParams):
-        self.p = p
+    def __init__(self, X0: np.ndarray, p: Params):
+        self.Wx_f, self.Wx_b = p["fwd.Wx"], p["bwd.Wx"]
         Wh, b = _stacked_recurrent(p)
         self.Wh, self.b = Wh[:, 0], b[:, 0]  # (2, 4h, h), (2, 4h): one state per direction
-        _, self.Cb, self.Hb = kernels.lstm_recurrence(X0[::-1] @ p.bwd.Wx.T, p.bwd.Wh, p.bwd.b)
-        h = p.fwd.hidden_dim
+        _, self.Cb, self.Hb = kernels.lstm_recurrence(X0[::-1] @ self.Wx_b.T, p["bwd.Wh"], p["bwd.b"])
+        h = self.Wh.shape[2]
         self.xw = np.empty((2, 4 * h))
         self.h_prev = np.zeros((2, h))  # rows: forward state, backward state
         self.c_prev = np.zeros((2, h))
 
     def row(self, j: int, x: np.ndarray) -> np.ndarray:
-        p = self.p
-        np.matmul(p.fwd.Wx, x, out=self.xw[0])
-        np.matmul(p.bwd.Wx, x, out=self.xw[1])
+        np.matmul(self.Wx_f, x, out=self.xw[0])
+        np.matmul(self.Wx_b, x, out=self.xw[1])
         after = self.Hb.shape[0] - 2 - j  # reversed index of row j + 1
         if after >= 0:
             self.h_prev[1], self.c_prev[1] = self.Hb[after], self.Cb[after]
@@ -299,23 +278,20 @@ class BilstmRows:
 
 
 class AttentionRows:
-    """Single attention layer: keys and values start as X0 K and X0 V, and
-    row j's are overwritten when row j arrives."""
+    """Attention layer 0: keys and values start as X0 K and X0 V, and row
+    j's are overwritten when row j arrives."""
 
-    def __init__(self, X0: np.ndarray, p: AttentionParams):
-        if X0.shape[1] != p.d_model:
-            raise DataError(f"input width {X0.shape[1]} != attention d_model {p.d_model}")
-        self.p = p
-        self.scale = 1.0 / math.sqrt(p.d_model)
-        self.Kx = X0 @ p.K
-        self.Vx = X0 @ p.V
+    def __init__(self, X0: np.ndarray, p: Params):
+        self.Q, self.K, self.V, self.O = _layer(p, 0)
+        self.scale = _attention_scale(X0, self.Q)
+        self.Kx = X0 @ self.K
+        self.Vx = X0 @ self.V
 
     def row(self, j: int, x: np.ndarray) -> np.ndarray:
-        p = self.p
-        self.Kx[j] = x @ p.K
-        self.Vx[j] = x @ p.V
-        a = _softmax_rows(((x @ p.Q) @ self.Kx.T)[None, :] * self.scale)[0]
-        out = (a @ self.Vx) @ p.O + x
+        self.Kx[j] = x @ self.K
+        self.Vx[j] = x @ self.V
+        a = _softmax_rows(((x @ self.Q) @ self.Kx.T)[None, :] * self.scale)[0]
+        out = (a @ self.Vx) @ self.O + x
         _check_finite("self_attention_encode", out)
         return out
 
@@ -324,17 +300,17 @@ class GcnRows:
     """Two GCN layers over a graph without similarity edges, whose a_hat is
     tridiagonal: output row j reads only input rows j-2..j+2."""
 
-    def __init__(self, X0: np.ndarray, g: DocumentGraph, p: GcnParams):
+    def __init__(self, X0: np.ndarray, g: DocumentGraph, p: Params):
         self.X = X0.copy()
         self.a_hat = g.a_hat
-        self.p = p
+        self.W1, self.W2 = p["W1"], p["W2"]
 
     def row(self, j: int, x: np.ndarray) -> np.ndarray:
         self.X[j] = x
         m = self.X.shape[0]
         lo, hi = max(0, j - 2), min(m, j + 3)
         mid = slice(max(0, j - 1), min(m, j + 2))
-        H1 = np.maximum((self.a_hat[mid, lo:hi] @ self.X[lo:hi]) @ self.p.W1, 0.0)
-        out = np.maximum((self.a_hat[j, mid] @ H1) @ self.p.W2, 0.0)
+        H1 = np.maximum((self.a_hat[mid, lo:hi] @ self.X[lo:hi]) @ self.W1, 0.0)
+        out = np.maximum((self.a_hat[j, mid] @ H1) @ self.W2, 0.0)
         _check_finite("gcn_encode", out)
         return out

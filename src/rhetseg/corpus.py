@@ -141,6 +141,11 @@ def _sentence_from_obj(obj, doc_id: str, index: int, line_no: int) -> Sentence:
         raise DataError(f"line {line_no}: {exc}") from None
 
 
+# A \uD800-\uDFFF escape. JSON decodes one left unpaired to a lone
+# surrogate, a str that no UTF-8 output can hold.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def load_jsonl(path) -> Corpus:
     """Load a corpus from one-JSON-object-per-line, preserving order.
 
@@ -157,6 +162,11 @@ def load_jsonl(path) -> Corpus:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"line {line_no}: malformed JSON ({exc.msg})") from None
+            if _SURROGATE_ESCAPE.search(line):
+                try:
+                    json.dumps(record, ensure_ascii=False).encode("utf-8")
+                except UnicodeEncodeError:
+                    raise DataError(f"line {line_no}: unpaired surrogate escape, not Unicode text") from None
             if not isinstance(record, dict) or "doc_id" not in record:
                 raise DataError(f"line {line_no}: record is not an object with 'doc_id'")
             doc_id = record["doc_id"]

@@ -6,11 +6,15 @@ Path score for labels y on emissions E:
 
 All dynamic programs run in log space with max-shifted logsumexp through the
 kernels module. The label axis is fixed at 7.
+
+`p` is the "crf" block of the parameter layout: the emission projection W_e
+(context_dim, 7) and b_e (7,), the transitions T (7, 7) with T[a, b] scoring
+a -> b, and start (7,) and end (7,).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -18,44 +22,15 @@ from . import kernels
 from .errors import DataError, NumericError
 from .roles import NUM_ROLES
 
-
-@dataclass
-class CrfParams:
-    W_e: np.ndarray  # (context_dim, 7) emission projection
-    b_e: np.ndarray  # (7,)
-    T: np.ndarray  # (7, 7), T[a, b] scores a -> b
-    start: np.ndarray  # (7,)
-    end: np.ndarray  # (7,)
-
-    def __post_init__(self) -> None:
-        if self.T.shape != (NUM_ROLES, NUM_ROLES):
-            raise DataError(f"transition matrix must be 7x7, got {self.T.shape}")
-        for name, vec in (("start", self.start), ("end", self.end), ("b_e", self.b_e)):
-            if vec.shape != (NUM_ROLES,):
-                raise DataError(f"{name} must have length 7, got {vec.shape}")
-        if self.W_e.shape[1] != NUM_ROLES:
-            raise DataError(f"emission projection must have 7 columns, got {self.W_e.shape}")
-
-    @property
-    def context_dim(self) -> int:
-        return self.W_e.shape[0]
+Params = Mapping[str, np.ndarray]
 
 
-@dataclass
-class CrfGrad:
-    """Gradients of the structured blocks; emission-projection gradients are
-    assembled by the caller from grad_E and the context features."""
-
-    transitions: np.ndarray
-    start: np.ndarray
-    end: np.ndarray
-
-
-def emissions(H: np.ndarray, p: CrfParams) -> np.ndarray:
+def emissions(H: np.ndarray, p: Params) -> np.ndarray:
     """Project context features to per-label scores: E = H W_e + b_e."""
-    if H.shape[1] != p.context_dim:
-        raise DataError(f"context width {H.shape[1]} != emission projection rows {p.context_dim}")
-    return H @ p.W_e + p.b_e
+    W_e = p["W_e"]
+    if H.shape[1] != W_e.shape[0]:
+        raise DataError(f"context width {H.shape[1]} != emission projection rows {W_e.shape[0]}")
+    return H @ W_e + p["b_e"]
 
 
 def _validate_labels(E: np.ndarray, y) -> np.ndarray:
@@ -67,35 +42,35 @@ def _validate_labels(E: np.ndarray, y) -> np.ndarray:
     return y
 
 
-def sequence_score(E: np.ndarray, y, p: CrfParams) -> float:
+def sequence_score(E: np.ndarray, y, p: Params) -> float:
     y = _validate_labels(E, y)
     m = E.shape[0]
-    score = p.start[y[0]] + p.end[y[m - 1]] + E[np.arange(m), y].sum()
+    score = p["start"][y[0]] + p["end"][y[m - 1]] + E[np.arange(m), y].sum()
     if m > 1:
-        score += p.T[y[:-1], y[1:]].sum()
+        score += p["T"][y[:-1], y[1:]].sum()
     return float(score)
 
 
-def log_partition(E: np.ndarray, p: CrfParams, forward=None) -> float:
+def log_partition(E: np.ndarray, p: Params, forward=None) -> float:
     """log Z. `forward` is crf_forward's (log_z, alpha) for E when the caller
     already has it; marginals takes it too."""
-    log_z, _ = forward if forward is not None else kernels.crf_forward(E, p.T, p.start, p.end)
+    log_z, _ = forward if forward is not None else kernels.crf_forward(E, p["T"], p["start"], p["end"])
     if not np.isfinite(log_z):
         raise NumericError("non-finite log partition")
     return float(log_z)
 
 
-def marginals(E: np.ndarray, p: CrfParams, forward=None) -> tuple[np.ndarray, np.ndarray]:
+def marginals(E: np.ndarray, p: Params, forward=None) -> tuple[np.ndarray, np.ndarray]:
     """Exact posterior node (m, 7) and edge (m-1, 7, 7) marginals."""
     m = E.shape[0]
-    log_z, alpha = forward if forward is not None else kernels.crf_forward(E, p.T, p.start, p.end)
-    beta = kernels.crf_backward(E, p.T, p.end)
+    log_z, alpha = forward if forward is not None else kernels.crf_forward(E, p["T"], p["start"], p["end"])
+    beta = kernels.crf_backward(E, p["T"], p["end"])
     node = np.exp(alpha + beta - log_z)
     if m > 1:
         # edge[t, a, b] = P(y_t = a, y_{t+1} = b)
         edge = np.exp(
             alpha[:-1, :, None]
-            + p.T[None, :, :]
+            + p["T"][None, :, :]
             + (E[1:, None, :] + beta[1:, None, :])
             - log_z
         )
@@ -106,16 +81,17 @@ def marginals(E: np.ndarray, p: CrfParams, forward=None) -> tuple[np.ndarray, np
     return node, edge
 
 
-def nll_and_grad(E: np.ndarray, y, p: CrfParams) -> tuple[float, np.ndarray, CrfGrad]:
+def nll_and_grad(E: np.ndarray, y, p: Params) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
     """Negative log-likelihood of y plus exact gradients, from one forward
     and one backward pass.
 
-    grad_E = node_marginals - onehot(y); transition/start/end gradients are
-    expected counts minus empirical counts.
+    grad_E = node_marginals - onehot(y); the gradients keyed "T", "start" and
+    "end" are expected counts minus empirical counts. The caller forms the
+    emission-projection gradients from grad_E and the context features.
     """
     y = _validate_labels(E, y)
     m = E.shape[0]
-    forward = kernels.crf_forward(E, p.T, p.start, p.end)
+    forward = kernels.crf_forward(E, p["T"], p["start"], p["end"])
     loss = log_partition(E, p, forward) - sequence_score(E, y, p)
     node, edge = marginals(E, p, forward)
     grad_E = node.copy()
@@ -128,10 +104,10 @@ def nll_and_grad(E: np.ndarray, y, p: CrfParams) -> tuple[float, np.ndarray, Crf
     d_end[y[-1]] -= 1.0
     if not np.isfinite(loss):
         raise NumericError("non-finite CRF loss")
-    return float(loss), grad_E, CrfGrad(transitions=dT, start=d_start, end=d_end)
+    return float(loss), grad_E, {"T": dT, "start": d_start, "end": d_end}
 
 
-def viterbi_decode(E: np.ndarray, p: CrfParams) -> tuple[list[int], float]:
+def viterbi_decode(E: np.ndarray, p: Params) -> tuple[list[int], float]:
     """Highest-scoring label sequence; ties break toward the lowest label id.
 
     Reference entry point for one document: prediction decodes through
@@ -139,19 +115,19 @@ def viterbi_decode(E: np.ndarray, p: CrfParams) -> tuple[list[int], float]:
     recomputed with sequence_score on the decoded path so it matches that
     function exactly.
     """
-    path = kernels.crf_viterbi(E, p.T, p.start, p.end)
+    path = kernels.crf_viterbi(E, p["T"], p["start"], p["end"])
     labels = [int(v) for v in path]
     return labels, sequence_score(E, labels, p)
 
 
-def viterbi_decode_batch(Es: list[np.ndarray], p: CrfParams) -> list[list[int]]:
+def viterbi_decode_batch(Es: list[np.ndarray], p: Params) -> list[list[int]]:
     """viterbi_decode's label sequences for several documents, from one
     Viterbi pass over their zero-padded emissions."""
     batch = np.zeros((max(E.shape[0] for E in Es), len(Es), NUM_ROLES))
     for j, E in enumerate(Es):
         batch[: E.shape[0], j] = E
-    delta, back = kernels.crf_viterbi_tables(batch, p.T, p.start)
+    delta, back = kernels.crf_viterbi_tables(batch, p["T"], p["start"])
     return [
-        [int(v) for v in kernels.viterbi_backtrack(delta[E.shape[0] - 1, j] + p.end, back[: E.shape[0], j])]
+        [int(v) for v in kernels.viterbi_backtrack(delta[E.shape[0] - 1, j] + p["end"], back[: E.shape[0], j])]
         for j, E in enumerate(Es)
     ]

@@ -121,18 +121,6 @@ class TrainConfig:
 
 
 @dataclass
-class SoftmaxParams:
-    W: np.ndarray  # (context_dim, 7)
-    b: np.ndarray  # (7,)
-
-
-@dataclass
-class ShiftParams:
-    w: np.ndarray  # (context_dim,)
-    b: np.ndarray  # (1,)
-
-
-@dataclass
 class TrainReport:
     train_losses: tuple[float, ...]
     val_macro_f1: tuple[float, ...]
@@ -220,11 +208,17 @@ def init_parameters(layout: dict[str, ParamSpec], rng: np.random.Generator) -> n
     return flat
 
 
+# Context kind -> its block of the layout: the first segment of its tensors' names.
+_CONTEXT_BLOCK = {"bilstm": "bilstm", "attention": "attn", "gcn": "gcn"}
+
+
 @dataclass
 class ModelBundle:
     """A model. Every trainable tensor is a view into `flat`, one contiguous
-    float64 vector laid out by `layout`; context_params, head_params and
-    shift_params hold those views."""
+    float64 vector laid out by `layout`. `params` holds those views by block,
+    the first segment of the layout name, then by the rest of the name:
+    params["crf"]["T"] is "crf.T" and params["attn"]["layer0.Q"] is
+    "attn.layer0.Q". A model has a "shift" block only with the shift head."""
 
     encoder_spec: dict
     window: tuple[int, ...]
@@ -239,26 +233,13 @@ class ModelBundle:
     layout: dict[str, ParamSpec]
     flat: np.ndarray
     config_echo: dict = field(default_factory=dict)
-    context_params: object = field(init=False)  # BilstmParams | list[AttentionParams] | GcnParams | None
-    head_params: object = field(init=False)  # CrfParams | SoftmaxParams
-    shift_params: ShiftParams | None = field(init=False)
+    params: dict[str, dict[str, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        v = self.parameter_blocks()
-
-        def bind(cls, prefix: str):
-            return cls(**{f.name: v[f"{prefix}.{f.name}"] for f in dataclasses.fields(cls)})
-
-        if self.context_kind == "bilstm":
-            self.context_params = ctx.BilstmParams(*(bind(ctx.LstmParams, f"bilstm.{d}") for d in ("fwd", "bwd")))
-        elif self.context_kind == "attention":
-            layers = sum(name.endswith(".Q") for name in v)
-            self.context_params = [bind(ctx.AttentionParams, f"attn.layer{i}") for i in range(layers)]
-        else:
-            self.context_params = bind(ctx.GcnParams, "gcn") if self.context_kind == "gcn" else None
-        crf = self.head_kind == "crf"
-        self.head_params = bind(crf_mod.CrfParams, "crf") if crf else bind(SoftmaxParams, "softmax")
-        self.shift_params = bind(ShiftParams, "shift") if "shift.w" in v else None
+        self.params = {}
+        for name, view in self.parameter_blocks().items():
+            block, _, rest = name.partition(".")
+            self.params.setdefault(block, {})[rest] = view
 
     def parameter_blocks(self) -> dict[str, np.ndarray]:
         """Live views of every trainable tensor, in layout order."""
@@ -276,26 +257,22 @@ def _hash_config(spec: dict) -> HashEncoderConfig:
     )
 
 
-def shift_loss(features: np.ndarray, shifts, head: ShiftParams) -> tuple[float, dict]:
-    """Mean binary cross-entropy of sigmoid(features w + b) against the bits.
+def shift_loss(features: np.ndarray, shifts, p: ctx.Params):
+    """Mean binary cross-entropy of sigmoid(features w + b) against the bits,
+    with w (context_dim,) and b (1,) read from the "shift" block p.
 
-    Returns (loss, grads) with grads holding "w", "b", and "features". Uses
+    Returns (loss, grads keyed "w" and "b", gradient of the features). Uses
     log(1 + e^z) - y z per position, which is stable for any z.
     """
     bits = np.asarray(getattr(shifts, "bits", shifts), dtype=np.float64)
     m = features.shape[0]
     if bits.shape != (m,):
         raise DataError(f"shift bits length {bits.shape} does not match {m} rows")
-    z = features @ head.w + head.b[0]
+    w = p["w"]
+    z = features @ w + p["b"][0]
     loss = float(np.mean(np.logaddexp(0.0, z) - bits * z))
-    p = 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
-    dz = (p - bits) / m
-    grads = {
-        "w": features.T @ dz,
-        "b": np.array([dz.sum()]),
-        "features": np.outer(dz, head.w),
-    }
-    return loss, grads
+    dz = (1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0))) - bits) / m
+    return loss, {"w": features.T @ dz, "b": np.array([dz.sum()])}, np.outer(dz, w)
 
 
 def inverse_frequency_weights(corpus: Corpus) -> dict[RhetoricalRole, float]:
@@ -353,36 +330,36 @@ def build_model(cfg: TrainConfig, encoder_spec: dict, rng: np.random.Generator) 
 
 
 def _context_forward(bundle: ModelBundle, X: np.ndarray):
-    if bundle.context_kind == "none":
+    kind = bundle.context_kind
+    if kind == "none":
         return X, None
-    if bundle.context_kind == "bilstm":
-        return ctx.bilstm_forward_cache(X, bundle.context_params)
-    if bundle.context_kind == "attention":
-        return ctx.attention_stack_forward_cache(X, bundle.context_params)
+    p = bundle.params[_CONTEXT_BLOCK[kind]]
+    if kind == "bilstm":
+        return ctx.bilstm_forward_cache(X, p)
+    if kind == "attention":
+        return ctx.attention_stack_forward_cache(X, p)
     graph = ctx.build_graph(
         X.shape[0],
         X if bundle.gcn_sim_threshold is not None else None,
         bundle.gcn_sim_threshold,
     )
-    return ctx.gcn_forward_cache(X, graph, bundle.context_params)
+    return ctx.gcn_forward_cache(X, graph, p)
 
 
 def _context_backward(bundle: ModelBundle, cache, dH: np.ndarray):
-    if bundle.context_kind == "none":
+    kind = bundle.context_kind
+    if kind == "none":
         return {}, dH
-    if bundle.context_kind == "bilstm":
-        grads, dX = ctx.bilstm_backward(cache, bundle.context_params, dH)
-        return {f"bilstm.{k}": v for k, v in grads.items()}, dX
-    if bundle.context_kind == "attention":
-        grads, dX = ctx.attention_stack_backward(cache, bundle.context_params, dH)
-        return {f"attn.{k}": v for k, v in grads.items()}, dX
-    grads, dX = ctx.gcn_backward(cache, bundle.context_params, dH)
-    return {f"gcn.{k}": v for k, v in grads.items()}, dX
+    backward = {"bilstm": ctx.bilstm_backward, "attention": ctx.attention_stack_backward, "gcn": ctx.gcn_backward}
+    block = _CONTEXT_BLOCK[kind]
+    grads, dX = backward[kind](cache, bundle.params[block], dH)
+    return {f"{block}.{k}": g for k, g in grads.items()}, dX
 
 
-def _softmax_loss_and_grads(H: np.ndarray, y: np.ndarray, p: SoftmaxParams, cw: np.ndarray):
+def _softmax_loss_and_grads(H: np.ndarray, y: np.ndarray, p: ctx.Params, cw: np.ndarray):
     m = H.shape[0]
-    E = H @ p.W + p.b
+    W = p["W"]
+    E = H @ W + p["b"]
     shifted = E - E.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))
     log_probs = shifted - log_norm[:, None]
@@ -391,24 +368,17 @@ def _softmax_loss_and_grads(H: np.ndarray, y: np.ndarray, p: SoftmaxParams, cw: 
     dE = np.exp(log_probs)
     dE[np.arange(m), y] -= 1.0
     dE *= (weights / m)[:, None]
-    grads = {"softmax.W": H.T @ dE, "softmax.b": dE.sum(axis=0)}
-    return loss, grads, dE @ p.W.T
+    return loss, {"W": H.T @ dE, "b": dE.sum(axis=0)}, dE @ W.T
 
 
 def _rr_loss_and_grads(bundle: ModelBundle, H: np.ndarray, y: np.ndarray, cw: np.ndarray):
+    """Head loss, its gradients keyed as in the head's block, and dH."""
+    p = bundle.params[bundle.head_kind]
     if bundle.head_kind == "crf":
-        p = bundle.head_params
         E = crf_mod.emissions(H, p)
-        loss, dE, g = crf_mod.nll_and_grad(E, y, p)
-        grads = {
-            "crf.W_e": H.T @ dE,
-            "crf.b_e": dE.sum(axis=0),
-            "crf.T": g.transitions,
-            "crf.start": g.start,
-            "crf.end": g.end,
-        }
-        return loss, grads, dE @ p.W_e.T
-    return _softmax_loss_and_grads(H, y, bundle.head_params, cw)
+        loss, dE, grads = crf_mod.nll_and_grad(E, y, p)
+        return loss, {"W_e": H.T @ dE, "b_e": dE.sum(axis=0), **grads}, dE @ p["W_e"].T
+    return _softmax_loss_and_grads(H, y, p, cw)
 
 
 def document_loss_and_grads(
@@ -425,20 +395,18 @@ def document_loss_and_grads(
     lambda; lambda = 0 zeroes the contribution through exact float identities.
     """
     H, cache = _context_forward(bundle, X)
-    rr_loss, grads, dH_rr = _rr_loss_and_grads(bundle, H, y, cw)
+    rr_loss, rr_grads, dH_rr = _rr_loss_and_grads(bundle, H, y, cw)
     rr_scale = 1.0 - lam
-    for k in grads:
-        grads[k] = rr_scale * grads[k]
+    grads = {f"{bundle.head_kind}.{k}": rr_scale * g for k, g in rr_grads.items()}
     dH = rr_scale * dH_rr
     total = rr_scale * rr_loss
-    if bundle.shift_params is not None:
+    if "shift" in bundle.params:
         if shift_bits is None:
             raise DataError("shift bits required when the shift head is enabled")
-        s_loss, s_grads = shift_loss(H, shift_bits, bundle.shift_params)
+        s_loss, s_grads, dH_shift = shift_loss(H, shift_bits, bundle.params["shift"])
         total = total + lam * s_loss
-        grads["shift.w"] = lam * s_grads["w"]
-        grads["shift.b"] = lam * s_grads["b"]
-        dH = dH + lam * s_grads["features"]
+        grads.update({f"shift.{k}": lam * g for k, g in s_grads.items()})
+        dH = dH + lam * dH_shift
     ctx_grads, _ = _context_backward(bundle, cache, dH)
     grads.update(ctx_grads)
     return total, grads
@@ -532,7 +500,7 @@ def _gold_features(bundle: ModelBundle, base: np.ndarray, gold) -> np.ndarray:
 def _targets(bundle: ModelBundle, gold) -> tuple[np.ndarray, np.ndarray | None]:
     """Label ids, and the shift bits when the model has a shift head."""
     y = np.array([int(r) for r in gold], dtype=np.int64)
-    bits = np.array(label_shift_sequence(gold).bits, dtype=np.float64) if bundle.shift_params is not None else None
+    bits = np.array(label_shift_sequence(gold).bits, dtype=np.float64) if "shift" in bundle.params else None
     return y, bits
 
 
@@ -548,30 +516,29 @@ def _predict_chunk(bundle: ModelBundle, bases: list, mode: str, golds=None) -> l
             raise DataError(f"unknown prediction mode {mode!r}")
     golds = golds or [None] * len(bases)
     Hs = _context_rows(bundle, [_gold_features(bundle, base, gold) for base, gold in zip(bases, golds)])
-    p = bundle.head_params
+    p = bundle.params[bundle.head_kind]
     if bundle.head_kind == "crf":
         return crf_mod.viterbi_decode_batch([crf_mod.emissions(H, p) for H in Hs], p)
-    return [[int(v) for v in (H @ p.W + p.b).argmax(axis=1)] for H in Hs]
+    return [[int(v) for v in (H @ p["W"] + p["b"]).argmax(axis=1)] for H in Hs]
 
 
 def _context_rows(bundle: ModelBundle, Xs: list) -> list[np.ndarray]:
     """Context output of each document: the BiLSTM runs once over the padded
     batch, the other encoders per document."""
     if bundle.context_kind == "bilstm":
-        return ctx.bilstm_forward_batch(Xs, bundle.context_params)[0]
+        return ctx.bilstm_forward_batch(Xs, bundle.params["bilstm"])[0]
     return [_context_forward(bundle, X)[0] for X in Xs]
 
 
-def _step_score(bundle: ModelBundle, h: np.ndarray, j: int, m: int, preds: list[int]) -> np.ndarray:
-    """Greedy score of position j from its context row h, given the labels
-    already committed before it."""
-    p = bundle.head_params
-    if bundle.head_kind == "softmax":
-        return h @ p.W + p.b
+def _step_score(head_kind: str, p: ctx.Params, h: np.ndarray, j: int, m: int, preds: list[int]) -> np.ndarray:
+    """Greedy score of position j from its context row h under the head
+    block p, given the labels already committed before it."""
+    if head_kind == "softmax":
+        return h @ p["W"] + p["b"]
     score = crf_mod.emissions(h[None, :], p)[0]
-    score += p.start if j == 0 else p.T[preds[j - 1]]
+    score += p["start"] if j == 0 else p["T"][preds[j - 1]]
     if j == m - 1:
-        score += p.end
+        score += p["end"]
     return score
 
 
@@ -582,12 +549,13 @@ def _row_encoder(bundle: ModelBundle, X0: np.ndarray):
     kind = bundle.context_kind
     if kind == "none":
         return lambda j, x: x
+    p = bundle.params[_CONTEXT_BLOCK[kind]]
     if kind == "bilstm":
-        return ctx.BilstmRows(X0, bundle.context_params).row
-    if kind == "attention" and len(bundle.context_params) == 1:
-        return ctx.AttentionRows(X0, bundle.context_params[0]).row
+        return ctx.BilstmRows(X0, p).row
+    if kind == "attention" and "layer1.Q" not in p:
+        return ctx.AttentionRows(X0, p).row
     if kind == "gcn" and bundle.gcn_sim_threshold is None:
-        return ctx.GcnRows(X0, ctx.build_graph(X0.shape[0]), bundle.context_params).row
+        return ctx.GcnRows(X0, ctx.build_graph(X0.shape[0]), p).row
     X = X0.copy()
 
     def full_forward_row(j: int, x: np.ndarray) -> np.ndarray:
@@ -607,13 +575,14 @@ def _free_running(bundle: ModelBundle, base: np.ndarray) -> tuple[list[int], np.
     m = base.shape[0]
     X = _featurize_doc(bundle, base, [None] * m)
     row = _row_encoder(bundle, X)
+    head = bundle.params[bundle.head_kind]
     label_col = X.shape[1] - NUM_ROLES
     preds: list[int] = []
     scores = np.empty((m, NUM_ROLES))
     for j in range(m):
         if j > 0:
             X[j, label_col + preds[-1]] = 1.0
-        scores[j] = _step_score(bundle, row(j, X[j]), j, m, preds)
+        scores[j] = _step_score(bundle.head_kind, head, row(j, X[j]), j, m, preds)
         preds.append(int(np.argmax(scores[j])))
     return preds, scores
 
@@ -677,12 +646,13 @@ def _shift_validation_accuracy(bundle: ModelBundle, val: Corpus, base_map: dict)
     sentences, a chunk of documents at a time. Features are teacher-forced
     when label features are on."""
     correct = total = ones = 0
+    shift = bundle.params["shift"]
     for _, chunk in _chunks(val.documents):
         golds = [doc.gold_labels() for doc in chunk]
         Xs = [_gold_features(bundle, base_map[doc.doc_id], gold) for doc, gold in zip(chunk, golds)]
         for H, gold in zip(_context_rows(bundle, Xs), golds):
             _, bits = _targets(bundle, gold)
-            z = H @ bundle.shift_params.w + bundle.shift_params.b[0]
+            z = H @ shift["w"] + shift["b"][0]
             pred_bits = (z > 0).astype(np.float64)
             correct += int((pred_bits == bits).sum())
             total += len(bits)
@@ -759,7 +729,7 @@ def train_model(
         bundle.flat[:] = best_state
     shift_acc = None
     shift_majority = None
-    if bundle.shift_params is not None:
+    if "shift" in bundle.params:
         shift_acc, shift_majority = _shift_validation_accuracy(bundle, val, base_val)
     report = TrainReport(
         train_losses=tuple(train_losses),
@@ -799,7 +769,7 @@ def gradcheck(
         encoder = bundle.make_encoder()
     X = _gold_features(bundle, encoder.encode_document(doc), doc.gold_labels())
     y, bits = _targets(bundle, doc.gold_labels())
-    lam = 0.5 if bundle.shift_params is not None else 0.0
+    lam = 0.5 if "shift" in bundle.params else 0.0
     cw = np.ones(NUM_ROLES)
 
     def loss_fn() -> float:
@@ -955,9 +925,9 @@ def load_checkpoint(path) -> ModelBundle:
     unexpected = sorted(set(tensors) - set(layout))
     if unexpected:
         raise DataError(f"checkpoint has unexpected tensor {unexpected[0]!r}")
-    flat = np.empty(layout_size(layout))
-    for name, view in _views(flat, layout).items():
-        view[...] = _tensor(tensors, name, view.shape)
+    # every tensor is checked before the vector is allocated, so that it
+    # never holds more than the file does
+    flat = np.concatenate([_tensor(tensors, name, spec.shape).reshape(-1) for name, spec in layout.items()])
     return ModelBundle(
         encoder_spec=encoder,
         window=window,

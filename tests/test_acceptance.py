@@ -80,7 +80,7 @@ def test_criterion_1_crf_exactness():
     for trial in range(120):
         m = trial % 3 + 1
         E = rng.uniform(-1.0, 1.0, size=(m, K))
-        p = crf.CrfParams(
+        p = dict(
             W_e=np.zeros((1, K)), b_e=np.zeros(K),
             T=rng.uniform(-1.0, 1.0, size=(K, K)),
             start=rng.uniform(-1.0, 1.0, size=K),

@@ -58,9 +58,9 @@ def context_rows(bundle, X):
     recurrence per direction, independent of the padded batch path."""
     if bundle.context_kind != "bilstm":
         return train_mod._context_forward(bundle, X)[0]
-    p = bundle.context_params
-    Hf = kernels.lstm_recurrence(X @ p.fwd.Wx.T, p.fwd.Wh, p.fwd.b)[2]
-    Hb = kernels.lstm_recurrence(X[::-1] @ p.bwd.Wx.T, p.bwd.Wh, p.bwd.b)[2]
+    p = bundle.params["bilstm"]
+    Hf = kernels.lstm_recurrence(X @ p["fwd.Wx"].T, p["fwd.Wh"], p["fwd.b"])[2]
+    Hb = kernels.lstm_recurrence(X[::-1] @ p["bwd.Wx"].T, p["bwd.Wh"], p["bwd.b"])[2]
     return np.hstack([Hf, Hb[::-1]])
 
 
@@ -72,11 +72,11 @@ def per_document(bundle, doc, enc):
         prevs = train_mod._prev_labels(doc.gold_labels(), len(doc))
     X = train_mod._featurize_doc(bundle, enc.encode_document(doc), prevs)
     H = context_rows(bundle, X)
-    p = bundle.head_params
+    p = bundle.params[bundle.head_kind]
     if bundle.head_kind == "crf":
         labels, _ = crf.viterbi_decode(crf.emissions(H, p), p)
     else:
-        labels = [int(v) for v in (H @ p.W + p.b).argmax(axis=1)]
+        labels = [int(v) for v in (H @ p["W"] + p["b"]).argmax(axis=1)]
     return X, H, labels
 
 
@@ -92,7 +92,7 @@ def test_batched_labels_equal_per_document_labels(kind, head, label_mode):
     assert [[int(r) for r in labels] for labels in got] == [labels for _, _, labels in refs]
     assert len({v for _, _, labels in refs for v in labels}) >= 3
     if kind == "bilstm":
-        Hs, _ = context.bilstm_forward_batch([X for X, _, _ in refs], bundle.context_params)
+        Hs, _ = context.bilstm_forward_batch([X for X, _, _ in refs], bundle.params["bilstm"])
         for H, (_, ref_H, _) in zip(Hs, refs):
             assert np.array_equal(H, ref_H)
 
@@ -120,9 +120,9 @@ def test_predict_document_is_a_batch_of_one(mode):
 
 
 def test_batched_viterbi_equals_per_document_viterbi_on_ties():
-    p = crf.CrfParams(W_e=np.zeros((1, 7)), b_e=np.zeros(7), T=np.zeros((7, 7)),
-                      start=np.zeros(7), end=np.zeros(7))
-    p.T[2, 5] = p.T[5, 2] = 1.0
+    p = dict(W_e=np.zeros((1, 7)), b_e=np.zeros(7), T=np.zeros((7, 7)),
+             start=np.zeros(7), end=np.zeros(7))
+    p["T"][2, 5] = p["T"][5, 2] = 1.0
     Es = []
     for m in (1, 2, 13, 40, 13):
         E = np.zeros((m, 7))
@@ -139,7 +139,7 @@ def per_document_chunk(bundle, bases, mode, golds=None):
             out.append(train_mod._free_running(bundle, base)[0])
             continue
         H = context_rows(bundle, train_mod._featurize_doc(bundle, base, None))
-        p = bundle.head_params
+        p = bundle.params["crf"]
         out.append(crf.viterbi_decode(crf.emissions(H, p), p)[0])
     return out
 
@@ -169,7 +169,7 @@ def per_document_shift_accuracy(bundle, val, base_map):
         bits = np.array(label_shift_sequence(gold).bits, dtype=np.float64)
         prevs = train_mod._prev_labels(gold, len(doc)) if bundle.label_mode != "off" else None
         H = context_rows(bundle, train_mod._featurize_doc(bundle, base_map[doc.doc_id], prevs))
-        z = H @ bundle.shift_params.w + bundle.shift_params.b[0]
+        z = H @ bundle.params["shift"]["w"] + bundle.params["shift"]["b"][0]
         correct += int(((z > 0).astype(np.float64) == bits).sum())
         total += len(bits)
         ones += int(bits.sum())

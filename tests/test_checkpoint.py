@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from rhetseg.cli import main
 from rhetseg.corpus import write_jsonl
+from rhetseg.encode import feature_width
 from rhetseg.roles import ROLE_NAMES
 from rhetseg.synth import generate_corpus
 from rhetseg.train import (
@@ -107,8 +108,11 @@ def test_loaded_parameters_are_views_of_one_vector(tmp_path):
     path = tmp_path / "model.json"
     save_checkpoint(model("attention", "softmax"), path)
     bundle = load_checkpoint(path)
-    for tensor in (*bundle.context_params[1].__dict__.values(), bundle.head_params.b, bundle.shift_params.w):
-        assert np.shares_memory(tensor, bundle.flat)
+    assert set(bundle.params) == {"attn", "softmax", "shift"}
+    assert {name for block in bundle.params.values() for name in block} >= {"layer1.Q", "b", "w"}
+    for block in bundle.params.values():
+        for tensor in block.values():
+            assert np.shares_memory(tensor, bundle.flat)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +183,16 @@ def _version_one(kind, head):
     return damage
 
 
+def _widen_encoder(dim):
+    """Set encoder.dim, and feat_dim to match it, leaving every tensor as it is."""
+    def damage(p):
+        f = p["feature"]
+        p["encoder"]["dim"] = dim
+        p["dims"]["feat_dim"] = feature_width(dim, tuple(f["window"]), f["positional"], f["sin_dim"],
+                                              f["label_mode"] != "off")
+    return damage
+
+
 # case -> (checkpoint, command, damage, part of the expected message)
 MALFORMED = {
     "short shift.w": ("bilstm_crf", "gradcheck", _shorten("shift.w", 2),
@@ -195,6 +209,8 @@ MALFORMED = {
                         "'attn.layer1.V' has 4992 bytes, expected 5000 for shape (25, 25)"),
     "list tensor in a version-2 file": ("bilstm_crf", "predict", _as_list("bilstm.bwd.Wh", (12, 3)),
                                         "'bilstm.bwd.Wh' is not a numeric array"),
+    "encoder dim 10**12": ("bilstm_crf", "predict", _widen_encoder(10**12),  # 349 TiB if allocated first
+                           "'bilstm.fwd.Wx' has 2400 bytes, expected 192000000000864 for shape (12, 2000000000009)"),
     "whole version-1 file": ("gcn_crf", "predict", _version_one("gcn", "crf"), "unsupported version 1, expected 2"),
     "unknown tensor": ("bilstm_crf", "predict", _set("tensors", "bogus.x", [1.0]), "unexpected tensor 'bogus.x'"),
     "window not a list": ("bilstm_crf", "predict", _set("feature", "window", 3), "feature.window has an invalid value"),

@@ -1,11 +1,16 @@
 """End-to-end command-line behavior: outputs, exit codes, idempotency."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rhetseg.cli import main
 from rhetseg.corpus import Corpus, Document, Sentence, load_jsonl, write_jsonl
@@ -120,6 +125,36 @@ class TestUsage:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(str(bad if "BAD" in argv else tmp_path)) in err
+
+    @pytest.mark.parametrize("field", ["text", "doc_id"])
+    @pytest.mark.parametrize("argv", [
+        "predict --model MODEL --input BAD --output OUT",
+        "split --input BAD --output-dir OUT",
+        "train --input BAD --val CORPUS --output OUT",
+        "export-instructions --input BAD --output OUT",
+    ])
+    def test_lone_surrogate_exits_two(self, capsys, tmp_path, argv, field):
+        """A \\ud800 escape decodes to a str no UTF-8 output can hold: the
+        loader refuses the line it is on."""
+        corpus = make_corpus(tmp_path, n="4", lo="3", hi="4")
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[2])
+        if field == "text":
+            record["sentences"][1]["text"] += " \ud800"
+        else:
+            record["doc_id"] += "\udfff"
+        lines[2] = json.dumps(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="ascii")
+        model = tmp_path / "model.json"
+        if "MODEL" in argv:
+            assert main(["train", "--input", str(corpus), "--val", str(corpus), "--output", str(model),
+                         "--epochs", "1", "--lstm-hidden", "4", "--hash-dim", "16"]) == 0
+        paths = {"BAD": bad, "CORPUS": corpus, "OUT": tmp_path / "out", "MODEL": model}
+        code, out, err = run(capsys, *(str(paths.get(word, word)) for word in argv.split()))
+        assert (code, out) == (2, "")
+        assert err == "error: line 3: unpaired surrogate escape, not Unicode text\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed", ["-1", "99999999999999999999", str(2**63), "0", str(2**63 - 1)])
     @pytest.mark.parametrize("command", ["synth", "split", "train", "train --config"])
@@ -600,3 +635,117 @@ class TestEmbeddingWorkflow:
                            "--embeddings", str(emb))
         assert code == 0
         assert "gradcheck,PASS" in out
+
+
+# ---------------------------------------------------------------------------
+# Mutated corpus JSONL through every command that reads a corpus
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def reader_workspace(tmp_path_factory):
+    """A small labeled corpus and a model trained on it."""
+    root = tmp_path_factory.mktemp("corpus_readers")
+    corpus = root / "corpus.jsonl"
+    assert main(["synth", "--output", str(corpus), "--n-docs", "4", "--min-sentences", "2",
+                 "--max-sentences", "3", "--seed", "5"]) == 0
+    assert main(["train", "--input", str(corpus), "--val", str(corpus), "--output", str(root / "model.json"),
+                 "--epochs", "1", "--lstm-hidden", "2", "--hash-dim", "8"]) == 0
+    return root
+
+
+# Values that a corpus field may hold in a damaged file: wrong types,
+# non-finite and out-of-range labels, blank text, lone surrogates, and values
+# that some fields accept.
+FIELD_VALUES = st.one_of(
+    st.sampled_from([None, True, 0, -1, 7, 3.0, float("nan"), float("inf"), -float("inf"), "", "  ", "Bogus",
+                     "\ud800", "x\udfffy", [], {}, ["Facts"], {"text": "x"}]),
+    st.sampled_from(["Facts", "Decision", 6, "The appeal fails.", "\U0001f600 \u00e9t\u00e9"]),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+)
+RAW_LINES = st.one_of(
+    st.sampled_from(["", "{", "null", "[]", '"x"', "NaN", '{"doc_id": "d"', '"\\ud800"',
+                     '{"doc_id": "\\udbff", "sentences": [{"text": "a", "label": "Facts"}]}']),
+    st.text(max_size=8),
+)
+KEYS = ["doc_id", "sentences", "text", "label"]
+# (record, sentence, change); each record of the reader_workspace corpus has two
+# sentences or more.
+MUTATIONS = st.tuples(
+    st.integers(0, 3),
+    st.integers(0, 1),
+    st.one_of(
+        st.tuples(st.just("set"), st.sampled_from(KEYS), FIELD_VALUES),
+        st.tuples(st.just("delete"), st.sampled_from(KEYS)),
+        st.tuples(st.just("line"), RAW_LINES),
+        st.tuples(st.just("duplicate")),
+    ),
+)
+
+
+def mutate(lines, k, j, change):
+    """Set or delete one key of record k or of its sentence j, replace line
+    k, or repeat record k at the end."""
+    records = [json.loads(line) for line in lines]
+    record = records[k]
+    action, *args = change
+    if action == "line":
+        lines[k] = args[0]
+        return
+    if action == "duplicate":
+        records.append(record)
+    else:
+        owner = record if args[0] in ("doc_id", "sentences") else record["sentences"][j]
+        if action == "set":
+            owner[args[0]] = args[1]
+        else:
+            del owner[args[0]]
+    lines[:] = [json.dumps(r) for r in records]  # NaN, Infinity and \\uXXXX escapes as json writes them
+
+
+def run_real_streams(argv):
+    """Run the CLI in-process with stdout and stderr encoding to UTF-8 as a
+    real process does: (exit code, stderr lines, warnings)."""
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    err.flush()
+    return code, err.buffer.getvalue().decode("utf-8").splitlines(), [str(w.message) for w in caught]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mutation=MUTATIONS)
+@example(mutation=(0, 1, ("set", "text", "\ud800")))
+@example(mutation=(1, 0, ("set", "doc_id", "d\udfff")))
+@example(mutation=(2, 1, ("set", "label", float("nan"))))
+@example(mutation=(3, 0, ("set", "label", float("inf"))))
+@example(mutation=(0, 0, ("set", "label", 2.0)))
+@example(mutation=(1, 1, ("set", "label", ["Facts"])))
+def test_mutated_corpus_exits_zero_or_two_with_one_line(reader_workspace, mutation):
+    """stats, split, train, predict, evaluate (either side) and
+    export-instructions on a damaged corpus: exit 0, or 2 with one stderr
+    line; never a traceback, a warning or an output that cannot be encoded."""
+    root = reader_workspace
+    good = root / "corpus.jsonl"
+    lines = good.read_text(encoding="utf-8").splitlines()
+    mutate(lines, *mutation)
+    bad = root / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = root / "out"
+    for argv in (["stats", "--input", bad],
+                 ["split", "--input", bad, "--output-dir", out, "--seed", "1"],
+                 ["train", "--input", bad, "--val", good, "--output", out / "model.json", "--epochs", "1",
+                  "--lstm-hidden", "2", "--hash-dim", "8"],
+                 ["predict", "--model", root / "model.json", "--input", bad, "--output", out / "pred.jsonl"],
+                 ["evaluate", "--input", good, "--pred", bad],
+                 ["evaluate", "--input", bad, "--pred", good],
+                 ["export-instructions", "--input", bad, "--output", out / "records.jsonl"]):
+        out.mkdir(exist_ok=True)
+        code, err, caught = run_real_streams([str(word) for word in argv])
+        assert caught == [], argv
+        assert (code == 0 and err == []) or (code == 2 and len(err) == 1 and err[0].startswith("error: ")), \
+            (argv, code, err)

@@ -7,10 +7,6 @@ import pytest
 
 from rhetseg import kernels
 from rhetseg.context import (
-    AttentionParams,
-    BilstmParams,
-    GcnParams,
-    LstmParams,
     attention_backward,
     attention_forward_cache,
     attention_stack_backward,
@@ -24,7 +20,7 @@ from rhetseg.context import (
 )
 from rhetseg.errors import DataError
 from rhetseg.train import CONTEXT_KINDS, HEADS, TrainConfig, build_model
-from test_parameter_init import draw_params
+from test_parameter_init import bilstm_block, direction, draw_params
 
 
 # --------------------------------------------------------------------------
@@ -42,11 +38,12 @@ def _gate_blocks(A, h):
 
 
 def oracle_lstm_states(X, p):
-    """Per-step gates (i, f, o, g), cells and hiddens, one matrix per gate."""
-    h = p.hidden_dim
-    Wi, Wf, Wo, Wg = _gate_blocks(p.Wx, h)
-    Ui, Uf, Uo, Ug = _gate_blocks(p.Wh, h)
-    bi, bf, bo, bg = _gate_blocks(p.b, h)
+    """Per-step gates (i, f, o, g), cells and hiddens, one matrix per gate;
+    p is one direction, keyed "Wx", "Wh", "b"."""
+    h = p["Wh"].shape[1]
+    Wi, Wf, Wo, Wg = _gate_blocks(p["Wx"], h)
+    Ui, Uf, Uo, Ug = _gate_blocks(p["Wh"], h)
+    bi, bf, bo, bg = _gate_blocks(p["b"], h)
     gates, cells, hiddens = [], [], []
     h_prev = np.zeros(h)
     c_prev = np.zeros(h)
@@ -71,9 +68,9 @@ def oracle_lstm(X, p):
 def oracle_lstm_backward(X, p, dH):
     """Gradients of sum(H * dH) with respect to each step's gate
     pre-activations, by backpropagation through time per gate."""
-    h = p.hidden_dim
+    h = p["Wh"].shape[1]
     gates, cells, _ = oracle_lstm_states(X, p)
-    U = _gate_blocks(p.Wh, h)
+    U = _gate_blocks(p["Wh"], h)
     dA = np.zeros(gates.shape)
     dh_next = np.zeros(h)
     dc_next = np.zeros(h)
@@ -93,7 +90,7 @@ def oracle_lstm_backward(X, p, dH):
 
 def lstm_hiddens(X, p):
     """One direction's hidden states from the kernel recurrence."""
-    return kernels.lstm_recurrence(X @ p.Wx.T, p.Wh, p.b)[2]
+    return kernels.lstm_recurrence(X @ p["Wx"].T, p["Wh"], p["b"])[2]
 
 
 def fixed_bilstm_params():
@@ -101,9 +98,9 @@ def fixed_bilstm_params():
     Wx_f = (np.arange(8 * d, dtype=float).reshape(8, d) - 7.5) / 10.0
     Wh_f = (np.arange(8 * h, dtype=float).reshape(8, h) - 8.0) / 12.0
     b_f = np.linspace(-0.4, 0.4, 8)
-    fwd = LstmParams(Wx=Wx_f, Wh=Wh_f, b=b_f)
-    bwd = LstmParams(Wx=-Wx_f[::-1].copy(), Wh=Wh_f[::-1].copy() / 2.0,
-                     b=np.linspace(0.3, -0.3, 8))
+    fwd = dict(Wx=Wx_f, Wh=Wh_f, b=b_f)
+    bwd = dict(Wx=-Wx_f[::-1].copy(), Wh=Wh_f[::-1].copy() / 2.0,
+               b=np.linspace(0.3, -0.3, 8))
     return fwd, bwd
 
 
@@ -113,7 +110,7 @@ def test_lstm_forward_matches_oracle():
         m = int(rng.integers(1, 7))
         d = int(rng.integers(1, 6))
         h = int(rng.integers(1, 6))
-        p = draw_params("bilstm", rng, d, h).fwd
+        p = direction(draw_params("bilstm", rng, d, h), "fwd")
         X = rng.normal(size=(m, d))
         np.testing.assert_allclose(lstm_hiddens(X, p), oracle_lstm(X, p),
                                    rtol=0, atol=1e-12)
@@ -128,14 +125,14 @@ def test_bilstm_frozen_golden():
         [0.064565315002981183, 0.1313375327286449, 0.11829530507963507, 0.19899892577817566],
         [0.1289833571222965, 0.23799815525607751, 0.042541225904370296, 0.078879252138025088],
     ])
-    np.testing.assert_allclose(bilstm_forward_cache(X, BilstmParams(fwd=fwd, bwd=bwd))[0], want,
+    np.testing.assert_allclose(bilstm_forward_cache(X, bilstm_block(fwd, bwd))[0], want,
                                rtol=0, atol=1e-15)
 
 
 def test_lstm_causality():
     # forward output at t is untouched by changes to inputs after t
     rng = np.random.default_rng(4)
-    p = draw_params("bilstm", rng, 3, 4).fwd
+    p = direction(draw_params("bilstm", rng, 3, 4), "fwd")
     X = rng.normal(size=(6, 3))
     H = lstm_hiddens(X, p)
     X2 = X.copy()
@@ -159,16 +156,16 @@ def test_bilstm_uses_both_directions():
 
 
 def test_lstm_zero_params_zero_output():
-    p = LstmParams(Wx=np.zeros((8, 3)), Wh=np.zeros((8, 2)), b=np.zeros(8))
+    p = dict(Wx=np.zeros((8, 3)), Wh=np.zeros((8, 2)), b=np.zeros(8))
     H = lstm_hiddens(np.random.default_rng(0).normal(size=(4, 3)), p)
     np.testing.assert_array_equal(H, np.zeros((4, 2)))
 
 
 def test_lstm_forget_bias_init():
     bilstm = draw_params("bilstm", np.random.default_rng(0), 5, 3)
-    for p in (bilstm.fwd, bilstm.bwd):
-        np.testing.assert_array_equal(p.b[3:6], np.ones(3))
-        np.testing.assert_array_equal(np.delete(p.b, [3, 4, 5]), np.zeros(9))
+    for b in (bilstm["fwd.b"], bilstm["bwd.b"]):
+        np.testing.assert_array_equal(b[3:6], np.ones(3))
+        np.testing.assert_array_equal(np.delete(b, [3, 4, 5]), np.zeros(9))
 
 
 def test_bilstm_backward_finite_differences():
@@ -183,8 +180,8 @@ def test_bilstm_backward_finite_differences():
     def loss(Xv, pv):
         return float((bilstm_forward_cache(Xv, pv)[0] * R).sum())
 
-    for name, arr in [("fwd.Wx", p.fwd.Wx), ("fwd.Wh", p.fwd.Wh), ("fwd.b", p.fwd.b),
-                      ("bwd.Wx", p.bwd.Wx), ("bwd.Wh", p.bwd.Wh), ("bwd.b", p.bwd.b)]:
+    for name in ("fwd.Wx", "fwd.Wh", "fwd.b", "bwd.Wx", "bwd.Wh", "bwd.b"):
+        arr = p[name]
         flat = arr.reshape(-1)
         gflat = grads[name].reshape(-1)
         for idx in range(0, flat.size, 7):
@@ -217,10 +214,11 @@ def test_bilstm_forward_batch_equals_2d_kernel_runs():
         Hs, caches = bilstm_forward_batch(Xs, p)
         for X, H, cache in zip(Xs, Hs, caches):
             want = {}
-            for direction, lp, Xd in (("fwd", p.fwd, X), ("bwd", p.bwd, X[::-1])):
-                want[direction] = kernels.lstm_recurrence(Xd @ lp.Wx.T, lp.Wh, lp.b)
-                for key, arr in zip("GCH", want[direction]):
-                    assert np.array_equal(cache[direction][key], arr), (h, len(X), direction, key)
+            for d, Xd in (("fwd", X), ("bwd", X[::-1])):
+                lp = direction(p, d)
+                want[d] = kernels.lstm_recurrence(Xd @ lp["Wx"].T, lp["Wh"], lp["b"])
+                for key, arr in zip("GCH", want[d]):
+                    assert np.array_equal(cache[d][key], arr), (h, len(X), d, key)
             assert np.array_equal(H, np.hstack([want["fwd"][2], want["bwd"][2][::-1]]))
 
 
@@ -242,7 +240,7 @@ def test_bilstm_backward_of_batch_cache_equals_batch_of_one():
 def test_attention_rows_are_stochastic():
     rng = np.random.default_rng(6)
     for m in (1, 2, 5):
-        p = draw_params("attention", rng, 4)[0]
+        p = draw_params("attention", rng, 4)
         X = rng.normal(size=(m, 4))
         A = attention_forward_cache(X, p)[1]["A"]
         assert A.shape == (m, m)
@@ -251,7 +249,7 @@ def test_attention_rows_are_stochastic():
 
 
 def test_attention_single_row_weight_is_one():
-    p = draw_params("attention", np.random.default_rng(1), 3)[0]
+    p = draw_params("attention", np.random.default_rng(1), 3)
     A = attention_forward_cache(np.array([[0.2, -1.0, 0.5]]), p)[1]["A"]
     np.testing.assert_allclose(A, [[1.0]], atol=1e-15)
 
@@ -259,8 +257,8 @@ def test_attention_single_row_weight_is_one():
 def test_attention_uniform_weights_give_mean_plus_residual():
     # Q = K = 0 makes all scores equal; V = O = I passes the mean through
     d = 3
-    p = AttentionParams(Q=np.zeros((d, d)), K=np.zeros((d, d)),
-                        V=np.eye(d), O=np.eye(d))
+    p = {"layer0.Q": np.zeros((d, d)), "layer0.K": np.zeros((d, d)),
+         "layer0.V": np.eye(d), "layer0.O": np.eye(d)}
     X = np.array([[1.0, 2.0, 3.0], [3.0, 0.0, -1.0], [-1.0, 4.0, 1.0]])
     Y, _ = attention_forward_cache(X, p)
     np.testing.assert_allclose(Y, X.mean(axis=0) + X, atol=1e-12)
@@ -268,7 +266,7 @@ def test_attention_uniform_weights_give_mean_plus_residual():
 
 def test_attention_backward_finite_differences():
     rng = np.random.default_rng(12)
-    p = draw_params("attention", rng, 3)[0]
+    p = draw_params("attention", rng, 3)
     X = rng.normal(size=(4, 3))
     R = rng.normal(size=(4, 3))
     _, cache = attention_forward_cache(X, p)
@@ -278,8 +276,8 @@ def test_attention_backward_finite_differences():
     def loss():
         return float((attention_forward_cache(X, p)[0] * R).sum())
 
-    for name in ("Q", "K", "V", "O"):
-        arr = getattr(p, name)
+    for name in ("layer0.Q", "layer0.K", "layer0.V", "layer0.O"):
+        arr = p[name]
         flat = arr.reshape(-1)
         gflat = grads[name].reshape(-1)
         for idx in range(flat.size):
@@ -308,8 +306,8 @@ def test_attention_stack_composes():
     X = rng.normal(size=(5, 4))
     got, _ = attention_stack_forward_cache(X, layers)
     want = X
-    for p in layers:
-        want, _ = attention_forward_cache(want, p)
+    for idx in range(3):
+        want, _ = attention_forward_cache(want, layers, idx)
     np.testing.assert_array_equal(got, want)
 
 
@@ -323,7 +321,7 @@ def test_attention_stack_backward_finite_differences():
     step = 1e-6
     assert set(grads) == {f"layer{i}.{n}" for i in range(2) for n in "QKVO"}
     for i in range(2):
-        arr = layers[i].Q
+        arr = layers[f"layer{i}.Q"]
         flat = arr.reshape(-1)
         gflat = grads[f"layer{i}.Q"].reshape(-1)
         for idx in range(0, flat.size, 3):
@@ -435,7 +433,7 @@ def test_graph_threshold_requires_vectors():
 def test_gcn_identity_hand_example():
     # identity features and weights: output is A_hat itself (entries >= 0)
     g = build_graph(2)
-    p = GcnParams(W1=np.eye(2), W2=np.eye(2))
+    p = {"W1": np.eye(2), "W2": np.eye(2)}
     np.testing.assert_allclose(gcn_forward_cache(np.eye(2), g, p)[0],
                                [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
@@ -444,14 +442,14 @@ def test_gcn_layer_relu_toggle():
     # both layers see negative pre-activations, so each ReLU zeroes something
     g = build_graph(3)
     X = np.array([[1.0, -4.0], [-2.0, 3.0], [0.5, -1.0]])
-    p = GcnParams(W1=np.array([[1.0, -1.0, 0.5], [0.5, 1.0, -2.0]]),
-                  W2=np.array([[1.0, -1.0], [-1.0, 0.5], [2.0, -0.25]]))
+    p = {"W1": np.array([[1.0, -1.0, 0.5], [0.5, 1.0, -2.0]]),
+         "W2": np.array([[1.0, -1.0], [-1.0, 0.5], [2.0, -0.25]])}
 
     def relu(v):
         return np.maximum(v, 0.0)
 
-    Z1 = g.a_hat @ X @ p.W1
-    Z2 = g.a_hat @ relu(Z1) @ p.W2
+    Z1 = g.a_hat @ X @ p["W1"]
+    Z2 = g.a_hat @ relu(Z1) @ p["W2"]
     assert np.any(Z1 < 0) and np.any(Z2 < 0)
     np.testing.assert_allclose(gcn_forward_cache(X, g, p)[0], relu(Z2), atol=1e-15)
 
@@ -470,7 +468,7 @@ def test_gcn_backward_finite_differences():
         return float((gcn_forward_cache(X, g, p)[0] * R).sum())
 
     for name in ("W1", "W2"):
-        arr = getattr(p, name)
+        arr = p[name]
         flat = arr.reshape(-1)
         gflat = grads[name].reshape(-1)
         for idx in range(flat.size):
@@ -496,10 +494,10 @@ def test_gcn_backward_finite_differences():
 def test_init_bounds_follow_fan_in():
     rng = np.random.default_rng(2)
     p = draw_params("gcn", rng, 16, 4)
-    assert np.all(np.abs(p.W1) <= 0.25)
-    assert np.all(np.abs(p.W2) <= 0.5)
-    a = draw_params("attention", rng, 25)[0]
-    for arr in (a.Q, a.K, a.V, a.O):
+    assert np.all(np.abs(p["W1"]) <= 0.25)
+    assert np.all(np.abs(p["W2"]) <= 0.5)
+    a = draw_params("attention", rng, 25)
+    for arr in (a["layer0.Q"], a["layer0.K"], a["layer0.V"], a["layer0.O"]):
         assert np.all(np.abs(arr) <= 0.2)
     # every uniform entry of every context and head; fan_in is the width of
     # the input a matrix multiplies: columns of the LSTM Wx and Wh, rows of

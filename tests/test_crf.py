@@ -12,7 +12,6 @@ import pytest
 
 from rhetseg import kernels
 from rhetseg.crf import (
-    CrfParams,
     emissions,
     log_partition,
     marginals,
@@ -26,14 +25,19 @@ from test_parameter_init import draw_params
 K = 7
 
 
+def crf_params(T=None, start=None, end=None):
+    """A "crf" block with a zero emission projection; T, start and end
+    default to zero."""
+    return dict(W_e=np.zeros((1, K)), b_e=np.zeros(K),
+                T=np.zeros((K, K)) if T is None else T,
+                start=np.zeros(K) if start is None else start,
+                end=np.zeros(K) if end is None else end)
+
+
 def random_params(rng, scale=1.0):
-    return CrfParams(
-        W_e=np.zeros((1, K)),
-        b_e=np.zeros(K),
-        T=rng.uniform(-scale, scale, size=(K, K)),
-        start=rng.uniform(-scale, scale, size=K),
-        end=rng.uniform(-scale, scale, size=K),
-    )
+    T = rng.uniform(-scale, scale, size=(K, K))
+    start = rng.uniform(-scale, scale, size=K)
+    return crf_params(T, start, rng.uniform(-scale, scale, size=K))
 
 
 def brute_force(E, p):
@@ -47,15 +51,13 @@ def brute_force(E, p):
 def test_sequence_score_hand_summed():
     # m=2: score = start[y0] + E[0,y0] + T[y0,y1] + E[1,y1] + end[y1]
     E = np.arange(14, dtype=float).reshape(2, K) / 10.0
-    p = CrfParams(
-        W_e=np.zeros((1, K)),
-        b_e=np.zeros(K),
+    p = crf_params(
         T=np.arange(49, dtype=float).reshape(K, K) / 100.0,
         start=np.linspace(-0.3, 0.3, K),
         end=np.linspace(0.2, -0.4, K),
     )
     y = [2, 5]
-    expected = p.start[2] + E[0, 2] + p.T[2, 5] + E[1, 5] + p.end[5]
+    expected = p["start"][2] + E[0, 2] + p["T"][2, 5] + E[1, 5] + p["end"][5]
     assert sequence_score(E, y, p) == pytest.approx(expected, abs=1e-12)
 
 
@@ -72,8 +74,7 @@ def test_log_partition_matches_enumeration():
 def test_log_partition_zero_params_single_position():
     # all-zero potentials, m=1: Z = 7 equally weighted labels
     E = np.zeros((1, K))
-    p = CrfParams(W_e=np.zeros((1, K)), b_e=np.zeros(K), T=np.zeros((K, K)),
-                  start=np.zeros(K), end=np.zeros(K))
+    p = crf_params()
     np.testing.assert_allclose(log_partition(E, p), np.log(K), atol=1e-12)
 
 
@@ -131,8 +132,7 @@ def test_viterbi_tie_prefers_lowest_ids():
     # identical potentials everywhere: every sequence ties, decode must be all zeros
     for m in (1, 2, 3, 5):
         E = np.zeros((m, K))
-        p = CrfParams(W_e=np.zeros((1, K)), b_e=np.zeros(K), T=np.zeros((K, K)),
-                      start=np.zeros(K), end=np.zeros(K))
+        p = crf_params()
         path, score = viterbi_decode(E, p)
         assert path == [0] * m
         assert score == 0.0
@@ -143,8 +143,7 @@ def test_viterbi_partial_tie_lowest_id_wins():
     E = np.zeros((3, K))
     E[:, 1] = 2.0
     E[:, 4] = 2.0
-    p = CrfParams(W_e=np.zeros((1, K)), b_e=np.zeros(K), T=np.zeros((K, K)),
-                  start=np.zeros(K), end=np.zeros(K))
+    p = crf_params()
     path, _ = viterbi_decode(E, p)
     assert path == [1, 1, 1]
 
@@ -208,12 +207,12 @@ def test_nll_grad_matches_finite_differences():
                 np.testing.assert_allclose(dE[t, a], fd, atol=1e-6)
         for a in range(K):
             for b in range(K):
-                up = CrfParams(p.W_e, p.b_e, p.T.copy(), p.start, p.end)
-                up.T[a, b] += step
-                dn = CrfParams(p.W_e, p.b_e, p.T.copy(), p.start, p.end)
-                dn.T[a, b] -= step
+                up = {**p, "T": p["T"].copy()}
+                up["T"][a, b] += step
+                dn = {**p, "T": p["T"].copy()}
+                dn["T"][a, b] -= step
                 fd = (loss_at(E, up) - loss_at(E, dn)) / (2 * step)
-                np.testing.assert_allclose(grad.transitions[a, b], fd, atol=1e-6)
+                np.testing.assert_allclose(grad["T"][a, b], fd, atol=1e-6)
 
 
 def test_nll_grad_start_end_match_marginal_identity():
@@ -229,24 +228,24 @@ def test_nll_grad_start_end_match_marginal_identity():
     want_start[y[0]] -= 1.0
     want_end = node[-1].copy()
     want_end[y[-1]] -= 1.0
-    np.testing.assert_allclose(grad.start, want_start, atol=1e-12)
-    np.testing.assert_allclose(grad.end, want_end, atol=1e-12)
+    np.testing.assert_allclose(grad["start"], want_start, atol=1e-12)
+    np.testing.assert_allclose(grad["end"], want_end, atol=1e-12)
 
 
 def test_emissions_affine():
     rng = np.random.default_rng(2)
     H = rng.normal(size=(4, 5))
     p = draw_params("crf", rng, 5)
-    np.testing.assert_allclose(emissions(H, p), H @ p.W_e + p.b_e)
+    np.testing.assert_allclose(emissions(H, p), H @ p["W_e"] + p["b_e"])
 
 
 def test_init_shapes_and_zero_structure():
     p = draw_params("crf", np.random.default_rng(0), 12)
-    assert p.W_e.shape == (12, K)
-    assert p.b_e.shape == (K,)
-    assert np.all(p.T == 0.0) and np.all(p.start == 0.0) and np.all(p.end == 0.0)
-    assert np.all(np.abs(p.W_e) <= 1.0 / np.sqrt(12))
-    assert p.context_dim == 12
+    assert p["W_e"].shape == (12, K)
+    assert p["b_e"].shape == (K,)
+    assert np.all(p["T"] == 0.0) and np.all(p["start"] == 0.0) and np.all(p["end"] == 0.0)
+    assert np.all(np.abs(p["W_e"]) <= 1.0 / np.sqrt(12))
+    assert emissions(np.zeros((1, 12)), p).shape == (1, K)
 
 
 def test_label_validation():
@@ -275,4 +274,4 @@ def test_nll_and_grad_runs_one_forward_pass(monkeypatch):
     assert loss == expected_loss
     onehot = np.eye(K)[y]
     assert np.array_equal(grad_E, node - onehot)
-    assert np.array_equal(g.start, node[0] - onehot[0])
+    assert np.array_equal(g["start"], node[0] - onehot[0])

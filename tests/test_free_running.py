@@ -53,7 +53,7 @@ def free_running_reencode(bundle, base):
     for j in range(m):
         prevs = train_mod._prev_labels([RhetoricalRole(v) for v in preds], m)
         H, _ = train_mod._context_forward(bundle, train_mod._featurize_doc(bundle, base, prevs))
-        scores[j] = train_mod._step_score(bundle, H[j], j, m, preds)
+        scores[j] = train_mod._step_score(bundle.head_kind, bundle.params[bundle.head_kind], H[j], j, m, preds)
         preds.append(int(np.argmax(scores[j])))
     return preds, scores
 
@@ -95,14 +95,15 @@ def test_lstm_step_reproduces_recurrence(batch):
     gives the recurrence's gates, cells and hiddens bit for bit."""
     rng = np.random.default_rng(4)
     h, m = 5, 23
-    p = draw_params("bilstm", rng, 7, h).fwd
-    p.Wh *= 3.0
+    p = draw_params("bilstm", rng, 7, h)
+    Wh, b = p["fwd.Wh"], p["fwd.b"]
+    Wh *= 3.0
     XW = rng.normal(size=(m,) + batch + (4 * h,)) * 4.0
     XW[5] *= 100.0  # past the +-60 pre-activation clip
-    G, C, H = kernels.lstm_recurrence(XW, p.Wh, p.b)
+    G, C, H = kernels.lstm_recurrence(XW, Wh, b)
     h_t, c_t = np.zeros(batch + (h,)), np.zeros(batch + (h,))
     for t in range(m):
-        g_t, c_t, h_t = kernels.lstm_step(XW[t], p.Wh, p.b, h_t, c_t)
+        g_t, c_t, h_t = kernels.lstm_step(XW[t], Wh, b, h_t, c_t)
         assert np.array_equal(g_t, G[t])
         assert np.array_equal(c_t, C[t])
         assert np.array_equal(h_t, H[t])
@@ -115,17 +116,17 @@ def test_bilstm_rows_equal_per_direction_steps():
     rng = np.random.default_rng(9)
     for h, m in ((1, 1), (6, 9), (32, 30)):
         p = draw_params("bilstm", rng, 11, h)
-        p.fwd.Wh *= 3.0
+        p["fwd.Wh"] *= 3.0
         X0 = rng.normal(size=(m, 11)) * 4.0
         X = X0 + rng.normal(size=(m, 11))
         rows = context.BilstmRows(X0, p)
-        _, Cb, Hb = kernels.lstm_recurrence(X0[::-1] @ p.bwd.Wx.T, p.bwd.Wh, p.bwd.b)
+        _, Cb, Hb = kernels.lstm_recurrence(X0[::-1] @ p["bwd.Wx"].T, p["bwd.Wh"], p["bwd.b"])
         hf = cf = np.zeros(h)
         for j, x in enumerate(X):
-            _, cf, hf = kernels.lstm_step(p.fwd.Wx @ x, p.fwd.Wh, p.fwd.b, hf, cf)
+            _, cf, hf = kernels.lstm_step(p["fwd.Wx"] @ x, p["fwd.Wh"], p["fwd.b"], hf, cf)
             after = m - 2 - j
             h_next, c_next = (Hb[after], Cb[after]) if after >= 0 else (np.zeros(h), np.zeros(h))
-            _, _, hb = kernels.lstm_step(p.bwd.Wx @ x, p.bwd.Wh, p.bwd.b, h_next, c_next)
+            _, _, hb = kernels.lstm_step(p["bwd.Wx"] @ x, p["bwd.Wh"], p["bwd.b"], h_next, c_next)
             assert np.array_equal(rows.row(j, x), np.concatenate([hf, hb])), (h, m, j)
 
 
@@ -178,9 +179,9 @@ def test_free_running_encodes_each_row_once(monkeypatch, kind):
 def overflowing_attention_model():
     """Finite weights whose attention logits overflow to inf."""
     bundle, _ = random_model(5, context_kind="attention", head="softmax")
-    layer = bundle.context_params[0]
-    layer.Q *= 1e200
-    layer.K *= 1e200
+    attn = bundle.params["attn"]
+    attn["layer0.Q"] *= 1e200
+    attn["layer0.K"] *= 1e200
     return bundle
 
 

@@ -12,11 +12,9 @@ import math
 import numpy as np
 import pytest
 from test_context import oracle_lstm_backward, oracle_lstm_states
-from test_crf import brute_force, random_params
+from test_crf import brute_force, crf_params, random_params
 
 from rhetseg import kernels
-from rhetseg.context import LstmParams
-from rhetseg.crf import CrfParams
 
 K = 7
 
@@ -92,8 +90,7 @@ def test_crf_forward_paths_agree(m):
         np.testing.assert_allclose(alpha, want_alpha, rtol=0, atol=1e-10)
         if m > 5:
             continue  # too many label sequences to enumerate
-        want_z, _, _ = brute_force(E, CrfParams(W_e=np.zeros((1, K)), b_e=np.zeros(K),
-                                                T=T, start=start, end=end))
+        want_z, _, _ = brute_force(E, crf_params(T, start, end))
         np.testing.assert_allclose(log_z, want_z, rtol=0, atol=1e-10)
         for t in range(m):
             # alpha[t, b]: log-sum over prefixes y_0..y_t ending in b
@@ -123,8 +120,7 @@ def test_crf_backward_paths_agree(m):
 def tie_breaking_best(E, T, start, end):
     """The kernels' tie rule over enumerated paths: among the best-scoring
     paths, the lowest last label, then the lowest label before it, ..."""
-    p = CrfParams(W_e=np.zeros((1, K)), b_e=np.zeros(K), T=T, start=start, end=end)
-    _, scores, paths = brute_force(E, p)
+    _, scores, paths = brute_force(E, crf_params(T, start, end))
     best = [path for path, s in zip(paths, scores) if s == scores.max()]
     return list(min(best, key=lambda path: path[::-1]))
 
@@ -152,7 +148,7 @@ def test_crf_viterbi_paths_agree_on_ties():
         m = int(rng.integers(1, 5))
         E = rng.integers(-1, 2, size=(m, K)).astype(float)
         p = random_params(rng)
-        T, start, end = (np.round(v) for v in (p.T, p.start, p.end))
+        T, start, end = (np.round(p[k]) for k in ("T", "start", "end"))
         want = tie_breaking_best(E, T, start, end)
         assert want == scalar_crf(E, T, start, end)[3]
         assert list(kernels.crf_viterbi(E, T, start, end)) == want
@@ -184,9 +180,9 @@ def test_batched_viterbi_tables_match_per_sequence_decode_on_ties():
 
 def lstm_instance(rng, m, d, h):
     X = rng.normal(size=(m, d))
-    p = LstmParams(Wx=rng.normal(size=(4 * h, d)) / np.sqrt(d),
-                   Wh=rng.normal(size=(4 * h, h)) / np.sqrt(h),
-                   b=rng.normal(size=4 * h))
+    p = dict(Wx=rng.normal(size=(4 * h, d)) / np.sqrt(d),
+             Wh=rng.normal(size=(4 * h, h)) / np.sqrt(h),
+             b=rng.normal(size=4 * h))
     return X, p
 
 
@@ -194,7 +190,7 @@ def lstm_instance(rng, m, d, h):
 def test_lstm_recurrence_paths_agree(m, h):
     rng = np.random.default_rng(m * 31 + h)
     X, p = lstm_instance(rng, m, 6, h)
-    got = kernels.lstm_recurrence(X @ p.Wx.T, p.Wh, p.b)
+    got = kernels.lstm_recurrence(X @ p["Wx"].T, p["Wh"], p["b"])
     for part, want in zip(got, oracle_lstm_states(X, p)):  # gates, cells, hiddens
         np.testing.assert_allclose(part, want, rtol=0, atol=1e-10)
 
@@ -203,9 +199,9 @@ def test_lstm_recurrence_paths_agree(m, h):
 def test_lstm_backward_paths_agree(m, h):
     rng = np.random.default_rng(m * 17 + h)
     X, p = lstm_instance(rng, m, 6, h)
-    G, C, _ = kernels.lstm_recurrence(X @ p.Wx.T, p.Wh, p.b)
+    G, C, _ = kernels.lstm_recurrence(X @ p["Wx"].T, p["Wh"], p["b"])
     dH = rng.normal(size=(m, h))
-    dA = kernels.lstm_recurrence_backward(G, C, np.ascontiguousarray(p.Wh.T), dH)
+    dA = kernels.lstm_recurrence_backward(G, C, np.ascontiguousarray(p["Wh"].T), dH)
     np.testing.assert_allclose(dA, oracle_lstm_backward(X, p, dH), rtol=0, atol=1e-10)
 
 
@@ -276,8 +272,8 @@ def test_saturation_matches_across_paths():
     h = 4
     X = np.ones((3, 4 * h))
     X[1] = -1.0
-    p = LstmParams(Wx=500.0 * np.eye(4 * h), Wh=np.zeros((4 * h, h)), b=np.zeros(4 * h))
-    got = kernels.lstm_recurrence(X @ p.Wx.T, p.Wh, p.b)
+    p = dict(Wx=500.0 * np.eye(4 * h), Wh=np.zeros((4 * h, h)), b=np.zeros(4 * h))
+    got = kernels.lstm_recurrence(X @ p["Wx"].T, p["Wh"], p["b"])
     for part, want in zip(got, oracle_lstm_states(X, p)):
         np.testing.assert_allclose(part, want, rtol=0, atol=1e-12)
         assert np.all(np.isfinite(part))

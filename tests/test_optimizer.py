@@ -93,10 +93,10 @@ def test_flat_step_equals_per_tensor_reference(layout, optimizer):
 def test_step_updates_the_bundle_tensors_in_place():
     cfg = TrainConfig(**LAYOUTS["bilstm_crf_mtl"])
     bundle = build_model(cfg, SPEC, np.random.default_rng(1))
-    Wx = bundle.context_params.fwd.Wx
+    Wx = bundle.params["bilstm"]["fwd.Wx"]
     before = Wx.copy()
     grads = {name: np.ones(spec.shape) for name, spec in bundle.layout.items()}
     make_optimizer(cfg, bundle.layout).step(bundle.flat, grads)
-    assert bundle.context_params.fwd.Wx is Wx
+    assert bundle.params["bilstm"]["fwd.Wx"] is Wx
     assert np.all(Wx < before)
     assert np.shares_memory(Wx, bundle.flat)

@@ -7,20 +7,17 @@ the draw order shows up as a changed byte or a changed rng state. draw_params
 is the one way the other tests build a context's or a head's parameters.
 """
 
-import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from rhetseg.context import AttentionParams, BilstmParams, GcnParams, LstmParams
-from rhetseg.crf import CrfParams
 from rhetseg.roles import NUM_ROLES
 from rhetseg.train import (
+    _CONTEXT_BLOCK,
     HEADS,
     ModelBundle,
-    SoftmaxParams,
     TrainConfig,
     build_model,
     init_parameters,
@@ -32,11 +29,12 @@ SPEC = {"kind": "hash", "dim": 12, "ngram_orders": [1], "seed": 0, "signed": Tru
 
 
 def draw_params(kind, rng, width, hidden=4, layers=1):
-    """The parameters of one context kind (BilstmParams, a list of
-    AttentionParams, GcnParams) on inputs of the given width, or of one head
-    kind (CrfParams, SoftmaxParams) on context rows of that width. Only that
-    part's layout entries are drawn, so rng advances as in build_model for
-    that part alone. hidden is the LSTM or GCN width."""
+    """The layout block of one context kind ("fwd.Wx", ..., "layer0.Q", ...,
+    "W1", "W2") on inputs of the given width, or of one head kind ("W_e",
+    ..., "W", "b") on context rows of that width: live views of a bundle's
+    parameters, keyed by the rest of the layout name. Only that part's
+    layout entries are drawn, so rng advances as in build_model for that
+    part alone. hidden is the LSTM or GCN width."""
     head = kind in HEADS
     context, head_kind = ("none", kind) if head else (kind, "crf")
     context_dim = {"bilstm": 2 * hidden, "gcn": hidden}.get(kind, width)
@@ -45,11 +43,22 @@ def draw_params(kind, rng, width, hidden=4, layers=1):
     flat = np.zeros(layout_size(layout))
     flat[: layout_size(own)] = init_parameters(own, rng)  # a context's entries lead the layout
     bundle = ModelBundle({}, (0,), "none", 0, "off", context, None, head_kind, width, context_dim, layout, flat)
-    return bundle.head_params if head else bundle.context_params
+    return bundle.params[kind if head else _CONTEXT_BLOCK[kind]]
+
+
+def direction(p, d):
+    """One direction ("fwd" or "bwd") of a BiLSTM block, keyed "Wx", "Wh", "b"."""
+    return {k: p[f"{d}.{k}"] for k in ("Wx", "Wh", "b")}
+
+
+def bilstm_block(fwd, bwd):
+    """The BiLSTM block of two directions keyed "Wx", "Wh", "b"."""
+    return {f"{d}.{k}": v for d, lp in (("fwd", fwd), ("bwd", bwd)) for k, v in lp.items()}
 
 
 # ---------------------------------------------------------------------------
-# reference: one init function per parameter type, flattened in field order
+# reference: one init function per parameter type, each returning its
+# tensors in the order the per-type records used to list them
 # ---------------------------------------------------------------------------
 
 
@@ -58,67 +67,48 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int)
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_lstm_params(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> LstmParams:
-    """uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)); forget-gate bias starts at 1."""
+def init_lstm_params(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Wx, Wh, b: uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)); forget-gate bias starts at 1."""
     h = hidden_dim
     Wx = _uniform_init(rng, (4 * h, input_dim), input_dim)
     Wh = _uniform_init(rng, (4 * h, h), h)
     b = np.zeros(4 * h)
     b[h : 2 * h] = 1.0
-    return LstmParams(Wx=Wx, Wh=Wh, b=b)
+    return [Wx, Wh, b]
 
 
-def init_bilstm_params(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> BilstmParams:
-    return BilstmParams(
-        fwd=init_lstm_params(input_dim, hidden_dim, rng),
-        bwd=init_lstm_params(input_dim, hidden_dim, rng),
-    )
+def init_bilstm_params(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """The forward direction's Wx, Wh, b, then the backward direction's."""
+    fwd = init_lstm_params(input_dim, hidden_dim, rng)
+    return fwd + init_lstm_params(input_dim, hidden_dim, rng)
 
 
-def init_attention_params(d_model: int, rng: np.random.Generator) -> AttentionParams:
-    return AttentionParams(
-        Q=_uniform_init(rng, (d_model, d_model), d_model),
-        K=_uniform_init(rng, (d_model, d_model), d_model),
-        V=_uniform_init(rng, (d_model, d_model), d_model),
-        O=_uniform_init(rng, (d_model, d_model), d_model),
-    )
+def init_attention_params(d_model: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Q, K, V, O."""
+    return [_uniform_init(rng, (d_model, d_model), d_model) for _ in "QKVO"]
 
 
-def init_attention_stack(d_model: int, n_layers: int, rng: np.random.Generator) -> list[AttentionParams]:
-    return [init_attention_params(d_model, rng) for _ in range(n_layers)]
+def init_attention_stack(d_model: int, n_layers: int, rng: np.random.Generator) -> list[np.ndarray]:
+    return [t for _ in range(n_layers) for t in init_attention_params(d_model, rng)]
 
 
-def init_gcn_params(d_in: int, hidden: int, rng: np.random.Generator) -> GcnParams:
-    return GcnParams(
-        W1=_uniform_init(rng, (d_in, hidden), d_in),
-        W2=_uniform_init(rng, (hidden, hidden), hidden),
-    )
+def init_gcn_params(d_in: int, hidden: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """W1, W2."""
+    W1 = _uniform_init(rng, (d_in, hidden), d_in)
+    return [W1, _uniform_init(rng, (hidden, hidden), hidden)]
 
 
-def init_crf_params(context_dim: int, rng: np.random.Generator) -> CrfParams:
+def init_crf_params(context_dim: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """W_e, b_e, T, start, end."""
     bound = 1.0 / math.sqrt(context_dim)
-    return CrfParams(
-        W_e=rng.uniform(-bound, bound, size=(context_dim, NUM_ROLES)),
-        b_e=np.zeros(NUM_ROLES),
-        T=np.zeros((NUM_ROLES, NUM_ROLES)),
-        start=np.zeros(NUM_ROLES),
-        end=np.zeros(NUM_ROLES),
-    )
-
-
-def _tensors(tree) -> list[np.ndarray]:
-    if isinstance(tree, np.ndarray):
-        return [tree]
-    if tree is None:
-        return []
-    items = tree if isinstance(tree, list) else [getattr(tree, f.name) for f in dataclasses.fields(tree)]
-    return [t for item in items for t in _tensors(item)]
+    W_e = rng.uniform(-bound, bound, size=(context_dim, NUM_ROLES))
+    return [W_e, np.zeros(NUM_ROLES), np.zeros((NUM_ROLES, NUM_ROLES)), np.zeros(NUM_ROLES), np.zeros(NUM_ROLES)]
 
 
 def reference_flat(cfg: TrainConfig, feat_dim: int, rng: np.random.Generator) -> np.ndarray:
     """Context, then head, then a zero shift head; only the matrices draw."""
     if cfg.context_kind == "none":
-        context_params, context_dim = None, feat_dim
+        context_params, context_dim = [], feat_dim
     elif cfg.context_kind == "bilstm":
         context_params, context_dim = init_bilstm_params(feat_dim, cfg.lstm_hidden, rng), 2 * cfg.lstm_hidden
     elif cfg.context_kind == "attention":
@@ -129,9 +119,9 @@ def reference_flat(cfg: TrainConfig, feat_dim: int, rng: np.random.Generator) ->
         head_params = init_crf_params(context_dim, rng)
     else:
         bound = 1.0 / np.sqrt(context_dim)
-        head_params = SoftmaxParams(W=rng.uniform(-bound, bound, size=(context_dim, NUM_ROLES)), b=np.zeros(NUM_ROLES))
+        head_params = [rng.uniform(-bound, bound, size=(context_dim, NUM_ROLES)), np.zeros(NUM_ROLES)]
     shift = [np.zeros(context_dim), np.zeros(1)] if cfg.mtl else []
-    return np.concatenate([t.reshape(-1) for t in _tensors([context_params, head_params]) + shift])
+    return np.concatenate([t.reshape(-1) for t in context_params + head_params + shift])
 
 
 CONFIGS = [
@@ -164,5 +154,5 @@ def test_draw_params_matches_reference_init(kind, reference):
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
     got = draw_params(kind, rng, 6, hidden=3, layers=2)
     want = reference(ref_rng)
-    assert [t.tobytes() for t in _tensors(got)] == [t.tobytes() for t in _tensors(want)]
+    assert [t.tobytes() for t in got.values()] == [t.tobytes() for t in want]
     assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -10,8 +10,9 @@ from rhetseg.errors import DataError
 from rhetseg.roles import RhetoricalRole
 from rhetseg.synth import generate_corpus
 from rhetseg.train import (
+    CONTEXT_KINDS,
+    HEADS,
     ModelBundle,
-    ShiftParams,
     TrainConfig,
     build_model,
     document_loss_and_grads,
@@ -51,7 +52,7 @@ def mtl_case(head, seed=0):
     H, _ = train_mod._context_forward(bundle, X)
     cw = np.ones(7)
     rr, _, _ = train_mod._rr_loss_and_grads(bundle, H, y, cw)
-    shift, _ = shift_loss(H, bits, bundle.shift_params)
+    shift, _, _ = shift_loss(H, bits, bundle.params["shift"])
     return bundle, X, y, bits, cw, rr, shift
 
 
@@ -72,6 +73,24 @@ class TestMtlLoss:
                 total, _ = document_loss_and_grads(bundle, X, y, bits, 0.0, cw)
                 assert total == rr
 
+    @pytest.mark.parametrize("mtl", [True, False], ids=["shift", "no-shift"])
+    @pytest.mark.parametrize("head", HEADS)
+    @pytest.mark.parametrize("kind", CONTEXT_KINDS)
+    def test_gradients_come_back_under_the_layout_names(self, kind, head, mtl):
+        """One gradient per layout entry, under its layout name and of its
+        parameter's shape; within a block, the name the module read it by."""
+        cfg = TrainConfig(context_kind=kind, head=head, mtl=mtl, lstm_hidden=3, gcn_hidden=5, attention_layers=2,
+                          label_mode="gold", window=(-1, 0))
+        bundle = build_model(cfg, encoder(dim=8).spec(), np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(5, bundle.feat_dim))
+        y, bits = train_mod._targets(bundle, [RhetoricalRole(int(v)) for v in rng.integers(0, 7, size=5)])
+        _, grads = document_loss_and_grads(bundle, X, y, bits, 0.3 if mtl else 0.0, np.ones(7))
+        assert grads.keys() == bundle.layout.keys()
+        for name, spec in bundle.layout.items():
+            block, _, rest = name.partition(".")
+            assert grads[name].shape == spec.shape == bundle.params[block][rest].shape, name
+
     def test_rejects_bad_inputs(self):
         for lam in (1.5, -0.1, float("nan")):
             with pytest.raises(DataError, match="lambda"):
@@ -80,60 +99,60 @@ class TestMtlLoss:
 
 class TestShiftLoss:
     def test_zero_head_gives_log_two(self):
-        head = ShiftParams(w=np.zeros(3), b=np.zeros(1))
+        head = dict(w=np.zeros(3), b=np.zeros(1))
         X = np.random.default_rng(0).normal(size=(5, 3))
-        loss, _ = shift_loss(X, (1, 0, 1, 1, 0), head)
+        loss, _, _ = shift_loss(X, (1, 0, 1, 1, 0), head)
         assert loss == pytest.approx(np.log(2.0))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(6, 4))
         bits = tuple(int(v) for v in rng.integers(0, 2, size=6))
-        head = ShiftParams(w=rng.normal(size=4), b=rng.normal(size=1))
-        _, grads = shift_loss(X, bits, head)
+        head = dict(w=rng.normal(size=4), b=rng.normal(size=1))
+        _, grads, d_features = shift_loss(X, bits, head)
         step = 1e-7
         for i in range(4):
-            head.w[i] += step
-            up, _ = shift_loss(X, bits, head)
-            head.w[i] -= 2 * step
-            dn, _ = shift_loss(X, bits, head)
-            head.w[i] += step
+            head["w"][i] += step
+            up, _, _ = shift_loss(X, bits, head)
+            head["w"][i] -= 2 * step
+            dn, _, _ = shift_loss(X, bits, head)
+            head["w"][i] += step
             np.testing.assert_allclose(grads["w"][i], (up - dn) / (2 * step), atol=1e-6)
-        head.b[0] += step
-        up, _ = shift_loss(X, bits, head)
-        head.b[0] -= 2 * step
-        dn, _ = shift_loss(X, bits, head)
-        head.b[0] += step
+        head["b"][0] += step
+        up, _, _ = shift_loss(X, bits, head)
+        head["b"][0] -= 2 * step
+        dn, _, _ = shift_loss(X, bits, head)
+        head["b"][0] += step
         np.testing.assert_allclose(grads["b"][0], (up - dn) / (2 * step), atol=1e-6)
         for r, c in ((0, 0), (3, 2), (5, 3)):
             X[r, c] += step
-            up, _ = shift_loss(X, bits, head)
+            up, _, _ = shift_loss(X, bits, head)
             X[r, c] -= 2 * step
-            dn, _ = shift_loss(X, bits, head)
+            dn, _, _ = shift_loss(X, bits, head)
             X[r, c] += step
-            np.testing.assert_allclose(grads["features"][r, c], (up - dn) / (2 * step),
+            np.testing.assert_allclose(d_features[r, c], (up - dn) / (2 * step),
                                        atol=1e-6)
 
     def test_separable_fixture_learns(self):
         # one feature equal to the bit sign: plain SGD must drive loss under 0.1
         bits = (1, 0, 1, 1, 0, 0, 1, 0)
         X = np.array([[1.0 if b else -1.0] for b in bits])
-        head = ShiftParams(w=np.zeros(1), b=np.zeros(1))
+        head = dict(w=np.zeros(1), b=np.zeros(1))
         for _ in range(200):
-            loss, grads = shift_loss(X, bits, head)
-            head.w -= 1.0 * grads["w"]
-            head.b -= 1.0 * grads["b"]
-        loss, _ = shift_loss(X, bits, head)
+            loss, grads, _ = shift_loss(X, bits, head)
+            head["w"] -= 1.0 * grads["w"]
+            head["b"] -= 1.0 * grads["b"]
+        loss, _, _ = shift_loss(X, bits, head)
         assert loss < 0.1
 
     def test_accepts_shift_sequence_objects(self):
-        head = ShiftParams(w=np.zeros(2), b=np.zeros(1))
+        head = dict(w=np.zeros(2), b=np.zeros(1))
         seq = label_shift_sequence([RhetoricalRole.FACTS, RhetoricalRole.ISSUE])
-        loss, _ = shift_loss(np.zeros((2, 2)), seq, head)
+        loss, _, _ = shift_loss(np.zeros((2, 2)), seq, head)
         assert loss == pytest.approx(np.log(2.0))
 
     def test_length_mismatch(self):
-        head = ShiftParams(w=np.zeros(2), b=np.zeros(1))
+        head = dict(w=np.zeros(2), b=np.zeros(1))
         with pytest.raises(DataError):
             shift_loss(np.zeros((3, 2)), (1, 0), head)
 

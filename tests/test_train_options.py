@@ -190,6 +190,18 @@ def test_overflow_exits_three_with_one_line(workspace, tmp_path, options):
     assert len(err) == 1 and err[0].startswith("numeric error: ")
 
 
+@pytest.mark.parametrize("options", [["--lstm-hidden", "100000000"], ["--context", "gcn", "--gcn-hidden", "100000000"]],
+                         ids=" ".join)
+def test_model_too_large_exits_two_with_one_line(workspace, tmp_path, options):
+    """A size whose parameter vector cannot be allocated, 568 PiB and 71 PiB:
+    more than any address space, so the request fails before a page is touched."""
+    argv = train_argv(workspace, "--epochs", "1", "--hash-dim", "8", *options, output=tmp_path / "model.json")
+    code, out, err, caught = quiet(argv)
+    assert (code, out, caught) == (2, "", [])
+    assert len(err) == 1 and err[0].startswith("error: Unable to allocate ")
+    assert not (tmp_path / "model.json").exists()
+
+
 # Numeric train flags: values a run accepts, and any value of the flag's type
 # (bounded above where a size only costs memory or time).
 VALID = {
