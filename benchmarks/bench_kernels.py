@@ -13,7 +13,7 @@ recurrence) against the same forward as two 2-D recurrences, one per
 direction, with a check that both give the same bits, and the training
 backward context.bilstm_backward. The Adam step updates the parameter vector
 of the default model (BiLSTM with --hidden units over hashed features of
-width FEAT_DIM, CRF head, shift head) from a gradient dict. The checkpoint
+width FEAT_DIM, CRF head, shift head) from a gradient vector. The checkpoint
 rows save and load the default BiLSTM and attention models with random
 parameters, and assert that the loaded vector and a second save are
 bit-identical to the first. The free-running rows time the greedy decode,
@@ -142,7 +142,8 @@ def main(argv=None) -> int:
         label = f"lstm_recurrence B={B}"
         print(f"{label:<34}{1e6 * seconds / B:>12.1f}  columns bit-identical: {exact}")
 
-    bilstm = build_model(TrainConfig(lstm_hidden=h), HASH_SPEC, rng).params["bilstm"]
+    model = build_model(TrainConfig(lstm_hidden=h), HASH_SPEC, rng)
+    bilstm = model.params["bilstm"]
     X = rng.standard_normal((BATCH_LEN, FEAT_DIM))
     H, cache = context.bilstm_forward_cache(X, bilstm)
     dH = rng.standard_normal(H.shape)
@@ -151,7 +152,7 @@ def main(argv=None) -> int:
     for label, fn, inputs in (
         ("bilstm_forward_cache", context.bilstm_forward_cache, (X, bilstm)),
         ("two 2-D direction runs", two_direction_runs, (X, bilstm)),
-        ("bilstm_backward", context.bilstm_backward, (cache, bilstm, dH)),
+        ("bilstm_backward", context.bilstm_backward, (cache, bilstm, model.grads["bilstm"], dH)),
     ):
         seconds = best_of(fn, inputs, 10 * args.repeats)
         print(f"{label:<34}{1e6 * seconds:>12.1f}")
@@ -160,8 +161,8 @@ def main(argv=None) -> int:
     layout = parameter_layout("bilstm", "crf", FEAT_DIM, 2 * h, 1, True)
     optimizer = make_optimizer(TrainConfig(), layout)
     flat = rng.standard_normal(layout_size(layout))
-    grads = {name: rng.standard_normal(spec.shape) for name, spec in layout.items()}
-    seconds = best_of(optimizer.step, (flat, grads), args.repeats)
+    grad = rng.standard_normal(layout_size(layout))
+    seconds = best_of(optimizer.step, (flat, grad), args.repeats)
     print(f"{'optimizer step':<34}{'ms':>12}")
     print(f"{f'adam_step params={flat.size}':<34}{1000 * seconds:>12.3f}")
 

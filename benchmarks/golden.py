@@ -2,7 +2,7 @@
 """Digest the outputs of a fixed set of rhetseg runs, so that two source
 trees can be shown to produce the same bytes.
 
---out DIR synthesizes fixed corpora and, for each of ten train
+--out DIR synthesizes fixed corpora and, for each of eleven train
 configurations, writes into DIR/<configuration>/ the checkpoint, the report
 CSV, train's stdout, the `predict` output and stdout in free-running and
 teacher-forced mode, and gradcheck's stdout. It prints one SHA-256 per file,
@@ -54,6 +54,8 @@ CONFIGURATIONS = {
     "attention2-predicted": ("--context", "attention", "--attention-layers", "2", "--label-mode", "predicted"),
     "gcn-sim-sgd-predicted": ("--context", "gcn", "--gcn-sim-threshold", "0.3", "--optimizer", "sgd",
                               "--label-mode", "predicted"),
+    "softmax-weighted-lambda0": ("--label-mode", "gold", "--head", "softmax", "--class-weights", "auto",
+                                 "--lambda", "0"),
 }
 
 

@@ -38,7 +38,7 @@ from .encode import (
 from .errors import DataError, NumericError, open_text
 from .instructions import instruction_records
 from .metrics import compute_report, confusion, confusion_csv, emit_report
-from .roles import ROLE_NAMES, RhetoricalRole
+from .roles import RhetoricalRole
 from .synth import generate_corpus
 from .train import (
     CONTEXT_KINDS,

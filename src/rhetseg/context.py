@@ -7,8 +7,8 @@ batched prediction all run it. The row encoders at the end serve
 free-running decoding.
 
 Each encoder reads its tensors from `p`, one block of the parameter layout
-keyed by the rest of the layout name ("fwd.Wx", "layer0.Q", "W1"), and each
-backward pass returns its gradients under the keys it read.
+keyed by the rest of the layout name ("fwd.Wx", "layer0.Q", "W1"); each
+backward pass writes its gradients to those keys of `g`, the block's gradient.
 
 LSTM parameters use the stacked-gate layout: rows of Wx/Wh/b hold the four
 gates in (input, forget, output, candidate) order, h rows each. This stores
@@ -41,14 +41,14 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
 Params = Mapping[str, np.ndarray]
 
 
-def _lstm_backward(cache: dict, p: Params, d: str, dH: np.ndarray):
-    """Gradients of direction d ("fwd" or "bwd"), keyed "d.Wx", "d.Wh", "d.b"."""
+def _lstm_backward(cache: dict, p: Params, g: Params, d: str, dH: np.ndarray) -> np.ndarray:
+    """Writes the gradients of direction d ("fwd" or "bwd") to "d.Wx", "d.Wh", "d.b"."""
     G, C, H, X = cache["G"], cache["C"], cache["H"], cache["X"]
     Wh = p[f"{d}.Wh"]
     dA = kernels.lstm_recurrence_backward(G, C, np.ascontiguousarray(Wh.T), dH)
     H_prev = np.vstack([np.zeros((1, Wh.shape[1])), H[:-1]])
-    dX = dA @ p[f"{d}.Wx"]
-    return {f"{d}.Wx": dA.T @ X, f"{d}.Wh": dA.T @ H_prev, f"{d}.b": dA.sum(axis=0)}, dX
+    g[f"{d}.Wx"][...], g[f"{d}.Wh"][...], g[f"{d}.b"][...] = dA.T @ X, dA.T @ H_prev, dA.sum(axis=0)
+    return dA @ p[f"{d}.Wx"]
 
 
 def _stacked_recurrent(p: Params):
@@ -92,12 +92,11 @@ def bilstm_forward_cache(X: np.ndarray, p: Params):
     return Hs[0], caches[0]
 
 
-def bilstm_backward(cache: dict, p: Params, dH: np.ndarray):
+def bilstm_backward(cache: dict, p: Params, g: Params, dH: np.ndarray) -> np.ndarray:
     h = p["fwd.Wh"].shape[1]
-    grads, dX_f = _lstm_backward(cache["fwd"], p, "fwd", np.ascontiguousarray(dH[:, :h]))
-    grads_b, dX_b_rev = _lstm_backward(cache["bwd"], p, "bwd", np.ascontiguousarray(dH[:, h:][::-1]))
-    grads.update(grads_b)
-    return grads, dX_f + dX_b_rev[::-1]
+    dX_f = _lstm_backward(cache["fwd"], p, g, "fwd", np.ascontiguousarray(dH[:, :h]))
+    dX_b_rev = _lstm_backward(cache["bwd"], p, g, "bwd", np.ascontiguousarray(dH[:, h:][::-1]))
+    return dX_f + dX_b_rev[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +136,7 @@ def attention_forward_cache(X: np.ndarray, p: Params, idx: int = 0):
     return Y, {"X": X, "Qx": Qx, "Kx": Kx, "Vx": Vx, "A": A, "Z": Z, "scale": scale}
 
 
-def attention_backward(cache: dict, p: Params, dY: np.ndarray, idx: int = 0):
+def attention_backward(cache: dict, p: Params, g: Params, dY: np.ndarray, idx: int = 0) -> np.ndarray:
     Q, K, V, O = _layer(p, idx)
     X, Qx, Kx, Vx, A, Z = cache["X"], cache["Qx"], cache["Kx"], cache["Vx"], cache["A"], cache["Z"]
     scale = cache["scale"]
@@ -149,9 +148,9 @@ def attention_backward(cache: dict, p: Params, dY: np.ndarray, idx: int = 0):
     dS = A * (dA - (dA * A).sum(axis=1, keepdims=True))
     dQx = (dS @ Kx) * scale
     dKx = (dS.T @ Qx) * scale
-    grads = {f"layer{idx}.{n}": g for n, g in zip("QKVO", (X.T @ dQx, X.T @ dKx, X.T @ dVx, dO))}
-    dX = dY + dQx @ Q.T + dKx @ K.T + dVx @ V.T
-    return grads, dX
+    for n, grad in zip("QKVO", (X.T @ dQx, X.T @ dKx, X.T @ dVx, dO)):
+        g[f"layer{idx}.{n}"][...] = grad
+    return dY + dQx @ Q.T + dKx @ K.T + dVx @ V.T
 
 
 def attention_stack_forward_cache(X: np.ndarray, p: Params):
@@ -164,12 +163,10 @@ def attention_stack_forward_cache(X: np.ndarray, p: Params):
     return H, caches
 
 
-def attention_stack_backward(caches: list[dict], p: Params, dY: np.ndarray):
-    grads: dict[str, np.ndarray] = {}
+def attention_stack_backward(caches: list[dict], p: Params, g: Params, dY: np.ndarray) -> np.ndarray:
     for idx in range(len(caches) - 1, -1, -1):
-        layer_grads, dY = attention_backward(caches[idx], p, dY, idx)
-        grads.update(layer_grads)
-    return grads, dY
+        dY = attention_backward(caches[idx], p, g, dY, idx)
+    return dY
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +218,14 @@ def gcn_forward_cache(X: np.ndarray, g: DocumentGraph, p: Params):
     return H2, {"P1": P1, "Z1": Z1, "P2": P2, "Z2": Z2, "a_hat": g.a_hat}
 
 
-def gcn_backward(cache: dict, p: Params, dH2: np.ndarray):
+def gcn_backward(cache: dict, p: Params, g: Params, dH2: np.ndarray) -> np.ndarray:
     a_hat = cache["a_hat"]
     dZ2 = dH2 * (cache["Z2"] > 0)
-    dW2 = cache["P2"].T @ dZ2
+    g["W2"][...] = cache["P2"].T @ dZ2
     dH1 = a_hat @ (dZ2 @ p["W2"].T)
     dZ1 = dH1 * (cache["Z1"] > 0)
-    dW1 = cache["P1"].T @ dZ1
-    dX = a_hat @ (dZ1 @ p["W1"].T)
-    return {"W1": dW1, "W2": dW2}, dX
+    g["W1"][...] = cache["P1"].T @ dZ1
+    return a_hat @ (dZ1 @ p["W1"].T)
 
 
 # ---------------------------------------------------------------------------

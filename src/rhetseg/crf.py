@@ -9,7 +9,7 @@ kernels module. The label axis is fixed at 7.
 
 `p` is the "crf" block of the parameter layout: the emission projection W_e
 (context_dim, 7) and b_e (7,), the transitions T (7, 7) with T[a, b] scoring
-a -> b, and start (7,) and end (7,).
+a -> b, and start (7,) and end (7,); `g` is its block of the gradient.
 """
 
 from __future__ import annotations
@@ -81,13 +81,13 @@ def marginals(E: np.ndarray, p: Params, forward=None) -> tuple[np.ndarray, np.nd
     return node, edge
 
 
-def nll_and_grad(E: np.ndarray, y, p: Params) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
-    """Negative log-likelihood of y plus exact gradients, from one forward
-    and one backward pass.
+def nll_and_grad(E: np.ndarray, y, p: Params, g: Params) -> tuple[float, np.ndarray]:
+    """Negative log-likelihood of y and its gradient grad_E, from one forward
+    and one backward pass; writes the gradients of "T", "start" and "end" to g.
 
-    grad_E = node_marginals - onehot(y); the gradients keyed "T", "start" and
-    "end" are expected counts minus empirical counts. The caller forms the
-    emission-projection gradients from grad_E and the context features.
+    grad_E = node_marginals - onehot(y); the others are expected counts minus
+    empirical counts. The caller forms the emission-projection gradients from
+    grad_E and the context features.
     """
     y = _validate_labels(E, y)
     m = E.shape[0]
@@ -96,15 +96,15 @@ def nll_and_grad(E: np.ndarray, y, p: Params) -> tuple[float, np.ndarray, dict[s
     node, edge = marginals(E, p, forward)
     grad_E = node.copy()
     grad_E[np.arange(m), y] -= 1.0
-    dT = edge.sum(axis=0)
-    np.add.at(dT, (y[:-1], y[1:]), -1.0)
-    d_start = node[0].copy()
-    d_start[y[0]] -= 1.0
-    d_end = node[-1].copy()
-    d_end[y[-1]] -= 1.0
+    g["T"][...] = edge.sum(axis=0)
+    np.add.at(g["T"], (y[:-1], y[1:]), -1.0)
+    g["start"][...] = node[0]
+    g["start"][y[0]] -= 1.0
+    g["end"][...] = node[-1]
+    g["end"][y[-1]] -= 1.0
     if not np.isfinite(loss):
         raise NumericError("non-finite CRF loss")
-    return float(loss), grad_E, {"T": dT, "start": d_start, "end": d_end}
+    return float(loss), grad_E
 
 
 def viterbi_decode(E: np.ndarray, p: Params) -> tuple[list[int], float]:

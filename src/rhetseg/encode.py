@@ -70,9 +70,8 @@ class HashingEncoder:
     keyed blake2b("<order>:<tokens joined by spaces>") mod dim, negative where
     bit 63 is set unless unsigned. A chunk is coded at once: tokens map to int
     ids, n-grams to int64 keys (id, or (id_a + 1) << 32 | id_b), distinct keys
-    to codes 2 * bucket + (1 if negative) through a sorted key -> code table
-    (new keys wait in a dict until a merge), and one bincount sums the chunk,
-    exactly: entries are integer sums of +-1."""
+    to codes 2 * bucket + (1 if negative) through a key -> code memo dict, and
+    one bincount sums the chunk, exactly: entries are integer sums of +-1."""
 
     kind = "hash"
 
@@ -81,9 +80,7 @@ class HashingEncoder:
         self.dim = cfg.dim
         self._keyed = hashlib.blake2b(key=cfg.seed.to_bytes(8, "little", signed=True), digest_size=8)
         self._ids, self._names = {}, []  # token -> id, and the tokens by id
-        self._keys = np.array([np.iinfo(np.int64).max])  # sorted n-gram keys, ending in one no n-gram has,
-        self._codes = np.zeros(1, dtype=np.int64)
-        self._recent: dict[int, int] = {}  # and the keys coded since the last merge
+        self._codes: dict[int, int] = {}  # n-gram key -> code
 
     def encode_document(self, doc: "Document") -> np.ndarray:
         return self.encode_documents([doc])[0]
@@ -103,17 +100,10 @@ class HashingEncoder:
         grams = {1: (tid, cell), 2: (((tid[:-1] + 1) << 32 | tid[1:])[pair], cell[1:][pair])}
         keys, rows = (np.concatenate(parts) for parts in zip(*(grams[n] for n in self.cfg.ngram_orders)))
         uniq, inverse = np.unique(keys, return_inverse=True)
-        pos = np.searchsorted(self._keys, uniq)
-        codes = self._codes[pos]
-        miss = np.flatnonzero(self._keys[pos] != uniq)
+        codes = np.fromiter(map(self._codes.get, uniq.tolist(), itertools.repeat(-1)), np.int64, len(uniq))
+        miss = np.flatnonzero(codes < 0)
         if len(miss):
             codes[miss] = self._hash_keys(uniq[miss].tolist())
-            if len(self._recent) > len(self._keys) // 4:  # merge; the table grows geometrically
-                keys = np.concatenate([self._keys, np.fromiter(self._recent, np.int64, len(self._recent))])
-                order = keys.argsort(kind="stable")  # the table is one sorted run
-                self._keys = keys[order]
-                self._codes = np.concatenate([self._codes, np.fromiter(self._recent.values(), np.int64)])[order]
-                self._recent.clear()
         for t in self._names[cap:]:  # ids from the cap up last for this chunk only
             del ids[t]
         del self._names[cap:]
@@ -124,19 +114,15 @@ class HashingEncoder:
         return [M[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
     def _hash_keys(self, keys: list[int]) -> list[int]:
-        """Codes of distinct keys the table lacks; new keys of lasting tokens are kept while there is room."""
-        recent, names, cap, dim, signed = self._recent, self._names, _MEMO_CAP, self.dim, self.cfg.signed
-        room = cap + 1 - len(self._keys) - len(recent)
+        """Codes of distinct keys the memo lacks; keys of lasting tokens are kept while there is room."""
+        memo, names, cap, dim, signed = self._codes, self._names, _MEMO_CAP, self.dim, self.cfg.signed
         codes = []
         for k in keys:
-            code = recent.get(k)
-            if code is None:
-                a, b = k >> 32, k & 0xFFFFFFFF
-                h = _hash64(f"2:{names[a - 1]} {names[b]}" if a else "1:" + names[b], self._keyed)
-                code = 2 * (h % dim) + (1 if signed and h >> 63 else 0)
-                if room > 0 and a <= cap and b < cap:
-                    recent[k] = code
-                    room -= 1
+            a, b = k >> 32, k & 0xFFFFFFFF
+            h = _hash64(f"2:{names[a - 1]} {names[b]}" if a else "1:" + names[b], self._keyed)
+            code = 2 * (h % dim) + (1 if signed and h >> 63 else 0)
+            if len(memo) < cap and a <= cap and b < cap:
+                memo[k] = code
             codes.append(code)
         return codes
 

@@ -23,7 +23,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -218,7 +218,8 @@ class ModelBundle:
     float64 vector laid out by `layout`. `params` holds those views by block,
     the first segment of the layout name, then by the rest of the name:
     params["crf"]["T"] is "crf.T" and params["attn"]["layer0.Q"] is
-    "attn.layer0.Q". A model has a "shift" block only with the shift head."""
+    "attn.layer0.Q". A model has a "shift" block only with the shift head.
+    `grad` and `grads` hold the gradient in the same way; backward passes write it."""
 
     encoder_spec: dict
     window: tuple[int, ...]
@@ -234,12 +235,16 @@ class ModelBundle:
     flat: np.ndarray
     config_echo: dict = field(default_factory=dict)
     params: dict[str, dict[str, np.ndarray]] = field(init=False, repr=False)
+    grad: np.ndarray = field(init=False, repr=False)
+    grads: dict[str, dict[str, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.params = {}
-        for name, view in self.parameter_blocks().items():
-            block, _, rest = name.partition(".")
-            self.params.setdefault(block, {})[rest] = view
+        self.grad = np.zeros(self.flat.shape[0])
+        self.params, self.grads = {}, {}
+        for vec, blocks in ((self.flat, self.params), (self.grad, self.grads)):
+            for name, view in _views(vec, self.layout).items():
+                block, _, rest = name.partition(".")
+                blocks.setdefault(block, {})[rest] = view
 
     def parameter_blocks(self) -> dict[str, np.ndarray]:
         """Live views of every trainable tensor, in layout order."""
@@ -257,12 +262,12 @@ def _hash_config(spec: dict) -> HashEncoderConfig:
     )
 
 
-def shift_loss(features: np.ndarray, shifts, p: ctx.Params):
+def shift_loss(features: np.ndarray, shifts, p: ctx.Params, g: ctx.Params):
     """Mean binary cross-entropy of sigmoid(features w + b) against the bits,
     with w (context_dim,) and b (1,) read from the "shift" block p.
 
-    Returns (loss, grads keyed "w" and "b", gradient of the features). Uses
-    log(1 + e^z) - y z per position, which is stable for any z.
+    Writes the gradients of w and b to g; returns (loss, gradient of the
+    features). Uses log(1 + e^z) - y z per position, which is stable for any z.
     """
     bits = np.asarray(getattr(shifts, "bits", shifts), dtype=np.float64)
     m = features.shape[0]
@@ -272,7 +277,8 @@ def shift_loss(features: np.ndarray, shifts, p: ctx.Params):
     z = features @ w + p["b"][0]
     loss = float(np.mean(np.logaddexp(0.0, z) - bits * z))
     dz = (1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0))) - bits) / m
-    return loss, {"w": features.T @ dz, "b": np.array([dz.sum()])}, np.outer(dz, w)
+    g["w"][...], g["b"][...] = features.T @ dz, dz.sum()
+    return loss, np.outer(dz, w)
 
 
 def inverse_frequency_weights(corpus: Corpus) -> dict[RhetoricalRole, float]:
@@ -346,17 +352,15 @@ def _context_forward(bundle: ModelBundle, X: np.ndarray):
     return ctx.gcn_forward_cache(X, graph, p)
 
 
-def _context_backward(bundle: ModelBundle, cache, dH: np.ndarray):
+def _context_backward(bundle: ModelBundle, cache, dH: np.ndarray) -> None:
     kind = bundle.context_kind
-    if kind == "none":
-        return {}, dH
-    backward = {"bilstm": ctx.bilstm_backward, "attention": ctx.attention_stack_backward, "gcn": ctx.gcn_backward}
-    block = _CONTEXT_BLOCK[kind]
-    grads, dX = backward[kind](cache, bundle.params[block], dH)
-    return {f"{block}.{k}": g for k, g in grads.items()}, dX
+    if kind != "none":
+        backward = {"bilstm": ctx.bilstm_backward, "attention": ctx.attention_stack_backward, "gcn": ctx.gcn_backward}
+        block = _CONTEXT_BLOCK[kind]
+        backward[kind](cache, bundle.params[block], bundle.grads[block], dH)
 
 
-def _softmax_loss_and_grads(H: np.ndarray, y: np.ndarray, p: ctx.Params, cw: np.ndarray):
+def _softmax_loss_and_grads(H: np.ndarray, y: np.ndarray, p: ctx.Params, g: ctx.Params, cw: np.ndarray):
     m = H.shape[0]
     W = p["W"]
     E = H @ W + p["b"]
@@ -368,17 +372,19 @@ def _softmax_loss_and_grads(H: np.ndarray, y: np.ndarray, p: ctx.Params, cw: np.
     dE = np.exp(log_probs)
     dE[np.arange(m), y] -= 1.0
     dE *= (weights / m)[:, None]
-    return loss, {"W": H.T @ dE, "b": dE.sum(axis=0)}, dE @ W.T
+    g["W"][...], g["b"][...] = H.T @ dE, dE.sum(axis=0)
+    return loss, dE @ W.T
 
 
 def _rr_loss_and_grads(bundle: ModelBundle, H: np.ndarray, y: np.ndarray, cw: np.ndarray):
-    """Head loss, its gradients keyed as in the head's block, and dH."""
-    p = bundle.params[bundle.head_kind]
+    """Head loss and dH; writes the head block's gradients."""
+    p, g = bundle.params[bundle.head_kind], bundle.grads[bundle.head_kind]
     if bundle.head_kind == "crf":
         E = crf_mod.emissions(H, p)
-        loss, dE, grads = crf_mod.nll_and_grad(E, y, p)
-        return loss, {"W_e": H.T @ dE, "b_e": dE.sum(axis=0), **grads}, dE @ p["W_e"].T
-    return _softmax_loss_and_grads(H, y, p, cw)
+        loss, dE = crf_mod.nll_and_grad(E, y, p, g)
+        g["W_e"][...], g["b_e"][...] = H.T @ dE, dE.sum(axis=0)
+        return loss, dE @ p["W_e"].T
+    return _softmax_loss_and_grads(H, y, p, g, cw)
 
 
 def document_loss_and_grads(
@@ -388,28 +394,29 @@ def document_loss_and_grads(
     shift_bits: np.ndarray | None,
     lam: float,
     cw: np.ndarray,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Composite loss and gradients for every parameter block.
+) -> float:
+    """Composite loss; writes the gradient of every parameter to bundle.grad.
 
     With the shift head present its term is always computed and scaled by
     lambda; lambda = 0 zeroes the contribution through exact float identities.
     """
     H, cache = _context_forward(bundle, X)
-    rr_loss, rr_grads, dH_rr = _rr_loss_and_grads(bundle, H, y, cw)
+    rr_loss, dH_rr = _rr_loss_and_grads(bundle, H, y, cw)
     rr_scale = 1.0 - lam
-    grads = {f"{bundle.head_kind}.{k}": rr_scale * g for k, g in rr_grads.items()}
+    for grad in bundle.grads[bundle.head_kind].values():
+        grad *= rr_scale
     dH = rr_scale * dH_rr
     total = rr_scale * rr_loss
     if "shift" in bundle.params:
         if shift_bits is None:
             raise DataError("shift bits required when the shift head is enabled")
-        s_loss, s_grads, dH_shift = shift_loss(H, shift_bits, bundle.params["shift"])
+        s_loss, dH_shift = shift_loss(H, shift_bits, bundle.params["shift"], bundle.grads["shift"])
         total = total + lam * s_loss
-        grads.update({f"shift.{k}": lam * g for k, g in s_grads.items()})
+        for grad in bundle.grads["shift"].values():
+            grad *= lam
         dH = dH + lam * dH_shift
-    ctx_grads, _ = _context_backward(bundle, cache, dH)
-    grads.update(ctx_grads)
-    return total, grads
+    _context_backward(bundle, cache, dH)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -418,21 +425,16 @@ def document_loss_and_grads(
 
 
 class _Sgd:
-    """Updates a bundle's parameter vector in place. Each step gathers the
-    gradient dict, in layout order, into one buffer allocated once."""
+    """Updates a bundle's parameter vector in place from a gradient vector of
+    the same layout, which it only reads. The update is formed in one buffer
+    allocated once."""
 
     def __init__(self, layout: dict[str, ParamSpec], lr: float):
-        self.names = list(layout)
-        self.g = np.empty(layout_size(layout))
+        self.update = np.empty(layout_size(layout))
         self.lr = lr
 
-    def _gather(self, grads: Mapping[str, np.ndarray]) -> np.ndarray:
-        return np.concatenate([grads[name].reshape(-1) for name in self.names], out=self.g)
-
-    def step(self, flat: np.ndarray, grads: Mapping[str, np.ndarray]) -> None:
-        g = self._gather(grads)
-        g *= self.lr
-        flat -= g
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        flat -= np.multiply(grad, self.lr, out=self.update)
 
 
 class _Adam(_Sgd):
@@ -445,16 +447,16 @@ class _Adam(_Sgd):
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = np.zeros_like(self.g)
-        self.v = np.zeros_like(self.g)
-        self.scratch = np.empty_like(self.g)
+        self.m = np.zeros_like(self.update)
+        self.v = np.zeros_like(self.update)
+        self.scratch = np.empty_like(self.update)
 
-    def step(self, flat: np.ndarray, grads: Mapping[str, np.ndarray]) -> None:
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        g, s, m, v = self._gather(grads), self.scratch, self.m, self.v
+        g, u, s, m, v = grad, self.update, self.scratch, self.m, self.v
         m *= b1  # m = b1*m + (1-b1)*g
         m += np.multiply(g, 1.0 - b1, out=s)
         v *= b2  # v = b2*v + ((1-b2)*g)*g
@@ -464,10 +466,10 @@ class _Adam(_Sgd):
         np.divide(v, bias2, out=s)  # p -= (lr*(m/bias1)) / (sqrt(v/bias2) + eps)
         np.sqrt(s, out=s)
         s += self.eps
-        np.divide(m, bias1, out=g)
-        g *= self.lr
-        g /= s
-        flat -= g
+        np.divide(m, bias1, out=u)
+        u *= self.lr
+        u /= s
+        flat -= u
 
 
 def make_optimizer(cfg: TrainConfig, layout: dict[str, ParamSpec]):
@@ -565,10 +567,11 @@ def _row_encoder(bundle: ModelBundle, X0: np.ndarray):
     return full_forward_row
 
 
-def _free_running(bundle: ModelBundle, base: np.ndarray) -> tuple[list[int], np.ndarray]:
+def _free_running(bundle: ModelBundle, base: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Greedy left-to-right decode that feeds each committed label into the
-    next sentence's previous-label block. Returns the labels and the (m, 7)
-    step scores they were taken from.
+    next sentence's previous-label block. Returns the labels, the (m, 7)
+    step scores they were taken from, and the features with every committed
+    label in place.
 
     Committing label j-1 changes only row j of the features, so the document
     is featurized once and one context row is computed per sentence."""
@@ -584,7 +587,7 @@ def _free_running(bundle: ModelBundle, base: np.ndarray) -> tuple[list[int], np.
             X[j, label_col + preds[-1]] = 1.0
         scores[j] = _step_score(bundle.head_kind, head, row(j, X[j]), j, m, preds)
         preds.append(int(np.argmax(scores[j])))
-    return preds, scores
+    return preds, scores, X
 
 
 # Documents per batched forward pass: enough to amortize the per-step
@@ -701,17 +704,15 @@ def train_model(
             doc = docs[di]
             y, bits = targets[doc.doc_id]
             if cfg.label_mode == "predicted":
-                preds, _ = _free_running(bundle, base_train[doc.doc_id])
-                prevs = _prev_labels([RhetoricalRole(v) for v in preds], len(doc))
-                X = _featurize_doc(bundle, base_train[doc.doc_id], prevs)
+                _, _, X = _free_running(bundle, base_train[doc.doc_id])
             else:
                 X = fixed_X[doc.doc_id]
-            loss, grads = document_loss_and_grads(bundle, X, y, bits, lam, cw)
+            loss = document_loss_and_grads(bundle, X, y, bits, lam, cw)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, document {doc.doc_id!r}"
                 )
-            optimizer.step(bundle.flat, grads)
+            optimizer.step(bundle.flat, bundle.grad)
             epoch_loss += loss
         train_losses.append(epoch_loss / len(docs))
         val_f1 = _validation_macro_f1(bundle, val, base_val)
@@ -773,10 +774,10 @@ def gradcheck(
     cw = np.ones(NUM_ROLES)
 
     def loss_fn() -> float:
-        value, _ = document_loss_and_grads(bundle, X, y, bits, lam, cw)
-        return value
+        return document_loss_and_grads(bundle, X, y, bits, lam, cw)
 
-    _, analytic = document_loss_and_grads(bundle, X, y, bits, lam, cw)
+    loss_fn()
+    analytic = _views(bundle.grad.copy(), bundle.layout)  # each loss_fn() call overwrites bundle.grad
     rng = np.random.default_rng(0)
     report: dict[str, float] = {}
     for name, tensor in bundle.parameter_blocks().items():

@@ -20,7 +20,7 @@ from rhetseg.context import (
 )
 from rhetseg.errors import DataError
 from rhetseg.train import CONTEXT_KINDS, HEADS, TrainConfig, build_model
-from test_parameter_init import bilstm_block, direction, draw_params
+from test_parameter_init import bilstm_block, direction, draw_params, grad_block
 
 
 # --------------------------------------------------------------------------
@@ -174,7 +174,8 @@ def test_bilstm_backward_finite_differences():
     X = rng.normal(size=(4, 3))
     R = rng.normal(size=(4, 4))
     H, cache = bilstm_forward_cache(X, p)
-    grads, dX = bilstm_backward(cache, p, R)
+    grads = grad_block(p)
+    dX = bilstm_backward(cache, p, grads, R)
     step = 1e-6
 
     def loss(Xv, pv):
@@ -229,8 +230,9 @@ def test_bilstm_backward_of_batch_cache_equals_batch_of_one():
     _, caches = bilstm_forward_batch(Xs, p)
     for X, cache in zip(Xs, caches):
         dH = rng.normal(size=(len(X), 6))
-        grads, dX = bilstm_backward(cache, p, dH)
-        want_grads, want_dX = bilstm_backward(bilstm_forward_cache(X, p)[1], p, dH)
+        grads, want_grads = grad_block(p), grad_block(p)
+        dX = bilstm_backward(cache, p, grads, dH)
+        want_dX = bilstm_backward(bilstm_forward_cache(X, p)[1], p, want_grads, dH)
         assert grads.keys() == want_grads.keys()
         for name in grads:
             assert np.array_equal(grads[name], want_grads[name]), (len(X), name)
@@ -270,7 +272,8 @@ def test_attention_backward_finite_differences():
     X = rng.normal(size=(4, 3))
     R = rng.normal(size=(4, 3))
     _, cache = attention_forward_cache(X, p)
-    grads, dX = attention_backward(cache, p, R)
+    grads = grad_block(p)
+    dX = attention_backward(cache, p, grads, R)
     step = 1e-6
 
     def loss():
@@ -317,9 +320,11 @@ def test_attention_stack_backward_finite_differences():
     X = rng.normal(size=(3, 3))
     R = rng.normal(size=(3, 3))
     _, caches = attention_stack_forward_cache(X, layers)
-    grads, _ = attention_stack_backward(caches, layers, R)
+    grads = grad_block(layers)
+    attention_stack_backward(caches, layers, grads, R)
     step = 1e-6
     assert set(grads) == {f"layer{i}.{n}" for i in range(2) for n in "QKVO"}
+    assert all(np.isfinite(grad).all() for grad in grads.values())  # every layer's tensors were written
     for i in range(2):
         arr = layers[f"layer{i}.Q"]
         flat = arr.reshape(-1)
@@ -461,7 +466,8 @@ def test_gcn_backward_finite_differences():
     X = rng.normal(size=(4, 3))
     R = rng.normal(size=(4, 5))
     _, cache = gcn_forward_cache(X, g, p)
-    grads, dX = gcn_backward(cache, p, R)
+    grads = grad_block(p)
+    dX = gcn_backward(cache, p, grads, R)
     step = 1e-6
 
     def loss():

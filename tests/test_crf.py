@@ -20,7 +20,7 @@ from rhetseg.crf import (
     viterbi_decode,
 )
 from rhetseg.errors import DataError
-from test_parameter_init import draw_params
+from test_parameter_init import draw_params, grad_block
 
 K = 7
 
@@ -180,7 +180,7 @@ def test_nll_nonnegative_and_zero_grad_at_uniform():
         E = rng.normal(size=(m, K))
         p = random_params(rng)
         y = [int(v) for v in rng.integers(0, K, size=m)]
-        loss, _, _ = nll_and_grad(E, y, p)
+        loss, _ = nll_and_grad(E, y, p, grad_block(p))
         assert loss >= 0.0
 
 
@@ -192,10 +192,11 @@ def test_nll_grad_matches_finite_differences():
         E = rng.uniform(-1.0, 1.0, size=(m, K))
         p = random_params(rng)
         y = [int(v) for v in rng.integers(0, K, size=m)]
-        _, dE, grad = nll_and_grad(E, y, p)
+        grad = grad_block(p)
+        _, dE = nll_and_grad(E, y, p, grad)
 
         def loss_at(E2, p2):
-            return nll_and_grad(E2, y, p2)[0]
+            return nll_and_grad(E2, y, p2, grad_block(p2))[0]
 
         for t in range(m):
             for a in range(K):
@@ -222,7 +223,8 @@ def test_nll_grad_start_end_match_marginal_identity():
     E = rng.normal(size=(m, K))
     p = random_params(rng)
     y = [4, 0, 2]
-    _, _, grad = nll_and_grad(E, y, p)
+    grad = grad_block(p)
+    nll_and_grad(E, y, p, grad)
     node, _ = marginals(E, p)
     want_start = node[0].copy()
     want_start[y[0]] -= 1.0
@@ -269,7 +271,8 @@ def test_nll_and_grad_runs_one_forward_pass(monkeypatch):
     calls = []
     forward = kernels.crf_forward
     monkeypatch.setattr(kernels, "crf_forward", lambda *args: calls.append(1) or forward(*args))
-    loss, grad_E, g = nll_and_grad(E, y, p)
+    g = grad_block(p)
+    loss, grad_E = nll_and_grad(E, y, p, g)
     assert len(calls) == 1
     assert loss == expected_loss
     onehot = np.eye(K)[y]

@@ -219,7 +219,7 @@ def test_chunk_coder_matches_hash_embed(texts, picks, cuts, orders, signed, capp
             hashed = calls[start:]
             assert len(hashed) == len(set(hashed))
             assert set(hashed) <= {g for doc in chunk for s in doc.sentences for g in ngrams(s.text, orders)}
-    assert len(enc._keys) - 1 + len(enc._recent) <= cap and len(enc._ids) <= cap
+    assert len(enc._codes) <= cap and len(enc._ids) <= cap
     if not capped:
         assert sorted(calls) == sorted({g for doc in docs for s in doc.sentences for g in ngrams(s.text, orders)})
 
@@ -255,7 +255,7 @@ class TestHashingMemo:
         for _ in range(3):
             doc = random_doc(rng, 10)
             np.testing.assert_array_equal(enc.encode_document(doc), uncached(doc, cfg))
-        assert len(enc._keys) - 1 + len(enc._recent) == 5  # the sorted table ends in a key no n-gram has
+        assert len(enc._codes) == 5
         assert len(enc._ids) == 5
 
     def test_chunk_only_ids_never_join_the_table(self, monkeypatch):

@@ -46,7 +46,8 @@ def random_model(seed, **overrides):
 
 def free_running_reencode(bundle, base):
     """Reference decode: featurize and encode the whole document again for
-    every sentence, O(m^2)."""
+    every sentence, O(m^2). Returns the labels, the step scores, and the
+    features featurized anew with the labels as previous labels."""
     m = base.shape[0]
     preds = []
     scores = np.empty((m, NUM_ROLES))
@@ -55,7 +56,8 @@ def free_running_reencode(bundle, base):
         H, _ = train_mod._context_forward(bundle, train_mod._featurize_doc(bundle, base, prevs))
         scores[j] = train_mod._step_score(bundle.head_kind, bundle.params[bundle.head_kind], H[j], j, m, preds)
         preds.append(int(np.argmax(scores[j])))
-    return preds, scores
+    prevs = train_mod._prev_labels([RhetoricalRole(v) for v in preds], m)
+    return preds, scores, train_mod._featurize_doc(bundle, base, prevs)
 
 
 @pytest.mark.parametrize("positional", POSITIONAL)
@@ -68,8 +70,8 @@ def test_row_decode_matches_reencode(kind, head, window, positional):
                                positional=positional)
     for m in LENGTHS:
         base = rng.normal(size=(m, BASE_DIM))
-        labels, scores = train_mod._free_running(bundle, base)
-        ref_labels, ref_scores = free_running_reencode(bundle, base)
+        labels, scores, _ = train_mod._free_running(bundle, base)
+        ref_labels, ref_scores, _ = free_running_reencode(bundle, base)
         assert labels == ref_labels
         np.testing.assert_allclose(scores, ref_scores, rtol=0, atol=1e-10)
         if m == 37:
@@ -83,8 +85,8 @@ def test_row_decode_matches_reencode(kind, head, window, positional):
 def test_configurations_without_row_encoder_keep_reencode(overrides):
     bundle, rng = random_model(11, **overrides)
     base = rng.normal(size=(9, BASE_DIM))
-    labels, scores = train_mod._free_running(bundle, base)
-    ref_labels, ref_scores = free_running_reencode(bundle, base)
+    labels, scores, _ = train_mod._free_running(bundle, base)
+    ref_labels, ref_scores, _ = free_running_reencode(bundle, base)
     assert labels == ref_labels
     assert np.array_equal(scores, ref_scores)
 

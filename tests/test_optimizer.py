@@ -1,10 +1,11 @@
 """The flat in-place optimizers against the per-tensor updates they replace:
-the same bits after every step."""
+the same bits after every step, from the same gradient vector, which a step
+only reads."""
 
 import numpy as np
 import pytest
 
-from rhetseg.train import TrainConfig, build_model, make_optimizer
+from rhetseg.train import TrainConfig, _views, build_model, make_optimizer
 
 SPEC = {"kind": "hash", "dim": 12, "ngram_orders": [1, 2], "seed": 0, "signed": True}
 
@@ -59,16 +60,14 @@ def reference_for(cfg):
     return ReferenceAdam(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
 
-def random_grads(rng, blocks):
-    """Gradients whose entries range over 1e-6 .. 1e2 in magnitude, some of
-    them zero, in a dict ordered unlike the layout."""
-    grads = {}
-    for name in rng.permutation(list(blocks)):
-        shape = blocks[name].shape
+def random_grads(rng, grads):
+    """Overwrite the gradient views with entries that range over 1e-6 .. 1e2
+    in magnitude, some of them zero, drawn in an order unlike the layout."""
+    for name in rng.permutation(list(grads)):
+        shape = grads[name].shape
         g = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6.0, 2.0, size=shape)
         g[rng.random(shape) < 0.05] = 0.0
-        grads[name] = g
-    return grads
+        grads[name][...] = g
 
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
@@ -81,9 +80,10 @@ def test_flat_step_equals_per_tensor_reference(layout, optimizer):
     flat_opt = make_optimizer(cfg, bundle.layout)
     ref_opt = reference_for(cfg)
     rng = np.random.default_rng(7)
+    grads = _views(bundle.grad, bundle.layout)
     for _ in range(60):
-        grads = random_grads(rng, blocks)
-        flat_opt.step(bundle.flat, grads)
+        random_grads(rng, grads)
+        flat_opt.step(bundle.flat, bundle.grad)
         ref_opt.step(reference, grads)
         for name, tensor in blocks.items():
             assert np.array_equal(tensor, reference[name]), name
@@ -95,8 +95,20 @@ def test_step_updates_the_bundle_tensors_in_place():
     bundle = build_model(cfg, SPEC, np.random.default_rng(1))
     Wx = bundle.params["bilstm"]["fwd.Wx"]
     before = Wx.copy()
-    grads = {name: np.ones(spec.shape) for name, spec in bundle.layout.items()}
-    make_optimizer(cfg, bundle.layout).step(bundle.flat, grads)
+    bundle.grad[:] = 1.0
+    make_optimizer(cfg, bundle.layout).step(bundle.flat, bundle.grad)
     assert bundle.params["bilstm"]["fwd.Wx"] is Wx
     assert np.all(Wx < before)
     assert np.shares_memory(Wx, bundle.flat)
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_step_leaves_the_gradient_vector_unchanged(optimizer):
+    cfg = TrainConfig(optimizer=optimizer, **LAYOUTS["bilstm_crf_mtl"])
+    bundle = build_model(cfg, SPEC, np.random.default_rng(1))
+    bundle.grad[:] = np.random.default_rng(3).standard_normal(bundle.grad.shape)
+    before = bundle.grad.copy()
+    opt = make_optimizer(cfg, bundle.layout)
+    for _ in range(3):
+        opt.step(bundle.flat, bundle.grad)
+        assert np.array_equal(bundle.grad, before)

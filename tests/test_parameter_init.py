@@ -4,7 +4,8 @@ builds every tensor with its own init function, then flattens them.
 The reference keeps the per-tensor init functions that built models before
 the layout carried init rules, so any change to a shape, a fan-in, a bound or
 the draw order shows up as a changed byte or a changed rng state. draw_params
-is the one way the other tests build a context's or a head's parameters.
+is the one way the other tests build a context's or a head's parameters,
+and grad_block the gradient block a backward pass writes into.
 """
 
 import itertools
@@ -44,6 +45,12 @@ def draw_params(kind, rng, width, hidden=4, layers=1):
     flat[: layout_size(own)] = init_parameters(own, rng)  # a context's entries lead the layout
     bundle = ModelBundle({}, (0,), "none", 0, "off", context, None, head_kind, width, context_dim, layout, flat)
     return bundle.params[kind if head else _CONTEXT_BLOCK[kind]]
+
+
+def grad_block(p):
+    """A gradient block keyed like the parameter block p, every entry NaN
+    until a backward pass writes it."""
+    return {k: np.full_like(v, np.nan) for k, v in p.items()}
 
 
 def direction(p, d):

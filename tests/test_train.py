@@ -25,6 +25,7 @@ from rhetseg.train import (
     train_model,
 )
 from test_checkpoint import bundles_equal, read_tensor, write_tensor
+from test_parameter_init import grad_block
 
 
 def small_data(n=24, lo=5, hi=10, noise=0.1, seed=5, split_seed=2):
@@ -51,8 +52,8 @@ def mtl_case(head, seed=0):
     y, bits = train_mod._targets(bundle, gold)
     H, _ = train_mod._context_forward(bundle, X)
     cw = np.ones(7)
-    rr, _, _ = train_mod._rr_loss_and_grads(bundle, H, y, cw)
-    shift, _, _ = shift_loss(H, bits, bundle.params["shift"])
+    rr, _ = train_mod._rr_loss_and_grads(bundle, H, y, cw)
+    shift, _ = shift_loss(H, bits, bundle.params["shift"], bundle.grads["shift"])
     return bundle, X, y, bits, cw, rr, shift
 
 
@@ -63,33 +64,34 @@ class TestMtlLoss:
         for head in ("crf", "softmax"):
             bundle, X, y, bits, cw, rr, shift = mtl_case(head)
             for lam in (0.5, 0.0, 1.0, 0.3):
-                total, _ = document_loss_and_grads(bundle, X, y, bits, lam, cw)
+                total = document_loss_and_grads(bundle, X, y, bits, lam, cw)
                 assert total == lam * shift + (1 - lam) * rr
 
     def test_lambda_zero_is_exact_identity(self):
         for head in ("crf", "softmax"):
             for seed in range(4):
                 bundle, X, y, bits, cw, rr, _ = mtl_case(head, seed)
-                total, _ = document_loss_and_grads(bundle, X, y, bits, 0.0, cw)
+                total = document_loss_and_grads(bundle, X, y, bits, 0.0, cw)
                 assert total == rr
 
     @pytest.mark.parametrize("mtl", [True, False], ids=["shift", "no-shift"])
     @pytest.mark.parametrize("head", HEADS)
     @pytest.mark.parametrize("kind", CONTEXT_KINDS)
-    def test_gradients_come_back_under_the_layout_names(self, kind, head, mtl):
-        """One gradient per layout entry, under its layout name and of its
-        parameter's shape; within a block, the name the module read it by."""
+    def test_every_gradient_entry_is_written(self, kind, head, mtl):
+        """Every entry of the gradient vector is overwritten, so it needs no
+        zeroing, and every gradient view is a view of that vector."""
         cfg = TrainConfig(context_kind=kind, head=head, mtl=mtl, lstm_hidden=3, gcn_hidden=5, attention_layers=2,
                           label_mode="gold", window=(-1, 0))
         bundle = build_model(cfg, encoder(dim=8).spec(), np.random.default_rng(0))
         rng = np.random.default_rng(1)
         X = rng.normal(size=(5, bundle.feat_dim))
         y, bits = train_mod._targets(bundle, [RhetoricalRole(int(v)) for v in rng.integers(0, 7, size=5)])
-        _, grads = document_loss_and_grads(bundle, X, y, bits, 0.3 if mtl else 0.0, np.ones(7))
-        assert grads.keys() == bundle.layout.keys()
-        for name, spec in bundle.layout.items():
-            block, _, rest = name.partition(".")
-            assert grads[name].shape == spec.shape == bundle.params[block][rest].shape, name
+        bundle.grad[:] = np.nan
+        document_loss_and_grads(bundle, X, y, bits, 0.3 if mtl else 0.0, np.ones(7))
+        assert np.isfinite(bundle.grad).all()
+        for block, grads in bundle.grads.items():
+            for rest, grad in grads.items():
+                assert np.shares_memory(grad, bundle.grad), f"{block}.{rest}"
 
     def test_rejects_bad_inputs(self):
         for lam in (1.5, -0.1, float("nan")):
@@ -101,7 +103,7 @@ class TestShiftLoss:
     def test_zero_head_gives_log_two(self):
         head = dict(w=np.zeros(3), b=np.zeros(1))
         X = np.random.default_rng(0).normal(size=(5, 3))
-        loss, _, _ = shift_loss(X, (1, 0, 1, 1, 0), head)
+        loss, _ = shift_loss(X, (1, 0, 1, 1, 0), head, grad_block(head))
         assert loss == pytest.approx(np.log(2.0))
 
     def test_gradients_match_finite_differences(self):
@@ -109,26 +111,27 @@ class TestShiftLoss:
         X = rng.normal(size=(6, 4))
         bits = tuple(int(v) for v in rng.integers(0, 2, size=6))
         head = dict(w=rng.normal(size=4), b=rng.normal(size=1))
-        _, grads, d_features = shift_loss(X, bits, head)
+        grads = grad_block(head)
+        _, d_features = shift_loss(X, bits, head, grads)
         step = 1e-7
         for i in range(4):
             head["w"][i] += step
-            up, _, _ = shift_loss(X, bits, head)
+            up, _ = shift_loss(X, bits, head, grad_block(head))
             head["w"][i] -= 2 * step
-            dn, _, _ = shift_loss(X, bits, head)
+            dn, _ = shift_loss(X, bits, head, grad_block(head))
             head["w"][i] += step
             np.testing.assert_allclose(grads["w"][i], (up - dn) / (2 * step), atol=1e-6)
         head["b"][0] += step
-        up, _, _ = shift_loss(X, bits, head)
+        up, _ = shift_loss(X, bits, head, grad_block(head))
         head["b"][0] -= 2 * step
-        dn, _, _ = shift_loss(X, bits, head)
+        dn, _ = shift_loss(X, bits, head, grad_block(head))
         head["b"][0] += step
         np.testing.assert_allclose(grads["b"][0], (up - dn) / (2 * step), atol=1e-6)
         for r, c in ((0, 0), (3, 2), (5, 3)):
             X[r, c] += step
-            up, _, _ = shift_loss(X, bits, head)
+            up, _ = shift_loss(X, bits, head, grad_block(head))
             X[r, c] -= 2 * step
-            dn, _, _ = shift_loss(X, bits, head)
+            dn, _ = shift_loss(X, bits, head, grad_block(head))
             X[r, c] += step
             np.testing.assert_allclose(d_features[r, c], (up - dn) / (2 * step),
                                        atol=1e-6)
@@ -138,23 +141,24 @@ class TestShiftLoss:
         bits = (1, 0, 1, 1, 0, 0, 1, 0)
         X = np.array([[1.0 if b else -1.0] for b in bits])
         head = dict(w=np.zeros(1), b=np.zeros(1))
+        grads = grad_block(head)
         for _ in range(200):
-            loss, grads, _ = shift_loss(X, bits, head)
+            shift_loss(X, bits, head, grads)
             head["w"] -= 1.0 * grads["w"]
             head["b"] -= 1.0 * grads["b"]
-        loss, _, _ = shift_loss(X, bits, head)
+        loss, _ = shift_loss(X, bits, head, grad_block(head))
         assert loss < 0.1
 
     def test_accepts_shift_sequence_objects(self):
         head = dict(w=np.zeros(2), b=np.zeros(1))
         seq = label_shift_sequence([RhetoricalRole.FACTS, RhetoricalRole.ISSUE])
-        loss, _, _ = shift_loss(np.zeros((2, 2)), seq, head)
+        loss, _ = shift_loss(np.zeros((2, 2)), seq, head, grad_block(head))
         assert loss == pytest.approx(np.log(2.0))
 
     def test_length_mismatch(self):
         head = dict(w=np.zeros(2), b=np.zeros(1))
         with pytest.raises(DataError):
-            shift_loss(np.zeros((3, 2)), (1, 0), head)
+            shift_loss(np.zeros((3, 2)), (1, 0), head, grad_block(head))
 
 
 class TestClassWeights:
