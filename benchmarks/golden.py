@@ -2,7 +2,7 @@
 """Digest the outputs of a fixed set of rhetseg runs, so that two source
 trees can be shown to produce the same bytes.
 
---out DIR synthesizes fixed corpora and, for each of eleven train
+--out DIR synthesizes fixed corpora and, for each of twelve train
 configurations, writes into DIR/<configuration>/ the checkpoint, the report
 CSV, train's stdout, the `predict` output and stdout in free-running and
 teacher-forced mode, and gradcheck's stdout. It prints one SHA-256 per file,
@@ -56,6 +56,7 @@ CONFIGURATIONS = {
                               "--label-mode", "predicted"),
     "softmax-weighted-lambda0": ("--label-mode", "gold", "--head", "softmax", "--class-weights", "auto",
                                  "--lambda", "0"),
+    "gold-window-sinusoidal": ("--label-mode", "gold", "--window", "i-2:i-1:i", "--positional", "sinusoidal"),
 }
 
 

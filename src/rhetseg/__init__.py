@@ -12,7 +12,6 @@ from .corpus import (
     CorpusStats,
     Document,
     Sentence,
-    ShiftSequence,
     compute_stats,
     label_shift_sequence,
     load_jsonl,
@@ -35,7 +34,6 @@ __all__ = [
     "ROLE_NAMES",
     "RhetoricalRole",
     "Sentence",
-    "ShiftSequence",
     "compute_stats",
     "label_shift_sequence",
     "load_jsonl",

@@ -19,7 +19,6 @@ one matmul per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -174,18 +173,12 @@ def attention_stack_backward(caches: list[dict], p: Params, g: Params, dY: np.nd
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DocumentGraph:
-    m: int
-    edges: tuple[tuple[int, int], ...]
-    a_hat: np.ndarray  # D^{-1/2} (A + I) D^{-1/2}
-
-
 def build_graph(
     m: int, X: np.ndarray | None = None, sim_threshold: float | None = None
-) -> DocumentGraph:
-    """Path graph over sentence order, plus optional cosine-similarity edges,
-    normalized as A_hat = D^{-1/2}(A + I)D^{-1/2}."""
+) -> np.ndarray:
+    """A_hat = D^{-1/2}(A + I)D^{-1/2} of the path graph over sentence order,
+    plus optional cosine-similarity edges: (i, j) with i < j is an edge iff
+    A_hat[i, j] is nonzero."""
     if m < 1:
         raise DataError(f"graph needs m >= 1, got {m}")
     if sim_threshold is not None and X is None:
@@ -201,21 +194,19 @@ def build_graph(
     A = np.eye(m) + upper + upper.T
     degrees = A.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    a_hat = A * inv_sqrt[:, None] * inv_sqrt[None, :]
-    rows, cols = np.nonzero(upper)
-    return DocumentGraph(m=m, edges=tuple(zip(rows.tolist(), cols.tolist())), a_hat=a_hat)
+    return A * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-def gcn_forward_cache(X: np.ndarray, g: DocumentGraph, p: Params):
+def gcn_forward_cache(X: np.ndarray, a_hat: np.ndarray, p: Params):
     """H2 = relu(A_hat relu(A_hat X W1) W2); W1 is (d_in, hidden), W2 (hidden, hidden)."""
-    P1 = g.a_hat @ X
+    P1 = a_hat @ X
     Z1 = P1 @ p["W1"]
     H1 = np.maximum(Z1, 0.0)
-    P2 = g.a_hat @ H1
+    P2 = a_hat @ H1
     Z2 = P2 @ p["W2"]
     H2 = np.maximum(Z2, 0.0)
     _check_finite("gcn_encode", H2)
-    return H2, {"P1": P1, "Z1": Z1, "P2": P2, "Z2": Z2, "a_hat": g.a_hat}
+    return H2, {"P1": P1, "Z1": Z1, "P2": P2, "Z2": Z2, "a_hat": a_hat}
 
 
 def gcn_backward(cache: dict, p: Params, g: Params, dH2: np.ndarray) -> np.ndarray:
@@ -296,9 +287,9 @@ class GcnRows:
     """Two GCN layers over a graph without similarity edges, whose a_hat is
     tridiagonal: output row j reads only input rows j-2..j+2."""
 
-    def __init__(self, X0: np.ndarray, g: DocumentGraph, p: Params):
+    def __init__(self, X0: np.ndarray, a_hat: np.ndarray, p: Params):
         self.X = X0.copy()
-        self.a_hat = g.a_hat
+        self.a_hat = a_hat
         self.W1, self.W2 = p["W1"], p["W2"]
 
     def row(self, j: int, x: np.ndarray) -> np.ndarray:

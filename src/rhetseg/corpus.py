@@ -106,22 +106,6 @@ class CorpusStats:
     per_label_avg_tokens: dict[RhetoricalRole, float]
 
 
-@dataclass(frozen=True)
-class ShiftSequence:
-    """Binary segment-boundary indicators, one per sentence."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.bits) < 1:
-            raise DataError("empty shift sequence")
-        if any(b not in (0, 1) for b in self.bits):
-            raise DataError("shift bits must be 0 or 1")
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-
 def _sentence_from_obj(obj, doc_id: str, index: int, line_no: int) -> Sentence:
     if not isinstance(obj, dict) or "text" not in obj:
         raise DataError(f"line {line_no}: sentence {index} of {doc_id!r} is not an object with 'text'")
@@ -305,11 +289,10 @@ def compute_stats(corpus: Corpus) -> CorpusStats:
     )
 
 
-def label_shift_sequence(labels: list[RhetoricalRole]) -> ShiftSequence:
-    """bits[j] = 1 iff the role changes at j; bits[0] = 1 by convention."""
-    if not labels:
+def label_shift_sequence(labels) -> np.ndarray:
+    """Float64 segment-boundary bits of a role or role-id sequence: bits[j] = 1
+    iff the role changes at j; bits[0] = 1 by convention."""
+    y = np.asarray(labels, dtype=np.int64)
+    if y.size == 0:
         raise DataError("cannot compute shifts of an empty label list")
-    bits = [1]
-    for j in range(1, len(labels)):
-        bits.append(1 if labels[j] != labels[j - 1] else 0)
-    return ShiftSequence(bits=tuple(bits))
+    return np.concatenate([[1.0], y[1:] != y[:-1]])

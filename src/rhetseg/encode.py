@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .errors import DataError, open_text
-from .roles import NUM_ROLES, RhetoricalRole
+from .roles import NUM_ROLES
 
 if TYPE_CHECKING:  # pragma: no cover
     from .corpus import Corpus, Document
@@ -239,16 +239,12 @@ def window_features(M: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def label_feature(M: np.ndarray, labels_prev: list[RhetoricalRole | None]) -> np.ndarray:
-    """Append a 7-wide one-hot of the previous sentence's label (zeros if absent)."""
+def label_feature(M: np.ndarray, labels_prev: np.ndarray) -> np.ndarray:
+    """Append a 7-wide one-hot of each row's previous-label id (zeros for -1, no label)."""
     m = M.shape[0]
     if len(labels_prev) != m:
         raise DataError(f"labels_prev has length {len(labels_prev)}, expected {m}")
-    block = np.zeros((m, NUM_ROLES))
-    for j, role in enumerate(labels_prev):
-        if role is not None:
-            block[j, int(role)] = 1.0
-    return np.hstack([M, block])
+    return np.hstack([M, np.arange(NUM_ROLES) == labels_prev[:, None]])
 
 
 def positional_features(M: np.ndarray, mode: str, sin_dim: int = 8) -> np.ndarray:
@@ -281,7 +277,7 @@ def featurize(
     offsets: tuple[int, ...],
     positional: str,
     sin_dim: int,
-    labels_prev: list[RhetoricalRole | None] | None,
+    labels_prev: np.ndarray | None,
 ) -> np.ndarray:
     """Window, then positional, then previous-label block. Widths compose additively."""
     X = window_features(base, offsets)

@@ -262,14 +262,14 @@ def _hash_config(spec: dict) -> HashEncoderConfig:
     )
 
 
-def shift_loss(features: np.ndarray, shifts, p: ctx.Params, g: ctx.Params):
+def shift_loss(features: np.ndarray, bits: np.ndarray, p: ctx.Params, g: ctx.Params):
     """Mean binary cross-entropy of sigmoid(features w + b) against the bits,
     with w (context_dim,) and b (1,) read from the "shift" block p.
 
     Writes the gradients of w and b to g; returns (loss, gradient of the
     features). Uses log(1 + e^z) - y z per position, which is stable for any z.
     """
-    bits = np.asarray(getattr(shifts, "bits", shifts), dtype=np.float64)
+    bits = np.asarray(bits, dtype=np.float64)
     m = features.shape[0]
     if bits.shape != (m,):
         raise DataError(f"shift bits length {bits.shape} does not match {m} rows")
@@ -344,12 +344,12 @@ def _context_forward(bundle: ModelBundle, X: np.ndarray):
         return ctx.bilstm_forward_cache(X, p)
     if kind == "attention":
         return ctx.attention_stack_forward_cache(X, p)
-    graph = ctx.build_graph(
+    a_hat = ctx.build_graph(
         X.shape[0],
         X if bundle.gcn_sim_threshold is not None else None,
         bundle.gcn_sim_threshold,
     )
-    return ctx.gcn_forward_cache(X, graph, p)
+    return ctx.gcn_forward_cache(X, a_hat, p)
 
 
 def _context_backward(bundle: ModelBundle, cache, dH: np.ndarray) -> None:
@@ -483,41 +483,34 @@ def make_optimizer(cfg: TrainConfig, layout: dict[str, ParamSpec]):
 # ---------------------------------------------------------------------------
 
 
-def _prev_labels(labels: list, m: int) -> list:
-    """Entry j is the label of sentence j-1; missing entries are None."""
-    prevs = [None] + list(labels)
-    prevs = prevs[:m]
-    return prevs + [None] * (m - len(prevs))
-
-
-def _featurize_doc(bundle: ModelBundle, base: np.ndarray, prevs) -> np.ndarray:
-    return featurize(base, bundle.window, bundle.positional, bundle.sin_dim, prevs)
-
-
-def _gold_features(bundle: ModelBundle, base: np.ndarray, gold) -> np.ndarray:
-    """Features with the gold previous labels, when label features are on."""
-    return _featurize_doc(bundle, base, _prev_labels(gold, base.shape[0]) if bundle.label_mode != "off" else None)
+def _features(bundle: ModelBundle, base: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """Features of one document. With label features on, row j's previous
+    label is y[j-1] when the label ids y are given, and none on every row
+    otherwise, as at the start of a free-running decode."""
+    prev = None
+    if bundle.label_mode != "off":
+        prev = np.full(base.shape[0], -1)
+        if y is not None:
+            prev[1:] = y[:-1]
+    return featurize(base, bundle.window, bundle.positional, bundle.sin_dim, prev)
 
 
 def _targets(bundle: ModelBundle, gold) -> tuple[np.ndarray, np.ndarray | None]:
     """Label ids, and the shift bits when the model has a shift head."""
-    y = np.array([int(r) for r in gold], dtype=np.int64)
-    bits = np.array(label_shift_sequence(gold).bits, dtype=np.float64) if "shift" in bundle.params else None
-    return y, bits
+    y = np.asarray(gold, np.int64)
+    return y, label_shift_sequence(y) if "shift" in bundle.params else None
 
 
-def _predict_chunk(bundle: ModelBundle, bases: list, mode: str, golds=None) -> list[list[int]]:
-    """Label ids for a few documents from their sentence vectors. Free-running
-    decoding with label features runs per document; every other
-    configuration featurizes per document, then runs the BiLSTM recurrence
-    and the CRF Viterbi pass once over the padded chunk."""
-    if bundle.label_mode != "off":
-        if mode == "free_running":
-            return [_free_running(bundle, base)[0] for base in bases]
-        if mode != "teacher_forced":
-            raise DataError(f"unknown prediction mode {mode!r}")
-    golds = golds or [None] * len(bases)
-    Hs = _context_rows(bundle, [_gold_features(bundle, base, gold) for base, gold in zip(bases, golds)])
+def _predict_chunk(bundle: ModelBundle, bases: list, mode: str, ys=None) -> list[list[int]]:
+    """Label ids for a few documents from their sentence vectors, given the
+    gold label ids ys in teacher-forced mode. Free-running decoding with
+    label features runs per document; every other configuration featurizes
+    per document, then runs the BiLSTM recurrence and the CRF Viterbi pass
+    once over the padded chunk."""
+    if bundle.label_mode != "off" and mode == "free_running":
+        return [_free_running(bundle, base)[0] for base in bases]
+    ys = ys or [None] * len(bases)
+    Hs = _context_rows(bundle, [_features(bundle, base, y) for base, y in zip(bases, ys)])
     p = bundle.params[bundle.head_kind]
     if bundle.head_kind == "crf":
         return crf_mod.viterbi_decode_batch([crf_mod.emissions(H, p) for H in Hs], p)
@@ -576,7 +569,7 @@ def _free_running(bundle: ModelBundle, base: np.ndarray) -> tuple[list[int], np.
     Committing label j-1 changes only row j of the features, so the document
     is featurized once and one context row is computed per sentence."""
     m = base.shape[0]
-    X = _featurize_doc(bundle, base, [None] * m)
+    X = _features(bundle, base)
     row = _row_encoder(bundle, X)
     head = bundle.params[bundle.head_kind]
     label_col = X.shape[1] - NUM_ROLES
@@ -610,14 +603,17 @@ def predict_documents(
     labelling each document on its own. With label_mode=off both modes
     coincide; otherwise teacher_forced feeds gold previous labels and
     free_running feeds the model's own greedy predictions."""
+    if mode not in ("free_running", "teacher_forced"):
+        raise DataError(f"unknown prediction mode {mode!r}")
     if encoder is None:
         encoder = bundle.make_encoder()
     docs = list(docs)
-    golds = [doc.gold_labels() for doc in docs] if bundle.label_mode != "off" and mode == "teacher_forced" else None
+    forced = bundle.label_mode != "off" and mode == "teacher_forced"
+    ys = [np.asarray(doc.gold_labels(), np.int64) for doc in docs] if forced else None
     out: list = [None] * len(docs)
     for idx, chunk in _chunks(docs):
-        chunk_golds = [golds[i] for i in idx] if golds else None
-        for i, ids in zip(idx, _predict_chunk(bundle, encoder.encode_documents(chunk), mode, chunk_golds)):
+        chunk_ys = [ys[i] for i in idx] if ys else None
+        for i, ids in zip(idx, _predict_chunk(bundle, encoder.encode_documents(chunk), mode, chunk_ys)):
             out[i] = [RhetoricalRole(v) for v in ids]
     return out
 
@@ -651,10 +647,9 @@ def _shift_validation_accuracy(bundle: ModelBundle, val: Corpus, base_map: dict)
     correct = total = ones = 0
     shift = bundle.params["shift"]
     for _, chunk in _chunks(val.documents):
-        golds = [doc.gold_labels() for doc in chunk]
-        Xs = [_gold_features(bundle, base_map[doc.doc_id], gold) for doc, gold in zip(chunk, golds)]
-        for H, gold in zip(_context_rows(bundle, Xs), golds):
-            _, bits = _targets(bundle, gold)
+        targets = [_targets(bundle, doc.gold_labels()) for doc in chunk]
+        Xs = [_features(bundle, base_map[doc.doc_id], y) for doc, (y, _) in zip(chunk, targets)]
+        for H, (_, bits) in zip(_context_rows(bundle, Xs), targets):
             z = H @ shift["w"] + shift["b"][0]
             pred_bits = (z > 0).astype(np.float64)
             correct += int((pred_bits == bits).sum())
@@ -688,7 +683,7 @@ def train_model(
     fixed_X: dict[str, np.ndarray] = {}
     if cfg.label_mode != "predicted":
         for doc in train:
-            fixed_X[doc.doc_id] = _gold_features(bundle, base_train.pop(doc.doc_id), doc.gold_labels())
+            fixed_X[doc.doc_id] = _features(bundle, base_train.pop(doc.doc_id), targets[doc.doc_id][0])
 
     docs = list(train)
     train_losses: list[float] = []
@@ -768,8 +763,8 @@ def gradcheck(
         raise DataError(f"gradcheck tolerance must be finite and >= 0, got {tolerance}")
     if encoder is None:
         encoder = bundle.make_encoder()
-    X = _gold_features(bundle, encoder.encode_document(doc), doc.gold_labels())
     y, bits = _targets(bundle, doc.gold_labels())
+    X = _features(bundle, encoder.encode_document(doc), y)
     lam = 0.5 if "shift" in bundle.params else 0.0
     cw = np.ones(NUM_ROLES)
 

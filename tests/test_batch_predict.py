@@ -10,8 +10,10 @@ from rhetseg import context, crf, kernels
 from rhetseg import train as train_mod
 from rhetseg.corpus import Corpus, Document, label_shift_sequence
 from rhetseg.encode import HashEncoderConfig, HashingEncoder
+from rhetseg.errors import DataError
 from rhetseg.synth import generate_corpus
 from rhetseg.train import (
+    LABEL_MODES,
     TrainConfig,
     build_model,
     predict_document,
@@ -19,6 +21,7 @@ from rhetseg.train import (
     save_checkpoint,
     train_model,
 )
+from test_encode import role_list_features
 
 BASE_DIM = 12
 SPEC = {"kind": "hash", "dim": BASE_DIM, "ngram_orders": [1, 2], "seed": 0, "signed": True}
@@ -67,10 +70,7 @@ def context_rows(bundle, X):
 def per_document(bundle, doc, enc):
     """The per-document reference: featurize, full context forward pass,
     then Viterbi or argmax on this document alone."""
-    prevs = None
-    if bundle.label_mode != "off":
-        prevs = train_mod._prev_labels(doc.gold_labels(), len(doc))
-    X = train_mod._featurize_doc(bundle, enc.encode_document(doc), prevs)
+    X = role_list_features(bundle, enc.encode_document(doc), doc.gold_labels())
     H = context_rows(bundle, X)
     p = bundle.params[bundle.head_kind]
     if bundle.head_kind == "crf":
@@ -119,6 +119,13 @@ def test_predict_document_is_a_batch_of_one(mode):
     assert batch == [predict_document(doc, bundle, mode=mode, encoder=encoder()) for doc in docs]
 
 
+@pytest.mark.parametrize("label_mode", LABEL_MODES)
+def test_unknown_mode_rejected_for_every_label_mode(label_mode):
+    bundle = random_model(label_mode, "bilstm", "crf")
+    with pytest.raises(DataError, match="^unknown prediction mode 'bogus'$"):
+        predict_documents(mixed_docs()[:3], bundle, mode="bogus", encoder=encoder())
+
+
 def test_batched_viterbi_equals_per_document_viterbi_on_ties():
     p = dict(W_e=np.zeros((1, 7)), b_e=np.zeros(7), T=np.zeros((7, 7)),
              start=np.zeros(7), end=np.zeros(7))
@@ -131,14 +138,14 @@ def test_batched_viterbi_equals_per_document_viterbi_on_ties():
     assert crf.viterbi_decode_batch(Es, p) == [crf.viterbi_decode(E, p)[0] for E in Es]
 
 
-def per_document_chunk(bundle, bases, mode, golds=None):
+def per_document_chunk(bundle, bases, mode, ys=None):
     """_predict_chunk computed one document at a time, as before batching."""
     out = []
     for base in bases:
         if bundle.label_mode != "off":
             out.append(train_mod._free_running(bundle, base)[0])
             continue
-        H = context_rows(bundle, train_mod._featurize_doc(bundle, base, None))
+        H = context_rows(bundle, role_list_features(bundle, base))
         p = bundle.params["crf"]
         out.append(crf.viterbi_decode(crf.emissions(H, p), p)[0])
     return out
@@ -166,9 +173,8 @@ def per_document_shift_accuracy(bundle, val, base_map):
     correct = total = ones = 0
     for doc in val:
         gold = doc.gold_labels()
-        bits = np.array(label_shift_sequence(gold).bits, dtype=np.float64)
-        prevs = train_mod._prev_labels(gold, len(doc)) if bundle.label_mode != "off" else None
-        H = context_rows(bundle, train_mod._featurize_doc(bundle, base_map[doc.doc_id], prevs))
+        bits = label_shift_sequence(gold)
+        H = context_rows(bundle, role_list_features(bundle, base_map[doc.doc_id], gold))
         z = H @ bundle.params["shift"]["w"] + bundle.params["shift"]["b"][0]
         correct += int(((z > 0).astype(np.float64) == bits).sum())
         total += len(bits)

@@ -261,22 +261,26 @@ class TestStats:
 class TestShiftSequence:
     def test_first_bit_always_one(self):
         R = RhetoricalRole
-        seq = label_shift_sequence([R.FACTS])
-        assert seq.bits == (1,)
+        bits = label_shift_sequence([R.FACTS])
+        assert bits.dtype == np.float64
+        assert np.array_equal(bits, [1.0])
 
     def test_changes_marked(self):
         R = RhetoricalRole
-        seq = label_shift_sequence([R.FACTS, R.FACTS, R.ISSUE, R.ISSUE, R.FACTS])
-        assert seq.bits == (1, 0, 1, 0, 1)
+        bits = label_shift_sequence([R.FACTS, R.FACTS, R.ISSUE, R.ISSUE, R.FACTS])
+        assert bits.dtype == np.float64
+        assert np.array_equal(bits, [1.0, 0.0, 1.0, 0.0, 1.0])
 
     def test_matches_pairwise_comparison(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
             labels = [RhetoricalRole(int(v)) for v in rng.integers(0, 7, size=rng.integers(1, 15))]
-            bits = label_shift_sequence(labels).bits
-            assert bits[0] == 1
-            for j in range(1, len(labels)):
-                assert bits[j] == int(labels[j] != labels[j - 1])
+            for seq in (labels, np.array(labels, dtype=np.int64)):
+                bits = label_shift_sequence(seq)
+                assert bits.dtype == np.float64 and bits.shape == (len(labels),)
+                assert bits[0] == 1.0
+                for j in range(1, len(labels)):
+                    assert bits[j] == float(labels[j] != labels[j - 1])
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):

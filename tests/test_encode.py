@@ -1,6 +1,8 @@
 """Tokenizer, hashed n-gram vectors, and the feature pipeline."""
 
 import hashlib
+import types
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhetseg import encode as encode_mod
+from rhetseg import train as train_mod
 from rhetseg.corpus import Corpus, Document, Sentence
 from rhetseg.encode import (
     WINDOW_SPECS,
@@ -25,7 +28,7 @@ from rhetseg.encode import (
     window_features,
 )
 from rhetseg.errors import DataError
-from rhetseg.roles import RhetoricalRole
+from rhetseg.roles import NUM_ROLES, RhetoricalRole
 
 
 def hash_embed(tokens, cfg):
@@ -384,18 +387,52 @@ class TestPositional:
             positional_features(np.zeros((2, 1)), "nowhere")
 
 
+def role_list_features(bundle, base, labels=()):
+    """Reference features of one document with the previous-label block
+    built from roles: row j's previous label is labels[j-1], None past the
+    end of labels, and the one-hot is filled one row at a time."""
+    X = featurize(base, bundle.window, bundle.positional, bundle.sin_dim, None)
+    if bundle.label_mode == "off":
+        return X
+    m = base.shape[0]
+    prevs = ([None] + list(labels))[:m]
+    prevs += [None] * (m - len(prevs))
+    block = np.zeros((m, NUM_ROLES))
+    for j, role in enumerate(prevs):
+        if role is not None:
+            block[j, int(role)] = 1.0
+    return np.hstack([X, block])
+
+
 class TestLabelFeature:
     def test_one_hot_blocks(self):
         M = np.zeros((3, 2))
-        out = label_feature(M, [None, RhetoricalRole.FACTS, RhetoricalRole.DECISION])
+        out = label_feature(M, np.array([-1, RhetoricalRole.FACTS, RhetoricalRole.DECISION]))
         assert out.shape == (3, 9)
+        assert out.dtype == np.float64
         np.testing.assert_array_equal(out[0, 2:], np.zeros(7))
         assert out[1, 2 + 1] == 1.0 and out[1, 2:].sum() == 1.0
         assert out[2, 2 + 6] == 1.0
 
     def test_length_checked(self):
-        with pytest.raises(DataError):
-            label_feature(np.zeros((3, 2)), [None, None])
+        with pytest.raises(DataError, match="labels_prev has length 2, expected 3"):
+            label_feature(np.zeros((3, 2)), np.array([-1, -1]))
+
+    @pytest.mark.parametrize("positional", ["none", "normalized", "sinusoidal"])
+    @pytest.mark.parametrize("window", list(WINDOW_SPECS))
+    def test_label_ids_match_role_list_reference(self, window, positional):
+        """Features with previous-label ids equal the role-list reference bit
+        for bit, with gold labels and at the free-running start."""
+        rng = np.random.default_rng(zlib.crc32(repr((window, positional)).encode()))
+        for label_mode in ("off", "gold"):
+            bundle = types.SimpleNamespace(window=WINDOW_SPECS[window], positional=positional, sin_dim=4,
+                                           label_mode=label_mode)
+            for m in (1, 2, 3, 8, 25):
+                base = rng.normal(size=(m, 5))
+                y = rng.integers(0, NUM_ROLES, size=m)
+                roles = [RhetoricalRole(int(v)) for v in y]
+                assert np.array_equal(train_mod._features(bundle, base, y), role_list_features(bundle, base, roles))
+                assert np.array_equal(train_mod._features(bundle, base), role_list_features(bundle, base))
 
 
 class TestFeaturize:
@@ -404,14 +441,14 @@ class TestFeaturize:
         base = rng.normal(size=(5, 16))
         for spec in WINDOW_SPECS.values():
             for positional, sd in (("none", 8), ("normalized", 8), ("sinusoidal", 4)):
-                for labels in (None, [None] * 5):
+                for labels in (None, np.full(5, -1)):
                     X = featurize(base, spec, positional, sd, labels)
                     want = feature_width(16, spec, positional, sd, labels is not None)
                     assert X.shape == (5, want)
 
     def test_block_order_window_positional_label(self):
         base = np.ones((2, 3))
-        X = featurize(base, (0,), "normalized", 8, [RhetoricalRole.ISSUE, None])
+        X = featurize(base, (0,), "normalized", 8, np.array([RhetoricalRole.ISSUE, -1]))
         np.testing.assert_array_equal(X[0, :3], np.ones(3))
         np.testing.assert_allclose(X[:, 3], [0.5, 1.0])
         assert X[0, 5 + 2] == 1.0

@@ -13,7 +13,7 @@ from rhetseg.cli import main
 from rhetseg.corpus import Corpus, write_jsonl
 from rhetseg.encode import HashEncoderConfig, HashingEncoder
 from rhetseg.errors import NumericError
-from rhetseg.roles import NUM_ROLES, RhetoricalRole
+from rhetseg.roles import NUM_ROLES
 from rhetseg.synth import generate_corpus
 from rhetseg.train import (
     TrainConfig,
@@ -23,6 +23,7 @@ from rhetseg.train import (
     train_model,
 )
 from test_checkpoint import read_tensor
+from test_encode import role_list_features
 from test_parameter_init import draw_params
 
 BASE_DIM = 12
@@ -52,12 +53,10 @@ def free_running_reencode(bundle, base):
     preds = []
     scores = np.empty((m, NUM_ROLES))
     for j in range(m):
-        prevs = train_mod._prev_labels([RhetoricalRole(v) for v in preds], m)
-        H, _ = train_mod._context_forward(bundle, train_mod._featurize_doc(bundle, base, prevs))
+        H, _ = train_mod._context_forward(bundle, role_list_features(bundle, base, preds))
         scores[j] = train_mod._step_score(bundle.head_kind, bundle.params[bundle.head_kind], H[j], j, m, preds)
         preds.append(int(np.argmax(scores[j])))
-    prevs = train_mod._prev_labels([RhetoricalRole(v) for v in preds], m)
-    return preds, scores, train_mod._featurize_doc(bundle, base, prevs)
+    return preds, scores, role_list_features(bundle, base, preds)
 
 
 @pytest.mark.parametrize("positional", POSITIONAL)

@@ -150,9 +150,10 @@ class TestShiftLoss:
         assert loss < 0.1
 
     def test_accepts_shift_sequence_objects(self):
+        """shift_loss takes label_shift_sequence's float64 bits as they come."""
         head = dict(w=np.zeros(2), b=np.zeros(1))
-        seq = label_shift_sequence([RhetoricalRole.FACTS, RhetoricalRole.ISSUE])
-        loss, _ = shift_loss(np.zeros((2, 2)), seq, head, grad_block(head))
+        bits = label_shift_sequence([RhetoricalRole.FACTS, RhetoricalRole.ISSUE])
+        loss, _ = shift_loss(np.zeros((2, 2)), bits, head, grad_block(head))
         assert loss == pytest.approx(np.log(2.0))
 
     def test_length_mismatch(self):
