@@ -18,12 +18,16 @@ rows save and load the default BiLSTM and attention models with random
 parameters, and assert that the loaded vector and a second save are
 bit-identical to the first. The free-running rows time the greedy decode,
 train._free_running, of one FREE_LEN-sentence document for a label_mode=gold
-model of each context in FREE_RUNNING.
+model of each configuration in FREE_RUNNING, and, for the first three, of
+one chunk of CHUNK_DOCS documents of CHUNK_LENS sentences, as one call and as
+one call per document. Each row checks that its labels equal those of the
+per-row decode it replaced, kept in tests/test_free_running.py as an oracle.
 
-    python3 benchmarks/bench_kernels.py --doc-len 2000 --hidden 32
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py --doc-len 2000 --hidden 32
 """
 
 import argparse
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -48,12 +52,14 @@ FEAT_DIM = 130  # 128 hashed buckets plus 2 normalized-position columns
 HASH_SPEC = {"kind": "hash", "dim": FEAT_DIM - 2, "ngram_orders": [1, 2], "seed": 0, "signed": True}
 FREE_LEN = 120
 FREE_RUNNING = {  # row label -> TrainConfig settings
-    "bilstm": {"context_kind": "bilstm"},
-    "attention layers=1": {"context_kind": "attention"},
+    "bilstm+crf": {"context_kind": "bilstm"},
+    "attention+softmax": {"context_kind": "attention", "head": "softmax"},
+    "gcn+crf": {"context_kind": "gcn"},
     "attention layers=2": {"context_kind": "attention", "attention_layers": 2},
-    "gcn": {"context_kind": "gcn"},
     "gcn sim_threshold=0.3": {"context_kind": "gcn", "gcn_sim_threshold": 0.3},
 }
+CHUNK_DOCS = 16  # train._CHUNK_DOCS
+CHUNK_LENS = (8, 20)
 
 
 def build_cases(doc_len: int, hidden: int, rng) -> dict[str, tuple]:
@@ -173,12 +179,31 @@ def main(argv=None) -> int:
             label = f"{kind} params={size}"
             print(f"{label:<34}{1000 * save_s:>12.3f}{1000 * load_s:>12.3f}  round trip bit-exact")
 
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+    from test_free_running import reencode_one, row_decode
+
     print(f"{f'free-running decode m={FREE_LEN}':<34}{'ms':>12}")
     base = rng.standard_normal((FREE_LEN, HASH_SPEC["dim"]))
+    chunk = [rng.standard_normal((m, HASH_SPEC["dim"])) for m in rng.integers(*CHUNK_LENS, endpoint=True,
+                                                                                size=CHUNK_DOCS)]
+    chunked = {}
     for label, settings in FREE_RUNNING.items():
         bundle = build_model(TrainConfig(label_mode="gold", lstm_hidden=h, **settings), HASH_SPEC, rng)
-        seconds = best_of(train._free_running, (bundle, base), args.repeats)
-        print(f"{label:<34}{1000 * seconds:>12.3f}")
+        oracle = reencode_one if len(chunked) == 3 else row_decode
+        seconds = best_of(train._free_running, (bundle, [base]), args.repeats)
+        same = train._free_running(bundle, [base])[0][0] == oracle(bundle, base)[0]
+        print(f"{label:<34}{1000 * seconds:>12.3f}  labels equal the per-row decode's: {same}")
+        if len(chunked) < 3:
+            chunked[label] = bundle
+    print(f"{f'free-running decode, {CHUNK_DOCS} documents':<34}{'ms':>12}{'us/sentence':>12}{'one call each':>16}")
+    for label, bundle in chunked.items():
+        seconds = best_of(train._free_running, (bundle, chunk), args.repeats)
+        each = best_of(lambda: [train._free_running(bundle, [one]) for one in chunk], (), args.repeats)
+        same = [labels for labels, _, _ in train._free_running(bundle, chunk)] == [
+            row_decode(bundle, one)[0] for one in chunk]
+        sentences = sum(len(one) for one in chunk)
+        print(f"{label:<34}{1000 * seconds:>12.3f}{1e6 * seconds / sentences:>12.1f}{1000 * each:>13.3f} ms"
+              f"  labels equal the per-row decode's: {same}")
     return 0
 
 

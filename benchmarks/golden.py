@@ -5,8 +5,9 @@ trees can be shown to produce the same bytes.
 --out DIR synthesizes fixed corpora and, for each of twelve train
 configurations, writes into DIR/<configuration>/ the checkpoint, the report
 CSV, train's stdout, the `predict` output and stdout in free-running and
-teacher-forced mode, and gradcheck's stdout. It prints one SHA-256 per file,
-as `sha256sum` does. Every command runs in-process through rhetseg.cli.main
+teacher-forced mode on a corpus of short documents and on one of long
+documents, and gradcheck's stdout: 152 files in all. It prints one SHA-256
+per file, as `sha256sum` does. Every command runs in-process through rhetseg.cli.main
 from the src/ tree next to this script, so copy the script into another
 checkout to digest that one.
 
@@ -33,12 +34,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from rhetseg import cli  # noqa: E402
 
 # Corpus name -> synth flags. "predict" mixes lengths 1 to 30 over more
-# documents than three prediction chunks hold.
+# documents than three prediction chunks hold; "long" is one chunk of long
+# documents of unequal length, so free-running decoding steps through padding.
 CORPORA = {
     "train": ("--n-docs", "24", "--seed", "0"),
     "val": ("--n-docs", "8", "--seed", "1"),
     "predict": ("--n-docs", "40", "--min-sentences", "1", "--max-sentences", "30", "--seed", "2"),
+    "long": ("--n-docs", "4", "--min-sentences", "90", "--max-sentences", "130", "--seed", "3"),
 }
+PREDICT_CORPORA = ("predict", "long")
 TRAIN_FLAGS = ("--epochs", "3")
 
 # Configuration name -> train flags.
@@ -85,9 +89,10 @@ def write_outputs(root: Path) -> None:
             model = out / "model.json"
             run(out / "train.out", "train", "--input", data / "train.jsonl", "--val", data / "val.jsonl",
                 "--output", model, "--report", out / "report.csv", *TRAIN_FLAGS, *flags)
-            for mode in ("free_running", "teacher_forced"):
-                run(out / f"predict-{mode}.out", "predict", "--input", data / "predict.jsonl", "--model", model,
-                    "--output", out / f"predict-{mode}.jsonl", "--mode", mode)
+            for corpus in PREDICT_CORPORA:
+                for mode in ("free_running", "teacher_forced"):
+                    run(out / f"{corpus}-{mode}.out", "predict", "--input", data / f"{corpus}.jsonl",
+                        "--model", model, "--output", out / f"{corpus}-{mode}.jsonl", "--mode", mode)
             run(out / "gradcheck.out", "gradcheck", "--model", model, "--input", data / "val.jsonl")
     finally:
         os.chdir(cwd)

@@ -3,7 +3,7 @@
 Each encoder maps an (m, d) sentence matrix to an (m, d_out) matrix and ships
 with an analytic backward pass (no autodiff). Each forward pass returns its
 output and the cache its backward pass needs, and training, validation and
-batched prediction all run it. The row encoders at the end serve
+batched prediction all run it. The chunk steps at the end serve
 free-running decoding.
 
 Each encoder reads its tensors from `p`, one block of the parameter layout
@@ -25,9 +25,10 @@ import numpy as np
 
 from . import kernels
 from .errors import DataError, NumericError
+from .roles import NUM_ROLES
 
 
-def _check_finite(name: str, arr: np.ndarray) -> None:
+def check_finite(name: str, arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"numeric overflow in {name}")
 
@@ -79,7 +80,7 @@ def bilstm_forward_batch(Xs: list[np.ndarray], p: Params):
             for k, (direction, Xd) in enumerate((("fwd", X), ("bwd", X[::-1])))
         }
         out = np.hstack([cache["fwd"]["H"], cache["bwd"]["H"][::-1]])
-        _check_finite("bilstm_encode", out)
+        check_finite("bilstm_encode", out)
         Hs.append(out)
         caches.append(cache)
     return Hs, caches
@@ -131,7 +132,7 @@ def attention_forward_cache(X: np.ndarray, p: Params, idx: int = 0):
     A = _softmax_rows((Qx @ Kx.T) * scale)
     Z = A @ Vx
     Y = Z @ O + X
-    _check_finite("self_attention_encode", Y)
+    check_finite("self_attention_encode", Y)
     return Y, {"X": X, "Qx": Qx, "Kx": Kx, "Vx": Vx, "A": A, "Z": Z, "scale": scale}
 
 
@@ -205,7 +206,7 @@ def gcn_forward_cache(X: np.ndarray, a_hat: np.ndarray, p: Params):
     P2 = a_hat @ H1
     Z2 = P2 @ p["W2"]
     H2 = np.maximum(Z2, 0.0)
-    _check_finite("gcn_encode", H2)
+    check_finite("gcn_encode", H2)
     return H2, {"P1": P1, "Z1": Z1, "P2": P2, "Z2": Z2, "a_hat": a_hat}
 
 
@@ -220,84 +221,160 @@ def gcn_backward(cache: dict, p: Params, g: Params, dH2: np.ndarray) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# Row-at-a-time forward passes for free-running decoding
+# Chunk steps for free-running decoding
 #
-# Free-running decoding commits one label per sentence, and committing the
-# label of sentence j-1 changes only row j of the feature matrix (its
-# previous-label block). Each encoder below starts from X0, the features with
-# every previous-label block empty, and row(j, x) takes row j's final
-# features and returns row j of the context output that the full forward
-# pass would give on the matrix whose rows < j were passed in earlier, row j
-# is x and rows > j are still X0. Rows must be visited in order 0..m-1, once
-# each.
+# Free-running decoding commits one label per sentence, and committing label c
+# to row j changes only row j of the features: its previous-label block, the
+# last NUM_ROLES columns, gains a 1 in column c of the block. Each step
+# encoder below takes Xs, a chunk of documents' features with every
+# previous-label block empty (X0), and projects each document once through its
+# first-layer weights. step(j, prev) takes the label ids prev (B,) committed
+# to row j of each document, -1 for none, and returns row j of each
+# document's context output, (B, d_out): the row the full forward pass would
+# give on features whose rows < j carry the labels committed before, row j
+# carries prev and rows > j are still X0. A commit adds the label's row of
+# the first-layer weight to row j's projection. Steps run in order j = 0,
+# 1, ..., T-1; a document's rows past its end are padding, and their outputs
+# mean nothing.
+#
+# A document's outputs do not depend on the rest of its chunk: projections
+# run per document, each state meets a weight matrix in its own product, as
+# in kernels.lstm_step, and a sum over a document's rows adds them in row
+# order, so that padding rows add exact zeros at its end.
 # ---------------------------------------------------------------------------
 
 
-class BilstmRows:
-    """Both directions take one kernels.lstm_step per row, with the stacked
-    Wh and b of bilstm_forward_batch. The forward state carries from row to
-    row; the backward state after rows > j comes from one pass over reversed
-    X0."""
-
-    def __init__(self, X0: np.ndarray, p: Params):
-        self.Wx_f, self.Wx_b = p["fwd.Wx"], p["bwd.Wx"]
-        Wh, b = _stacked_recurrent(p)
-        self.Wh, self.b = Wh[:, 0], b[:, 0]  # (2, 4h, h), (2, 4h): one state per direction
-        _, self.Cb, self.Hb = kernels.lstm_recurrence(X0[::-1] @ self.Wx_b.T, p["bwd.Wh"], p["bwd.b"])
-        h = self.Wh.shape[2]
-        self.xw = np.empty((2, 4 * h))
-        self.h_prev = np.zeros((2, h))  # rows: forward state, backward state
-        self.c_prev = np.zeros((2, h))
-
-    def row(self, j: int, x: np.ndarray) -> np.ndarray:
-        np.matmul(self.Wx_f, x, out=self.xw[0])
-        np.matmul(self.Wx_b, x, out=self.xw[1])
-        after = self.Hb.shape[0] - 2 - j  # reversed index of row j + 1
-        if after >= 0:
-            self.h_prev[1], self.c_prev[1] = self.Hb[after], self.Cb[after]
-        else:
-            self.h_prev[1] = self.c_prev[1] = 0.0
-        _, c, hs = kernels.lstm_step(self.xw, self.Wh, self.b, self.h_prev, self.c_prev)
-        self.h_prev[0], self.c_prev[0] = hs[0], c[0]
-        out = hs.reshape(-1)
-        _check_finite("bilstm_encode", out)
-        return out
+def _padded(parts: list[np.ndarray], length: int, offset: int = 0) -> np.ndarray:
+    """(B, length, n) zeros holding the rows of part b at offset.. of block b."""
+    out = np.zeros((len(parts), length, parts[0].shape[1]))
+    for b, part in enumerate(parts):
+        out[b, offset : offset + part.shape[0]] = part
+    return out
 
 
-class AttentionRows:
-    """Attention layer 0: keys and values start as X0 K and X0 V, and row
-    j's are overwritten when row j arrives."""
-
-    def __init__(self, X0: np.ndarray, p: Params):
-        self.Q, self.K, self.V, self.O = _layer(p, 0)
-        self.scale = _attention_scale(X0, self.Q)
-        self.Kx = X0 @ self.K
-        self.Vx = X0 @ self.V
-
-    def row(self, j: int, x: np.ndarray) -> np.ndarray:
-        self.Kx[j] = x @ self.K
-        self.Vx[j] = x @ self.V
-        a = _softmax_rows(((x @ self.Q) @ self.Kx.T)[None, :] * self.scale)[0]
-        out = (a @ self.Vx) @ self.O + x
-        _check_finite("self_attention_encode", out)
-        return out
+def _commit_rows(W: np.ndarray) -> np.ndarray:
+    """The previous-label rows of W (d_in, n), then a zero row: row c is what
+    committing label c adds to a projected row, and row -1 adds nothing."""
+    return np.vstack([W[-NUM_ROLES:], np.zeros((1, W.shape[1]))])
 
 
-class GcnRows:
+class FeatureSteps:
+    """No context: row j is the features themselves."""
+
+    name = None  # nothing to check
+
+    def __init__(self, Xs: list[np.ndarray]):
+        d = Xs[0].shape[1]
+        self.X = _padded(Xs, max(X.shape[0] for X in Xs))
+        self.commit = _commit_rows(np.eye(NUM_ROLES, d, d - NUM_ROLES))  # the identity's previous-label rows
+
+    def step(self, j: int, prev: np.ndarray) -> np.ndarray:
+        return self.X[:, j] + self.commit.take(prev, axis=0)
+
+
+class BilstmSteps:
+    """Both directions take one kernels.lstm_step per row, each state
+    multiplied by its own direction's Wh. The forward state carries from row
+    to row; the backward state after rows > j comes from one recurrence over
+    the chunk's reversed X0 projections. A document's two states sit side by
+    side, (B, 2, h), so that its output row is a view of them."""
+
+    name = "bilstm_encode"
+
+    def __init__(self, Xs: list[np.ndarray], p: Params):
+        T, B, h = max(X.shape[0] for X in Xs), len(Xs), p["fwd.Wh"].shape[1]
+        self.XW = np.zeros((T, B, 2, 4 * h))  # both directions' projections of X0
+        reverse = np.zeros((T, B, 4 * h))  # the backward ones in reverse row order
+        for b, X in enumerate(Xs):
+            m = X.shape[0]
+            self.XW[:m, b, 0], self.XW[:m, b, 1] = X @ p["fwd.Wx"].T, X @ p["bwd.Wx"].T
+            reverse[:m, b] = self.XW[m - 1 :: -1, b, 1]
+        self.commit = np.stack([_commit_rows(p[f"{d}.Wx"].T) for d in ("fwd", "bwd")], axis=1)  # (8, 2, 4h)
+        _, C, H = kernels.lstm_recurrence(reverse, p["bwd.Wh"], p["bwd.b"])
+        # H[j] and C[j] hold the states step j starts from: the forward state
+        # of step j - 1 and the backward state after row j
+        self.H, self.C = np.zeros((2, T + 1, B, 2, h))
+        for b, X in enumerate(Xs):
+            m = X.shape[0]
+            self.H[: m - 1, b, 1], self.C[: m - 1, b, 1] = H[: m - 1, b][::-1], C[: m - 1, b][::-1]
+        self.Wh = np.stack([p["fwd.Wh"], p["bwd.Wh"]])
+        self.b = np.stack([p["fwd.b"], p["bwd.b"]])
+
+    def step(self, j: int, prev: np.ndarray) -> np.ndarray:
+        xw = self.XW[j] + self.commit.take(prev, axis=0)
+        _, c, h = kernels.lstm_step(xw, self.Wh, self.b, self.H[j], self.C[j])
+        self.H[j + 1, :, 0], self.C[j + 1, :, 0] = h[:, 0], c[:, 0]
+        return h.reshape(len(prev), -1)
+
+
+# Keys per block of AttentionSteps: each block of keys meets its query in
+# its own product, so a document's blocks are the same alone and in a chunk.
+_KEY_BLOCK = 32
+
+
+class AttentionSteps:
+    """Attention layer 0. Each row holds its key, its scaled query, its value
+    through O with a trailing 1, and its features (the residual): X0 K,
+    X0 Q / sqrt(d), X0 V O and X0 at first, and a commit adds its label's
+    rows of K, Q / sqrt(d), V O and the identity. Keys and values are read in
+    blocks of _KEY_BLOCK rows; the trailing 1 makes the weighted sum of the
+    values also sum the softmax weights that normalize it."""
+
+    name = "self_attention_encode"
+
+    def __init__(self, Xs: list[np.ndarray], p: Params):
+        Q, K, V, O = _layer(p, 0)
+        self.d = d = Q.shape[0]
+        scale = _attention_scale(Xs[0], Q)
+        m = np.array([X.shape[0] for X in Xs])
+        keys = -(-m.max() // _KEY_BLOCK) * _KEY_BLOCK
+        self.rows = _padded([np.hstack([X @ K, (X @ Q) * scale, (X @ V) @ O, np.ones((len(X), 1)), X])
+                             for X in Xs], keys)
+        L = slice(d - NUM_ROLES, d)  # the previous-label rows of each weight
+        self.commit = _commit_rows(np.hstack([K[L], Q[L] * scale, V[L] @ O, np.zeros((NUM_ROLES, 1)),
+                                              np.eye(NUM_ROLES, d, d - NUM_ROLES)]))
+        blocks = (len(Xs), keys // _KEY_BLOCK, _KEY_BLOCK)
+        self.keys = self.rows[..., :d].reshape(blocks + (d,))
+        self.values = self.rows[..., 2 * d : 3 * d + 1].reshape(blocks + (d + 1,))
+        self.mask = np.where(np.arange(keys) < m[:, None], 0.0, -np.inf)  # (B, keys)
+
+    def step(self, j: int, prev: np.ndarray) -> np.ndarray:
+        d = self.d
+        row = self.rows[:, j]
+        row += self.commit.take(prev, axis=0)
+        S = (self.keys @ row[:, None, d : 2 * d, None]).reshape(self.mask.shape) + self.mask
+        S = np.exp(S - S.max(axis=1, keepdims=True))
+        U = (S.reshape(self.keys.shape[:2] + (1, _KEY_BLOCK)) @ self.values).sum(axis=1)[:, 0]
+        return U[:, :d] / U[:, d:] + row[:, 3 * d + 1 :]
+
+
+class GcnSteps:
     """Two GCN layers over a graph without similarity edges, whose a_hat is
-    tridiagonal: output row j reads only input rows j-2..j+2."""
+    tridiagonal: output row j reads input rows j-2..j+2. As A (X W1) =
+    (A X) W1, each document's X0 W1 is projected once, and a commit adds its
+    label's row of W1 to row j's."""
 
-    def __init__(self, X0: np.ndarray, a_hat: np.ndarray, p: Params):
-        self.X = X0.copy()
-        self.a_hat = a_hat
-        self.W1, self.W2 = p["W1"], p["W2"]
+    name = "gcn_encode"
 
-    def row(self, j: int, x: np.ndarray) -> np.ndarray:
-        self.X[j] = x
-        m = self.X.shape[0]
-        lo, hi = max(0, j - 2), min(m, j + 3)
-        mid = slice(max(0, j - 1), min(m, j + 2))
-        H1 = np.maximum((self.a_hat[mid, lo:hi] @ self.X[lo:hi]) @ self.W1, 0.0)
-        out = np.maximum((self.a_hat[j, mid] @ H1) @ self.W2, 0.0)
-        _check_finite("gcn_encode", out)
-        return out
+    def __init__(self, Xs: list[np.ndarray], p: Params):
+        W1, self.W2 = p["W1"], p["W2"]
+        T = max(X.shape[0] for X in Xs)
+        self.XW = _padded([X @ W1 for X in Xs], T + 4, offset=2)  # row i at i + 2
+        bands = []
+        for X in Xs:
+            a_hat = build_graph(X.shape[0])
+            band = np.zeros((X.shape[0], 3))  # row i: a_hat[i, i-1], a_hat[i, i], a_hat[i, i+1]
+            band[1:, 0], band[:, 1], band[:-1, 2] = (np.diagonal(a_hat, k) for k in (-1, 0, 1))
+            bands.append(band)
+        band = _padded(bands, T + 2, offset=1).transpose(1, 0, 2)  # row i at i + 1, (T + 2, B, 3)
+        self.out = band[1:-1, :, None]  # (T, B, 1, 3): a_hat row j over rows j-1..j+1
+        self.hidden = np.zeros((T, len(Xs), 3, 5))  # a_hat rows j-1..j+1 over rows j-2..j+2
+        for r in range(3):
+            self.hidden[:, :, r, r : r + 3] = band[r : r + T]
+        self.commit = _commit_rows(W1)
+
+    def step(self, j: int, prev: np.ndarray) -> np.ndarray:
+        row = self.XW[:, j + 2]
+        row += self.commit.take(prev, axis=0)
+        H1 = np.maximum(self.hidden[j] @ self.XW[:, j : j + 5], 0.0)
+        return np.maximum((self.out[j] @ H1) @ self.W2, 0.0)[:, 0]

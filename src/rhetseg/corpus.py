@@ -106,6 +106,18 @@ class CorpusStats:
     per_label_avg_tokens: dict[RhetoricalRole, float]
 
 
+# A label as JSON gives it -> its role: each canonical name and each id.
+_ROLE_OF = {key: role for role in RhetoricalRole for key in (ROLE_NAMES[role], int(role))}
+
+
+def _parse_label(value) -> RhetoricalRole:
+    """RhetoricalRole.parse, by one dict lookup for a str or an int. The
+    type test keeps out the values that hash like an id, True and 1.0,
+    which parse refuses with its own message."""
+    role = _ROLE_OF.get(value) if type(value) in (str, int) else None
+    return RhetoricalRole.parse(value) if role is None else role
+
+
 def _sentence_from_obj(obj, doc_id: str, index: int, line_no: int) -> Sentence:
     if not isinstance(obj, dict) or "text" not in obj:
         raise DataError(f"line {line_no}: sentence {index} of {doc_id!r} is not an object with 'text'")
@@ -116,7 +128,7 @@ def _sentence_from_obj(obj, doc_id: str, index: int, line_no: int) -> Sentence:
     gold = None
     if raw_label is not None:
         try:
-            gold = RhetoricalRole.parse(raw_label)
+            gold = _parse_label(raw_label)
         except DataError as exc:
             raise DataError(f"line {line_no}: {exc}") from None
     try:

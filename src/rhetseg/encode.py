@@ -200,12 +200,11 @@ def load_embeddings(path, corpus: "Corpus") -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for doc in corpus:
         per_doc = rows.get(doc.doc_id, {})
-        mat = np.zeros((len(doc), dim))
         for sent in doc.sentences:
             if sent.index not in per_doc:
                 raise DataError(f"{doc.doc_id}:{sent.index} missing from embedding file")
-            mat[sent.index] = per_doc[sent.index]
-        out[doc.doc_id] = mat
+        # built from the rows read, so never larger than the file, whatever the header says
+        out[doc.doc_id] = np.array([per_doc[sent.index] for sent in doc.sentences]).reshape(len(doc), dim)
     return out
 
 

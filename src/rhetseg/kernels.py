@@ -121,15 +121,19 @@ def lstm_step(xw, Wh, b, h_prev, c_prev):
     different order and is not bit-identical per state."""
     h = h_prev.shape[-1]
     h3 = 3 * h
-    gates = xw + (Wh @ h_prev[..., None])[..., 0] + b
-    np.maximum(gates, -_CLIP, out=gates)
-    np.minimum(gates, _CLIP, out=gates)
-    sig = gates[..., :h3]  # i, f, o
-    np.divide(1.0, 1.0 + np.exp(-sig), out=sig)
+    pre = xw + (Wh @ h_prev[..., None])[..., 0] + b
+    np.maximum(pre, -_CLIP, out=pre)
+    np.minimum(pre, _CLIP, out=pre)
+    # the sigmoid runs over every pre-activation, so that its four ufuncs see
+    # whole rows and not the strided i, f, o block; the g block then takes tanh
+    gates = np.negative(pre)
+    np.exp(gates, out=gates)
+    gates += 1.0
+    np.divide(1.0, gates, out=gates)
     g = gates[..., h3:]
-    np.tanh(g, out=g)
-    c = sig[..., h : 2 * h] * c_prev + sig[..., :h] * g
-    return gates, c, sig[..., 2 * h :] * np.tanh(c)
+    np.tanh(pre[..., h3:], out=g)
+    c = gates[..., h : 2 * h] * c_prev + gates[..., :h] * g
+    return gates, c, gates[..., 2 * h : h3] * np.tanh(c)
 
 
 def lstm_recurrence(XW, Wh, b):

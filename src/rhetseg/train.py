@@ -504,11 +504,11 @@ def _targets(bundle: ModelBundle, gold) -> tuple[np.ndarray, np.ndarray | None]:
 def _predict_chunk(bundle: ModelBundle, bases: list, mode: str, ys=None) -> list[list[int]]:
     """Label ids for a few documents from their sentence vectors, given the
     gold label ids ys in teacher-forced mode. Free-running decoding with
-    label features runs per document; every other configuration featurizes
-    per document, then runs the BiLSTM recurrence and the CRF Viterbi pass
-    once over the padded chunk."""
+    label features steps through the chunk a sentence at a time; every other
+    configuration featurizes per document, then runs the BiLSTM recurrence
+    and the CRF Viterbi pass once over the padded chunk."""
     if bundle.label_mode != "off" and mode == "free_running":
-        return [_free_running(bundle, base)[0] for base in bases]
+        return [labels for labels, _, _ in _free_running(bundle, bases)]
     ys = ys or [None] * len(bases)
     Hs = _context_rows(bundle, [_features(bundle, base, y) for base, y in zip(bases, ys)])
     p = bundle.params[bundle.head_kind]
@@ -525,62 +525,86 @@ def _context_rows(bundle: ModelBundle, Xs: list) -> list[np.ndarray]:
     return [_context_forward(bundle, X)[0] for X in Xs]
 
 
-def _step_score(head_kind: str, p: ctx.Params, h: np.ndarray, j: int, m: int, preds: list[int]) -> np.ndarray:
-    """Greedy score of position j from its context row h under the head
-    block p, given the labels already committed before it."""
-    if head_kind == "softmax":
-        return h @ p["W"] + p["b"]
-    score = crf_mod.emissions(h[None, :], p)[0]
-    score += p["start"] if j == 0 else p["T"][preds[j - 1]]
-    if j == m - 1:
-        score += p["end"]
-    return score
+def _step_head(bundle: ModelBundle, m: np.ndarray):
+    """score(j, H, prev): greedy scores of position j of each document of
+    lengths m from its context row in H (B, d), given the labels prev
+    committed at j - 1 (-1 at j = 0). Each row meets the head weights in its
+    own product."""
+    p = bundle.params[bundle.head_kind]
+    if bundle.head_kind == "softmax":
+        W, b = p["W"], p["b"]
+        return lambda j, H, prev: (H[:, None] @ W)[:, 0] + b
+    W_e, b_e = p["W_e"], p["b_e"]
+    before = np.vstack([p["T"], p["start"]])  # row c: the transition from label c; row -1: start
+    last = (np.arange(m.max())[:, None] == m - 1)[..., None] * p["end"]  # end on each document's last row
+    return lambda j, H, prev: (H[:, None] @ W_e)[:, 0] + b_e + before.take(prev, axis=0) + last[j]
 
 
-def _row_encoder(bundle: ModelBundle, X0: np.ndarray):
-    """row(j, x) -> context output row j (see the row encoders in context).
-    Where one committed label reaches every output row, stacked attention and
-    GCN with similarity edges, row j is read from a full forward pass."""
+class _FullForwardSteps:
+    """The chunk-step interface (see the chunk steps in context) for stacked
+    attention and GCN with similarity edges, where one committed label
+    reaches every output row: row j of a document is read from a full
+    forward pass over its features, into which each commit is written."""
+
+    name = None  # each forward pass checks its own output
+
+    def __init__(self, bundle: ModelBundle, Xs: list):
+        self.bundle, self.Xs = bundle, Xs
+
+    def step(self, j: int, prev: np.ndarray) -> np.ndarray:
+        rows = np.zeros((len(self.Xs), self.bundle.context_dim))
+        for b, X in enumerate(self.Xs):
+            if j < X.shape[0]:
+                if prev[b] >= 0:
+                    X[j, prev[b] - NUM_ROLES] = 1.0
+                rows[b] = _context_forward(self.bundle, X)[0][j]
+        return rows
+
+
+def _chunk_steps(bundle: ModelBundle, Xs: list):
     kind = bundle.context_kind
     if kind == "none":
-        return lambda j, x: x
+        return ctx.FeatureSteps(Xs)
     p = bundle.params[_CONTEXT_BLOCK[kind]]
     if kind == "bilstm":
-        return ctx.BilstmRows(X0, p).row
+        return ctx.BilstmSteps(Xs, p)
     if kind == "attention" and "layer1.Q" not in p:
-        return ctx.AttentionRows(X0, p).row
+        return ctx.AttentionSteps(Xs, p)
     if kind == "gcn" and bundle.gcn_sim_threshold is None:
-        return ctx.GcnRows(X0, ctx.build_graph(X0.shape[0]), p).row
-    X = X0.copy()
-
-    def full_forward_row(j: int, x: np.ndarray) -> np.ndarray:
-        X[j] = x
-        return _context_forward(bundle, X)[0][j]
-
-    return full_forward_row
+        return ctx.GcnSteps(Xs, p)
+    return _FullForwardSteps(bundle, Xs)
 
 
-def _free_running(bundle: ModelBundle, base: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Greedy left-to-right decode that feeds each committed label into the
-    next sentence's previous-label block. Returns the labels, the (m, 7)
-    step scores they were taken from, and the features with every committed
-    label in place.
+def _free_running(bundle: ModelBundle, bases: list) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """Greedy left-to-right decode of a chunk of documents that feeds each
+    committed label into the next sentence's previous-label block. Returns,
+    per document, the labels, the (m, 7) step scores they were taken from,
+    and the features with every committed label in place.
 
-    Committing label j-1 changes only row j of the features, so the document
-    is featurized once and one context row is computed per sentence."""
-    m = base.shape[0]
-    X = _features(bundle, base)
-    row = _row_encoder(bundle, X)
-    head = bundle.params[bundle.head_kind]
-    label_col = X.shape[1] - NUM_ROLES
-    preds: list[int] = []
-    scores = np.empty((m, NUM_ROLES))
-    for j in range(m):
-        if j > 0:
-            X[j, label_col + preds[-1]] = 1.0
-        scores[j] = _step_score(bundle.head_kind, head, row(j, X[j]), j, m, preds)
-        preds.append(int(np.argmax(scores[j])))
-    return preds, scores, X
+    Committing label j-1 changes only row j of the features, so each document
+    is featurized and projected once, and each step computes row j of every
+    document of the chunk at once. A document's numbers do not depend on the
+    rest of its chunk."""
+    Xs = [_features(bundle, base) for base in bases]
+    m = np.array([X.shape[0] for X in Xs])
+    T, B = m.max(), len(Xs)
+    steps, score = _chunk_steps(bundle, Xs), _step_head(bundle, m)
+    H, scores, labels = [], [], []
+    prev = np.full(B, -1)
+    for j in range(T):
+        H.append(steps.step(j, prev))
+        scores.append(score(j, H[-1], prev))
+        prev = scores[-1].argmax(axis=1)
+        labels.append(prev)
+    if steps.name is not None:  # concatenate, not stack: a few times faster on many small rows
+        ctx.check_finite(steps.name, np.concatenate(H).reshape(T, B, -1)[np.arange(T)[:, None] < m])
+    scores, labels = np.concatenate(scores).reshape(T, B, -1), np.concatenate(labels).reshape(T, B)
+    out = []
+    for b, X in enumerate(Xs):
+        y = labels[: m[b], b]
+        X[np.arange(1, m[b]), y[:-1] - NUM_ROLES] = 1.0
+        out.append((y.tolist(), scores[: m[b], b], X))
+    return out
 
 
 # Documents per batched forward pass: enough to amortize the per-step
@@ -699,7 +723,7 @@ def train_model(
             doc = docs[di]
             y, bits = targets[doc.doc_id]
             if cfg.label_mode == "predicted":
-                _, _, X = _free_running(bundle, base_train[doc.doc_id])
+                [(_, _, X)] = _free_running(bundle, [base_train[doc.doc_id]])
             else:
                 X = fixed_X[doc.doc_id]
             loss = document_loss_and_grads(bundle, X, y, bits, lam, cw)

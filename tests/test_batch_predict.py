@@ -143,7 +143,7 @@ def per_document_chunk(bundle, bases, mode, ys=None):
     out = []
     for base in bases:
         if bundle.label_mode != "off":
-            out.append(train_mod._free_running(bundle, base)[0])
+            out.append(train_mod._free_running(bundle, [base])[0][0])
             continue
         H = context_rows(bundle, role_list_features(bundle, base))
         p = bundle.params["crf"]

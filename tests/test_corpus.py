@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from rhetseg import corpus as corpus_mod
 from rhetseg.corpus import (
     Corpus,
     Document,
@@ -18,7 +19,7 @@ from rhetseg.corpus import (
     write_jsonl,
 )
 from rhetseg.errors import DataError
-from rhetseg.roles import RhetoricalRole
+from rhetseg.roles import ROLE_NAMES, RhetoricalRole
 from rhetseg.synth import generate_corpus
 
 
@@ -285,3 +286,39 @@ class TestShiftSequence:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             label_shift_sequence([])
+
+
+# Labels a JSON record may carry: every valid name and id, values that hash
+# like an id (True, 1.0), near-miss names, out-of-range ids and other types.
+LABEL_VALUES = [*ROLE_NAMES, *range(len(ROLE_NAMES)), True, False, 1.0, 0.0, -1, 7, 2**70,
+                "facts", "Facts", "FACTS", " Facts", "", "1", [], {}, None, float("nan")]
+
+
+def parsed(parse, value):
+    """The role, or the DataError message."""
+    try:
+        return parse(value)
+    except DataError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("value", LABEL_VALUES, ids=repr)
+def test_label_lookup_matches_role_parse(value):
+    got, ref = parsed(corpus_mod._parse_label, value), parsed(RhetoricalRole.parse, value)
+    assert got == ref and type(got) is type(ref)
+
+
+@pytest.mark.parametrize("value", LABEL_VALUES, ids=repr)
+def test_loaded_label_or_error_line_matches_role_parse(tmp_path, value):
+    """load_jsonl gives each label's role, or the error line that
+    RhetoricalRole.parse's message makes, with its line number."""
+    path = tmp_path / "corpus.jsonl"
+    record = {"doc_id": "d", "sentences": [{"text": "A.", "label": "Facts"}, {"text": "B.", "label": value}]}
+    path.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+    ref = None if value is None else parsed(RhetoricalRole.parse, value)
+    if isinstance(ref, str):
+        with pytest.raises(DataError) as exc:
+            load_jsonl(path)
+        assert str(exc.value) == f"line 2: {ref}"
+    else:
+        assert load_jsonl(path).documents[0].sentences[1].gold == ref
