@@ -18,7 +18,9 @@ trees, or is in only one, and exits 1 if there is any.
     python3 benchmarks/golden.py --compare /tmp/golden-a /tmp/golden-b
 
 The digests depend on the numpy and BLAS build, so compare trees made on one
-machine.
+machine. They also depend on the BLAS thread count (OpenBLAS splits its
+larger products over threads), so the script sets OPENBLAS_NUM_THREADS=1
+before numpy loads, whatever the caller set.
 """
 
 import argparse
@@ -29,6 +31,7 @@ import os
 import sys
 from pathlib import Path
 
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from rhetseg import cli  # noqa: E402

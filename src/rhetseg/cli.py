@@ -336,8 +336,7 @@ def _cmd_train(args) -> int:
         options["class_weights"] = inverse_frequency_weights(train_corpus)
     cfg = TrainConfig(**{_TRAIN_FIELDS.get(key, key): value for key, value in options.items()})
     if args.embeddings:
-        matrices = load_embeddings(args.embeddings, train_corpus)
-        matrices.update(load_embeddings(args.embeddings, val_corpus))
+        matrices = load_embeddings(args.embeddings, [*train_corpus, *val_corpus])
         dim = next(iter(matrices.values())).shape[1]
         encoder = PrecomputedEncoder(matrices, dim)
     else:

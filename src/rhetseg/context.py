@@ -9,6 +9,8 @@ free-running decoding.
 Each encoder reads its tensors from `p`, one block of the parameter layout
 keyed by the rest of the layout name ("fwd.Wx", "layer0.Q", "W1"); each
 backward pass writes its gradients to those keys of `g`, the block's gradient.
+Training never reads the gradient of an encoder's input, so only
+attention_backward returns one, for the layer below it.
 
 LSTM parameters use the stacked-gate layout: rows of Wx/Wh/b hold the four
 gates in (input, forget, output, candidate) order, h rows each. This stores
@@ -41,16 +43,6 @@ def check_finite(name: str, arr: np.ndarray) -> None:
 Params = Mapping[str, np.ndarray]
 
 
-def _lstm_backward(cache: dict, p: Params, g: Params, d: str, dH: np.ndarray) -> np.ndarray:
-    """Writes the gradients of direction d ("fwd" or "bwd") to "d.Wx", "d.Wh", "d.b"."""
-    G, C, H, X = cache["G"], cache["C"], cache["H"], cache["X"]
-    Wh = p[f"{d}.Wh"]
-    dA = kernels.lstm_recurrence_backward(G, C, np.ascontiguousarray(Wh.T), dH)
-    H_prev = np.vstack([np.zeros((1, Wh.shape[1])), H[:-1]])
-    g[f"{d}.Wx"][...], g[f"{d}.Wh"][...], g[f"{d}.b"][...] = dA.T @ X, dA.T @ H_prev, dA.sum(axis=0)
-    return dA @ p[f"{d}.Wx"]
-
-
 def _stacked_recurrent(p: Params):
     """Wh as (2, 1, 4h, h) and b as (2, 1, 4h), forward direction first: the
     recurrent weights of kernels.lstm_recurrence over both directions."""
@@ -63,7 +55,8 @@ def bilstm_forward_batch(Xs: list[np.ndarray], p: Params):
     recurrence runs both directions over the zero-padded batch, (T, 2, B, 4h);
     the input projections stay per document and direction, as stacked rows
     would sum in a different order. Returns the outputs and each document's
-    cache for bilstm_backward."""
+    cache for bilstm_backward: X and (m, 2, ·) views of the recurrence's G,
+    C and H at its rows and column, forward direction first."""
     T = max(X.shape[0] for X in Xs)
     Wx_f, Wx_b = p["fwd.Wx"], p["bwd.Wx"]
     XW = np.zeros((T, 2, len(Xs), Wx_f.shape[0]))
@@ -75,14 +68,10 @@ def bilstm_forward_batch(Xs: list[np.ndarray], p: Params):
     Hs, caches = [], []
     for j, X in enumerate(Xs):
         m = X.shape[0]
-        cache = {
-            direction: {"X": Xd, "G": G[:m, k, j], "C": C[:m, k, j], "H": H[:m, k, j]}
-            for k, (direction, Xd) in enumerate((("fwd", X), ("bwd", X[::-1])))
-        }
-        out = np.hstack([cache["fwd"]["H"], cache["bwd"]["H"][::-1]])
+        out = np.hstack([H[:m, 0, j], H[:m, 1, j][::-1]])
         check_finite("bilstm_encode", out)
         Hs.append(out)
-        caches.append(cache)
+        caches.append((X, G[:m, :, j], C[:m, :, j], H[:m, :, j]))
     return Hs, caches
 
 
@@ -92,11 +81,16 @@ def bilstm_forward_cache(X: np.ndarray, p: Params):
     return Hs[0], caches[0]
 
 
-def bilstm_backward(cache: dict, p: Params, g: Params, dH: np.ndarray) -> np.ndarray:
-    h = p["fwd.Wh"].shape[1]
-    dX_f = _lstm_backward(cache["fwd"], p, g, "fwd", np.ascontiguousarray(dH[:, :h]))
-    dX_b_rev = _lstm_backward(cache["bwd"], p, g, "bwd", np.ascontiguousarray(dH[:, h:][::-1]))
-    return dX_f + dX_b_rev[::-1]
+def bilstm_backward(cache: tuple, p: Params, g: Params, dH: np.ndarray) -> None:
+    """Writes both directions' "Wx", "Wh" and "b" gradients. The backward
+    direction ran on the reversed document, so it reads X and its half of dH
+    reversed."""
+    X, G, C, H = cache
+    h = H.shape[-1]
+    for k, (d, Xd, dHd) in enumerate((("fwd", X, dH[:, :h]), ("bwd", X[::-1], dH[::-1, h:]))):
+        dA = kernels.lstm_recurrence_backward(G[:, k], C[:, k], np.ascontiguousarray(p[f"{d}.Wh"].T), dHd)
+        H_prev = np.vstack([np.zeros((1, h)), H[:-1, k]])
+        g[f"{d}.Wx"][...], g[f"{d}.Wh"][...], g[f"{d}.b"][...] = dA.T @ Xd, dA.T @ H_prev, dA.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +157,9 @@ def attention_stack_forward_cache(X: np.ndarray, p: Params):
     return H, caches
 
 
-def attention_stack_backward(caches: list[dict], p: Params, g: Params, dY: np.ndarray) -> np.ndarray:
+def attention_stack_backward(caches: list[dict], p: Params, g: Params, dY: np.ndarray) -> None:
     for idx in range(len(caches) - 1, -1, -1):
         dY = attention_backward(caches[idx], p, g, dY, idx)
-    return dY
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +203,11 @@ def gcn_forward_cache(X: np.ndarray, a_hat: np.ndarray, p: Params):
     return H2, {"P1": P1, "Z1": Z1, "P2": P2, "Z2": Z2, "a_hat": a_hat}
 
 
-def gcn_backward(cache: dict, p: Params, g: Params, dH2: np.ndarray) -> np.ndarray:
-    a_hat = cache["a_hat"]
+def gcn_backward(cache: dict, p: Params, g: Params, dH2: np.ndarray) -> None:
     dZ2 = dH2 * (cache["Z2"] > 0)
     g["W2"][...] = cache["P2"].T @ dZ2
-    dH1 = a_hat @ (dZ2 @ p["W2"].T)
-    dZ1 = dH1 * (cache["Z1"] > 0)
+    dZ1 = (cache["a_hat"] @ (dZ2 @ p["W2"].T)) * (cache["Z1"] > 0)
     g["W1"][...] = cache["P1"].T @ dZ1
-    return a_hat @ (dZ1 @ p["W1"].T)
 
 
 # ---------------------------------------------------------------------------

@@ -106,16 +106,9 @@ class CorpusStats:
     per_label_avg_tokens: dict[RhetoricalRole, float]
 
 
-# A label as JSON gives it -> its role: each canonical name and each id.
-_ROLE_OF = {key: role for role in RhetoricalRole for key in (ROLE_NAMES[role], int(role))}
-
-
-def _parse_label(value) -> RhetoricalRole:
-    """RhetoricalRole.parse, by one dict lookup for a str or an int. The
-    type test keeps out the values that hash like an id, True and 1.0,
-    which parse refuses with its own message."""
-    role = _ROLE_OF.get(value) if type(value) in (str, int) else None
-    return RhetoricalRole.parse(value) if role is None else role
+# Bound once: Python 3.11 looks up every attribute of an Enum class through
+# its metaclass's __getattr__ hook, which costs more than the parse.
+_parse_role = RhetoricalRole.parse
 
 
 def _sentence_from_obj(obj, doc_id: str, index: int, line_no: int) -> Sentence:
@@ -128,7 +121,7 @@ def _sentence_from_obj(obj, doc_id: str, index: int, line_no: int) -> Sentence:
     gold = None
     if raw_label is not None:
         try:
-            gold = _parse_label(raw_label)
+            gold = _parse_role(raw_label)
         except DataError as exc:
             raise DataError(f"line {line_no}: {exc}") from None
     try:

@@ -12,7 +12,7 @@ import hashlib
 import itertools
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import DataError, open_text
 from .roles import NUM_ROLES
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .corpus import Corpus, Document
+    from .corpus import Document
 
 _TOKEN = re.compile(r"[0-9a-z]+|[^\s0-9a-z]+")
 
@@ -47,8 +47,9 @@ class HashEncoderConfig:
     def __post_init__(self) -> None:
         if self.dim < 8:
             raise DataError(f"hash encoder dim must be >= 8, got {self.dim}")
-        if not self.ngram_orders or not set(self.ngram_orders) <= {1, 2}:
-            raise DataError(f"ngram orders must be a non-empty subset of {{1, 2}}, got {self.ngram_orders}")
+        orders = self.ngram_orders
+        if not orders or not set(orders) <= {1, 2} or len(set(orders)) < len(orders):
+            raise DataError(f"ngram orders must be a non-empty subset of {{1, 2}}, got {orders}")
 
 
 def _hash64(text: str, keyed) -> int:
@@ -161,12 +162,13 @@ class PrecomputedEncoder:
         return {"kind": "precomputed", "dim": self.dim}
 
 
-def load_embeddings(path, corpus: "Corpus") -> dict[str, np.ndarray]:
+def load_embeddings(path, docs: "Iterable[Document]") -> dict[str, np.ndarray]:
     """Read the embedding file format: "dim=<d>" header, then
     "<doc_id>\\t<sentence_index>\\t<v1> <v2> ... <vd>" per line.
 
-    Every (doc_id, index) pair of the corpus must be covered at the declared
-    width with finite values.
+    Every (doc_id, index) pair of docs must be covered at the declared
+    width with finite values. A doc id that occurs twice maps to the matrix
+    of its last document.
     """
     rows: dict[str, dict[int, np.ndarray]] = {}
     with open_text(path) as fh:
@@ -198,7 +200,7 @@ def load_embeddings(path, corpus: "Corpus") -> dict[str, np.ndarray]:
                 raise DataError(f"line {line_no}: non-finite value in embedding for {doc_id}:{idx}")
             rows.setdefault(doc_id, {})[idx] = vec
     out: dict[str, np.ndarray] = {}
-    for doc in corpus:
+    for doc in docs:
         per_doc = rows.get(doc.doc_id, {})
         for sent in doc.sentences:
             if sent.index not in per_doc:

@@ -38,31 +38,19 @@ class RhetoricalRole(enum.IntEnum):
         return ROLE_NAMES[int(self)]
 
     @classmethod
-    def from_id(cls, value: int) -> "RhetoricalRole":
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise DataError(f"role id must be an integer, got {value!r}")
-        if not 0 <= value < NUM_ROLES:
-            raise DataError(f"role id out of range [0, {NUM_ROLES}): {value}")
-        return cls(value)
-
-    @classmethod
-    def from_name(cls, name: str) -> "RhetoricalRole":
-        try:
-            return cls(ROLE_NAMES.index(name))
-        except ValueError:
-            raise DataError(
-                f"unknown role name {name!r}; expected one of {', '.join(ROLE_NAMES)}"
-            ) from None
-
-    @classmethod
     def parse(cls, value: "int | str | RhetoricalRole") -> "RhetoricalRole":
-        """Accept an id, a canonical name, or an existing role."""
-        if isinstance(value, RhetoricalRole):
-            return value
-        if isinstance(value, bool):
+        """Accept an id, a canonical name, or an existing role, by one dict
+        lookup. Only ints and strs other than bool are looked up, as True and
+        1.0 hash like an id; the exact-type test is the fast path for JSON."""
+        if type(value) not in (int, str) and (isinstance(value, bool) or not isinstance(value, (int, str))):
             raise DataError(f"cannot parse role from {value!r}")
-        if isinstance(value, int):
-            return cls.from_id(value)
-        if isinstance(value, str):
-            return cls.from_name(value)
-        raise DataError(f"cannot parse role from {value!r}")
+        role = _ROLE_OF.get(value)
+        if role is None:
+            if isinstance(value, int):
+                raise DataError(f"role id out of range [0, {NUM_ROLES}): {value}")
+            raise DataError(f"unknown role name {value!r}; expected one of {', '.join(ROLE_NAMES)}")
+        return role
+
+
+# Each canonical name and each id -> its role.
+_ROLE_OF = {key: role for role in RhetoricalRole for key in (ROLE_NAMES[role], int(role))}

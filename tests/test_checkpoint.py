@@ -237,6 +237,17 @@ def test_malformed_checkpoint_exits_two(workspace, case):
     assert message in err
 
 
+@pytest.mark.parametrize("orders", [[1, 1, 2], [3]], ids=str)
+def test_bad_ngram_orders_exit_two(workspace, orders):
+    """The hash encoder's own check, which names no checkpoint field."""
+    root, corpus, texts = workspace
+    payload = json.loads(texts["bilstm_crf"])
+    payload["encoder"]["ngram_orders"] = orders
+    code, out, err = run_command("predict", root, corpus, payload)
+    assert (code, out) == (2, "")
+    assert err == f"error: ngram orders must be a non-empty subset of {{1, 2}}, got {tuple(orders)}\n"
+
+
 def test_undamaged_checkpoints_run(workspace):
     root, corpus, texts = workspace
     for text in texts.values():

@@ -594,20 +594,24 @@ class TestExportInstructions:
         assert code == 2
 
 
+def write_embeddings(path, corpus):
+    """A dim=16 embedding file with a random row for every sentence."""
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    with open(path, "w") as fh:
+        fh.write("dim=16\n")
+        for doc in corpus:
+            for s in doc.sentences:
+                vec = " ".join(f"{v:.6f}" for v in rng.normal(size=16))
+                fh.write(f"{doc.doc_id}\t{s.index}\t{vec}\n")
+
+
 class TestEmbeddingWorkflow:
     def test_train_predict_gradcheck_with_precomputed_vectors(self, tmp_path, capsys):
-        import numpy as np
-
         corpus_path = make_corpus(tmp_path, n="12", lo="4", hi="6")
-        corpus = load_jsonl(corpus_path)
-        rng = np.random.default_rng(0)
         emb = tmp_path / "emb.tsv"
-        with open(emb, "w") as fh:
-            fh.write("dim=16\n")
-            for doc in corpus:
-                for s in doc.sentences:
-                    vec = " ".join(f"{v:.6f}" for v in rng.normal(size=16))
-                    fh.write(f"{doc.doc_id}\t{s.index}\t{vec}\n")
+        write_embeddings(emb, load_jsonl(corpus_path))
         out_dir = tmp_path / "sp"
         main(["split", "--input", str(corpus_path), "--output-dir", str(out_dir)])
         model = tmp_path / "m.json"
@@ -635,6 +639,29 @@ class TestEmbeddingWorkflow:
                            "--embeddings", str(emb))
         assert code == 0
         assert "gradcheck,PASS" in out
+
+    def test_train_reads_the_embedding_file_once(self, tmp_path, capsys, monkeypatch):
+        """One read serves the training and the validation corpus."""
+        import rhetseg.encode
+
+        corpus_path = make_corpus(tmp_path, n="6", lo="3", hi="4")
+        emb = tmp_path / "emb.tsv"
+        write_embeddings(emb, load_jsonl(corpus_path))
+        out_dir = tmp_path / "sp"
+        main(["split", "--input", str(corpus_path), "--output-dir", str(out_dir)])
+        opened, open_text = [], rhetseg.encode.open_text
+
+        def counting_open_text(path, *args, **kwargs):
+            opened.append(str(path))
+            return open_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(rhetseg.encode, "open_text", counting_open_text)
+        code, _, _ = run(capsys, "train", "--input", str(out_dir / "train.jsonl"),
+                         "--val", str(out_dir / "validation.jsonl"),
+                         "--output", str(tmp_path / "m.json"), "--embeddings", str(emb),
+                         "--epochs", "1", "--lstm-hidden", "2")
+        assert code == 0
+        assert opened == [str(emb)]
 
 
 # ---------------------------------------------------------------------------

@@ -175,11 +175,11 @@ def test_bilstm_backward_finite_differences():
     R = rng.normal(size=(4, 4))
     H, cache = bilstm_forward_cache(X, p)
     grads = grad_block(p)
-    dX = bilstm_backward(cache, p, grads, R)
+    bilstm_backward(cache, p, grads, R)
     step = 1e-6
 
-    def loss(Xv, pv):
-        return float((bilstm_forward_cache(Xv, pv)[0] * R).sum())
+    def loss():
+        return float((bilstm_forward_cache(X, p)[0] * R).sum())
 
     for name in ("fwd.Wx", "fwd.Wh", "fwd.b", "bwd.Wx", "bwd.Wh", "bwd.b"):
         arr = p[name]
@@ -188,21 +188,12 @@ def test_bilstm_backward_finite_differences():
         for idx in range(0, flat.size, 7):
             orig = flat[idx]
             flat[idx] = orig + step
-            up = loss(X, p)
+            up = loss()
             flat[idx] = orig - step
-            dn = loss(X, p)
+            dn = loss()
             flat[idx] = orig
             np.testing.assert_allclose(gflat[idx], (up - dn) / (2 * step),
                                        atol=1e-6, err_msg=name)
-    for idx in range(X.size):
-        r, c = divmod(idx, X.shape[1])
-        orig = X[r, c]
-        X[r, c] = orig + step
-        up = loss(X, p)
-        X[r, c] = orig - step
-        dn = loss(X, p)
-        X[r, c] = orig
-        np.testing.assert_allclose(dX[r, c], (up - dn) / (2 * step), atol=1e-6)
 
 
 def test_bilstm_forward_batch_equals_2d_kernel_runs():
@@ -213,13 +204,14 @@ def test_bilstm_forward_batch_equals_2d_kernel_runs():
         p = draw_params("bilstm", rng, 5, h)
         Xs = [rng.normal(size=(m, 5)) for m in lengths]
         Hs, caches = bilstm_forward_batch(Xs, p)
-        for X, H, cache in zip(Xs, Hs, caches):
+        for X, H, (cache_X, *states) in zip(Xs, Hs, caches):
+            assert cache_X is X
             want = {}
-            for d, Xd in (("fwd", X), ("bwd", X[::-1])):
+            for k, (d, Xd) in enumerate((("fwd", X), ("bwd", X[::-1]))):
                 lp = direction(p, d)
                 want[d] = kernels.lstm_recurrence(Xd @ lp["Wx"].T, lp["Wh"], lp["b"])
-                for key, arr in zip("GCH", want[d]):
-                    assert np.array_equal(cache[d][key], arr), (h, len(X), d, key)
+                for key, state, arr in zip("GCH", states, want[d]):
+                    assert np.array_equal(state[:, k], arr), (h, len(X), d, key)
             assert np.array_equal(H, np.hstack([want["fwd"][2], want["bwd"][2][::-1]]))
 
 
@@ -231,12 +223,54 @@ def test_bilstm_backward_of_batch_cache_equals_batch_of_one():
     for X, cache in zip(Xs, caches):
         dH = rng.normal(size=(len(X), 6))
         grads, want_grads = grad_block(p), grad_block(p)
-        dX = bilstm_backward(cache, p, grads, dH)
-        want_dX = bilstm_backward(bilstm_forward_cache(X, p)[1], p, want_grads, dH)
+        bilstm_backward(cache, p, grads, dH)
+        bilstm_backward(bilstm_forward_cache(X, p)[1], p, want_grads, dH)
         assert grads.keys() == want_grads.keys()
         for name in grads:
             assert np.array_equal(grads[name], want_grads[name]), (len(X), name)
-        assert np.array_equal(dX, want_dX)
+
+
+def per_direction_lstm_backward(cache, p, g, d, dH):
+    """Reference: one direction's backward pass on its cache dict, keyed "X",
+    "G", "C", "H"; writes "d.Wx", "d.Wh", "d.b" and returns the input
+    gradient."""
+    G, C, H, X = cache["G"], cache["C"], cache["H"], cache["X"]
+    Wh = p[f"{d}.Wh"]
+    dA = kernels.lstm_recurrence_backward(G, C, np.ascontiguousarray(Wh.T), dH)
+    H_prev = np.vstack([np.zeros((1, Wh.shape[1])), H[:-1]])
+    g[f"{d}.Wx"][...], g[f"{d}.Wh"][...], g[f"{d}.b"][...] = dA.T @ X, dA.T @ H_prev, dA.sum(axis=0)
+    return dA @ p[f"{d}.Wx"]
+
+
+def per_direction_bilstm_backward(cache, p, g, dH):
+    """Reference: the two directions' backward passes, each on its own
+    cache dict, and the input gradient they sum to."""
+    h = p["fwd.Wh"].shape[1]
+    dX_f = per_direction_lstm_backward(cache["fwd"], p, g, "fwd", np.ascontiguousarray(dH[:, :h]))
+    dX_b_rev = per_direction_lstm_backward(cache["bwd"], p, g, "bwd", np.ascontiguousarray(dH[:, h:][::-1]))
+    return dX_f + dX_b_rev[::-1]
+
+
+def test_bilstm_backward_equals_per_direction_reference():
+    """Every parameter gradient bit for bit, from caches of padded batches
+    and of batches of one, at a small width and the default h=32."""
+    rng = np.random.default_rng(23)
+    lengths = (1, 2, 13, 40)
+    for h in (3, 32):
+        p = draw_params("bilstm", rng, 5, h)
+        Xs = [rng.normal(size=(m, 5)) for m in lengths]
+        caches = bilstm_forward_batch(Xs, p)[1] + [bilstm_forward_cache(X, p)[1] for X in Xs]
+        for X, G, C, H in caches:
+            dH = rng.normal(size=(len(X), 2 * h))
+            reference = {
+                d: {"X": Xd, "G": G[:, k], "C": C[:, k], "H": H[:, k]}
+                for k, (d, Xd) in enumerate((("fwd", X), ("bwd", X[::-1])))
+            }
+            grads, want = grad_block(p), grad_block(p)
+            bilstm_backward((X, G, C, H), p, grads, dH)
+            per_direction_bilstm_backward(reference, p, want, dH)
+            for name in grads:
+                assert np.array_equal(grads[name], want[name]), (h, len(X), name)
 
 
 def test_attention_rows_are_stochastic():
@@ -473,7 +507,7 @@ def test_gcn_backward_finite_differences():
     R = rng.normal(size=(4, 5))
     _, cache = gcn_forward_cache(X, a_hat, p)
     grads = grad_block(p)
-    dX = gcn_backward(cache, p, grads, R)
+    gcn_backward(cache, p, grads, R)
     step = 1e-6
 
     def loss():
@@ -492,15 +526,6 @@ def test_gcn_backward_finite_differences():
             flat[idx] = orig
             np.testing.assert_allclose(gflat[idx], (up - dn) / (2 * step),
                                        atol=1e-6, err_msg=name)
-    for idx in range(X.size):
-        r, c = divmod(idx, 3)
-        orig = X[r, c]
-        X[r, c] = orig + step
-        up = loss()
-        X[r, c] = orig - step
-        dn = loss()
-        X[r, c] = orig
-        np.testing.assert_allclose(dX[r, c], (up - dn) / (2 * step), atol=1e-6)
 
 
 def test_init_bounds_follow_fan_in():

@@ -6,7 +6,6 @@ import re
 import numpy as np
 import pytest
 
-from rhetseg import corpus as corpus_mod
 from rhetseg.corpus import (
     Corpus,
     Document,
@@ -21,6 +20,7 @@ from rhetseg.corpus import (
 from rhetseg.errors import DataError
 from rhetseg.roles import ROLE_NAMES, RhetoricalRole
 from rhetseg.synth import generate_corpus
+from test_roles import if_chain_parse
 
 
 def make_doc(doc_id, texts, labels=None):
@@ -304,7 +304,8 @@ def parsed(parse, value):
 
 @pytest.mark.parametrize("value", LABEL_VALUES, ids=repr)
 def test_label_lookup_matches_role_parse(value):
-    got, ref = parsed(corpus_mod._parse_label, value), parsed(RhetoricalRole.parse, value)
+    """RhetoricalRole.parse's dict lookup against the if-chain it replaced."""
+    got, ref = parsed(RhetoricalRole.parse, value), parsed(if_chain_parse, value)
     assert got == ref and type(got) is type(ref)
 
 

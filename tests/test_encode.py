@@ -288,6 +288,14 @@ class TestLoadEmbeddings:
         mats = load_embeddings(path, self.corpus())
         np.testing.assert_array_equal(mats["d"], [[1, 2, 3], [4, 5, 6]])
 
+    def test_repeated_doc_id_takes_its_last_document(self, tmp_path):
+        """Training and validation documents are read in one call, the
+        validation ones last: a doc id in both maps to its validation rows."""
+        path = self.write(tmp_path, "dim=3\nd\t0\t1 2 3\nd\t1\t4 5 6\n")
+        short = Document(doc_id="d", sentences=(Sentence(index=0, text="A."),))
+        np.testing.assert_array_equal(load_embeddings(path, [two_sentence_doc(), short])["d"], [[1, 2, 3]])
+        np.testing.assert_array_equal(load_embeddings(path, [short, two_sentence_doc()])["d"], [[1, 2, 3], [4, 5, 6]])
+
     def test_missing_row_named(self, tmp_path):
         path = self.write(tmp_path, "dim=3\nd\t0\t1 2 3\n")
         with pytest.raises(DataError, match="d:1 missing"):

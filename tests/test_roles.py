@@ -33,7 +33,28 @@ def test_parse_rejects_unknowns_with_the_offender_named():
         RhetoricalRole.parse(None)
 
 
-def test_from_name_is_case_sensitive():
-    assert RhetoricalRole.from_name("Reasoning") is RhetoricalRole.REASONING
+def test_parse_is_case_sensitive():
+    assert RhetoricalRole.parse("Reasoning") is RhetoricalRole.REASONING
     with pytest.raises(DataError):
-        RhetoricalRole.from_name("reasoning")
+        RhetoricalRole.parse("reasoning")
+
+
+def if_chain_parse(value):
+    """Reference for RhetoricalRole.parse: a type test per kind of value,
+    then a range check of the id or a search of the names."""
+    if isinstance(value, RhetoricalRole):
+        return value
+    if isinstance(value, bool):
+        raise DataError(f"cannot parse role from {value!r}")
+    if isinstance(value, int):
+        if not 0 <= value < NUM_ROLES:
+            raise DataError(f"role id out of range [0, {NUM_ROLES}): {value}")
+        return RhetoricalRole(value)
+    if isinstance(value, str):
+        try:
+            return RhetoricalRole(ROLE_NAMES.index(value))
+        except ValueError:
+            raise DataError(
+                f"unknown role name {value!r}; expected one of {', '.join(ROLE_NAMES)}"
+            ) from None
+    raise DataError(f"cannot parse role from {value!r}")

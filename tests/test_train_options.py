@@ -142,6 +142,7 @@ TRAIN_DEFECTS = [
     ["--context", "gcn", "--gcn-sim-threshold", "inf"],
     ["--lr", "nan"],
     ["--lr", "inf"],
+    ["--ngram-orders", "1,1,2"],
 ]
 OTHER_DEFECTS = [
     ["gradcheck", "--step", "nan"],
