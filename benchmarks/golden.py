@@ -3,10 +3,13 @@
 trees can be shown to produce the same bytes.
 
 --out DIR synthesizes fixed corpora and, for each of twelve train
-configurations, writes into DIR/<configuration>/ the checkpoint, the report
-CSV, train's stdout, the `predict` output and stdout in free-running and
-teacher-forced mode on a corpus of short documents and on one of long
-documents, and gradcheck's stdout: 152 files in all. It prints one SHA-256
+configurations, writes into DIR/<configuration>/ the checkpoint, the digest
+of the model it loads to (params.sha256), the report CSV, train's stdout, the
+`predict` output and stdout in free-running and teacher-forced mode on a
+corpus of short documents and on one of long documents, and gradcheck's
+stdout: 164 files in all. params.sha256 reads the checkpoint through the
+public loader only, so a change of checkpoint format that keeps the model
+changes model.json and leaves params.sha256 as it is. It prints one SHA-256
 per file, as `sha256sum` does. Every command runs in-process through rhetseg.cli.main
 from the src/ tree next to this script, so copy the script into another
 checkout to digest that one.
@@ -25,8 +28,10 @@ before numpy loads, whatever the caller set.
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -34,7 +39,7 @@ from pathlib import Path
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from rhetseg import cli  # noqa: E402
+from rhetseg import cli, train  # noqa: E402
 
 # Corpus name -> synth flags. "predict" mixes lengths 1 to 30 over more
 # documents than three prediction chunks hold; "long" is one chunk of long
@@ -75,6 +80,18 @@ def run(out_file: Path, *argv) -> None:
     out_file.write_text(f"exit,{code}\n{stdout.getvalue()}", encoding="utf-8")
 
 
+def params_digest(model: Path) -> str:
+    """The SHA-256 of the loaded parameter vector as little-endian float64
+    bytes, then the sorted-key JSON of the bundle's other fields and its
+    layout (names and shapes)."""
+    bundle = train.load_checkpoint(model)
+    fields = {f.name: getattr(bundle, f.name) for f in dataclasses.fields(bundle)
+              if f.init and f.name not in ("layout", "flat")}
+    fields["layout"] = [[name, list(spec.shape)] for name, spec in bundle.layout.items()]
+    digest = hashlib.sha256(bundle.flat.astype("<f8").tobytes()).hexdigest()
+    return f"{digest}\n{json.dumps(fields, sort_keys=True)}\n"
+
+
 def write_outputs(root: Path) -> None:
     """Write every output under root, with paths relative to it, so that
     stdout names the same paths in any output tree."""
@@ -92,6 +109,7 @@ def write_outputs(root: Path) -> None:
             model = out / "model.json"
             run(out / "train.out", "train", "--input", data / "train.jsonl", "--val", data / "val.jsonl",
                 "--output", model, "--report", out / "report.csv", *TRAIN_FLAGS, *flags)
+            (out / "params.sha256").write_text(params_digest(model), encoding="utf-8")
             for corpus in PREDICT_CORPORA:
                 for mode in ("free_running", "teacher_forced"):
                     run(out / f"{corpus}-{mode}.out", "predict", "--input", data / f"{corpus}.jsonl",

@@ -10,7 +10,7 @@ Each encoder reads its tensors from `p`, one block of the parameter layout
 keyed by the rest of the layout name ("fwd.Wx", "layer0.Q", "W1"); each
 backward pass writes its gradients to those keys of `g`, the block's gradient.
 Training never reads the gradient of an encoder's input, so only
-attention_backward returns one, for the layer below it.
+attention_backward returns one, and only for a layer with a layer below it.
 
 LSTM parameters use the stacked-gate layout: rows of Wx/Wh/b hold the four
 gates in (input, forget, output, candidate) order, h rows each. This stores
@@ -130,7 +130,7 @@ def attention_forward_cache(X: np.ndarray, p: Params, idx: int = 0):
     return Y, {"X": X, "Qx": Qx, "Kx": Kx, "Vx": Vx, "A": A, "Z": Z, "scale": scale}
 
 
-def attention_backward(cache: dict, p: Params, g: Params, dY: np.ndarray, idx: int = 0) -> np.ndarray:
+def attention_backward(cache: dict, p: Params, g: Params, dY: np.ndarray, idx: int = 0) -> np.ndarray | None:
     Q, K, V, O = _layer(p, idx)
     X, Qx, Kx, Vx, A, Z = cache["X"], cache["Qx"], cache["Kx"], cache["Vx"], cache["A"], cache["Z"]
     scale = cache["scale"]
@@ -144,7 +144,7 @@ def attention_backward(cache: dict, p: Params, g: Params, dY: np.ndarray, idx: i
     dKx = (dS.T @ Qx) * scale
     for n, grad in zip("QKVO", (X.T @ dQx, X.T @ dKx, X.T @ dVx, dO)):
         g[f"layer{idx}.{n}"][...] = grad
-    return dY + dQx @ Q.T + dKx @ K.T + dVx @ V.T
+    return dY + dQx @ Q.T + dKx @ K.T + dVx @ V.T if idx else None
 
 
 def attention_stack_forward_cache(X: np.ndarray, p: Params):

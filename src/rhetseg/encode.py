@@ -52,11 +52,14 @@ class HashEncoderConfig:
             raise DataError(f"ngram orders must be a non-empty subset of {{1, 2}}, got {orders}")
 
 
-def _hash64(text: str, keyed) -> int:
-    """Keyed 8-byte blake2b of text, little-endian; copying keyed skips hashing the key block again."""
-    h = keyed.copy()
-    h.update(text.encode("utf-8"))
-    return int.from_bytes(h.digest(), "little")
+def _hash64(texts: list[str], keyed) -> np.ndarray:
+    """Keyed 8-byte blake2b of each text as a little-endian uint64; copying keyed skips the key block."""
+    digests = []
+    for text in texts:
+        h = keyed.copy()
+        h.update(text.encode("utf-8"))
+        digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), "<u8")
 
 
 # Each HashingEncoder keeps ids for up to this many distinct tokens and codes for up
@@ -104,7 +107,7 @@ class HashingEncoder:
         codes = np.fromiter(map(self._codes.get, uniq.tolist(), itertools.repeat(-1)), np.int64, len(uniq))
         miss = np.flatnonzero(codes < 0)
         if len(miss):
-            codes[miss] = self._hash_keys(uniq[miss].tolist())
+            codes[miss] = self._hash_keys(uniq[miss])
         for t in self._names[cap:]:  # ids from the cap up last for this chunk only
             del ids[t]
         del self._names[cap:]
@@ -114,17 +117,15 @@ class HashingEncoder:
         ends = list(itertools.accumulate(map(len, docs)))
         return [M[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
-    def _hash_keys(self, keys: list[int]) -> list[int]:
+    def _hash_keys(self, keys: np.ndarray) -> np.ndarray:
         """Codes of distinct keys the memo lacks; keys of lasting tokens are kept while there is room."""
-        memo, names, cap, dim, signed = self._codes, self._names, _MEMO_CAP, self.dim, self.cfg.signed
-        codes = []
-        for k in keys:
-            a, b = k >> 32, k & 0xFFFFFFFF
-            h = _hash64(f"2:{names[a - 1]} {names[b]}" if a else "1:" + names[b], self._keyed)
-            code = 2 * (h % dim) + (1 if signed and h >> 63 else 0)
-            if len(memo) < cap and a <= cap and b < cap:
-                memo[k] = code
-            codes.append(code)
+        memo, names, cap = self._codes, self._names, _MEMO_CAP
+        texts = [f"2:{names[(k >> 32) - 1]} {names[k & 0xFFFFFFFF]}" if k >> 32 else "1:" + names[k]
+                 for k in keys.tolist()]
+        h = _hash64(texts, self._keyed)
+        codes = (2 * (h % self.dim) + (h >> 63 if self.cfg.signed else 0)).astype(np.int64)
+        lasting = np.flatnonzero(((keys >> 32) <= cap) & ((keys & 0xFFFFFFFF) < cap))[: cap - len(memo)]
+        memo.update(zip(keys[lasting].tolist(), codes[lasting].tolist()))
         return codes
 
     def spec(self) -> dict:

@@ -17,8 +17,8 @@ are bit-reproducible for a fixed (corpus, config, seed).
 
 from __future__ import annotations
 
-import base64
 import dataclasses
+import itertools
 import json
 import math
 import time
@@ -31,11 +31,11 @@ from . import context as ctx
 from . import crf as crf_mod
 from .corpus import Corpus, Document, label_shift_sequence
 from .encode import HashEncoderConfig, HashingEncoder, featurize, feature_width, validate_offsets
-from .errors import DataError, NumericError, open_text
+from .errors import DataError, NumericError
 from .metrics import confusion, macro_prf
 from .roles import NUM_ROLES, ROLE_NAMES, RhetoricalRole
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # The values each setting may take; the CLI, TrainConfig and the checkpoint
 # loader all read these.
@@ -825,10 +825,10 @@ def gradcheck(
 
 
 def save_checkpoint(bundle: ModelBundle, path) -> None:
-    """Versioned JSON with sorted keys and no timestamps, so identical
-    bundles serialize to identical bytes. Each tensor is the base64 of its
-    little-endian float64 bytes in C order, which round-trips exactly."""
-    payload = {
+    """A line of JSON with sorted keys and no timestamps, listing each tensor's [name, shape] in layout
+    order, then the parameter vector as little-endian float64 bytes: identical bundles give identical
+    bytes, and every value round-trips exactly."""
+    header = {
         "format_version": CHECKPOINT_VERSION,
         "kind": "rhetseg-checkpoint",
         "encoder": bundle.encoder_spec,
@@ -845,30 +845,12 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
         "head": {"kind": bundle.head_kind},
         "labels": list(ROLE_NAMES),
         "dims": {"feat_dim": bundle.feat_dim, "context_dim": bundle.context_dim},
-        "tensors": {
-            name: base64.b64encode(t.astype("<f8", copy=False).tobytes()).decode("ascii")
-            for name, t in bundle.parameter_blocks().items()
-        },
+        "tensors": [[name, list(spec.shape)] for name, spec in bundle.layout.items()],
         "config": bundle.config_echo,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
-
-
-def _tensor(tensors: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    if name not in tensors:
-        raise DataError(f"checkpoint missing tensor {name!r}")
-    try:
-        raw = base64.b64decode(tensors[name], validate=True)
-    except (TypeError, ValueError):  # not a string, not ASCII, or not base64 (binascii.Error)
-        raise DataError(f"checkpoint tensor {name!r} is not a numeric array: expected base64 float64 bytes") from None
-    size = 8 * math.prod(shape)
-    if len(raw) != size:
-        raise DataError(f"checkpoint tensor {name!r} has {len(raw)} bytes, expected {size} for shape {shape}")
-    arr = np.frombuffer(raw, "<f8")
-    if not np.isfinite(arr).all():
-        raise DataError(f"checkpoint tensor {name!r} holds a non-finite value")
-    return arr.reshape(shape)
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        fh.write(bundle.flat.astype("<f8", copy=False).tobytes())
 
 
 def _is_int(value) -> bool:
@@ -903,32 +885,37 @@ def _check_fields(entry: dict, section: str) -> None:
 
 
 def load_checkpoint(path) -> ModelBundle:
-    """Read a checkpoint, checking every field, and every tensor against the
-    layout the fields imply."""
-    with open_text(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"checkpoint is not valid JSON ({exc.msg})") from None
-    if not isinstance(payload, dict) or payload.get("kind") != "rhetseg-checkpoint":
+    """Read a checkpoint, checking every header field, then the tensor list and
+    the byte count against the layout the fields imply."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    cut = data.find(b"\n")
+    try:
+        header = json.loads((data[:cut] if cut >= 0 else data).decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"not UTF-8 ({exc.reason}): {str(path)!r}") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"checkpoint is not valid JSON ({exc.msg})") from None
+    if not isinstance(header, dict) or header.get("kind") != "rhetseg-checkpoint":
         raise DataError("not a model checkpoint")
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise DataError(f"checkpoint has unsupported version {payload.get('format_version')!r}, "
+    if header.get("format_version") != CHECKPOINT_VERSION:
+        raise DataError(f"checkpoint has unsupported version {header.get('format_version')!r}, "
                         f"expected {CHECKPOINT_VERSION}")
-    if payload.get("labels") != list(ROLE_NAMES):
+    if header.get("labels") != list(ROLE_NAMES):
         raise DataError("checkpoint label set does not match this package")
-    for entry in ("encoder", "feature", "context", "head", "dims", "tensors"):
-        if not isinstance(payload.get(entry), dict):
+    for entry in ("encoder", "feature", "context", "head", "dims"):
+        if not isinstance(header.get(entry), dict):
             raise DataError(f"checkpoint entry {entry!r} is missing or not an object")
-        if entry != "tensors":
-            _check_fields(payload[entry], entry)
-    encoder, feature, dims = payload["encoder"], payload["feature"], payload["dims"]
+        _check_fields(header[entry], entry)
+    if not isinstance(header.get("tensors"), list):
+        raise DataError("checkpoint entry 'tensors' is missing or not a list")
+    encoder, feature, dims = header["encoder"], header["feature"], header["dims"]
     if encoder["kind"] == "hash":
         _check_fields(encoder, "hash")
         _hash_config(encoder)  # checks the width and the n-gram orders
     window = tuple(feature["window"])
     validate_offsets(window)
-    context_kind, head_kind = payload["context"]["kind"], payload["head"]["kind"]
+    context_kind, head_kind = header["context"]["kind"], header["head"]["kind"]
     feat_dim, context_dim = dims["feat_dim"], dims["context_dim"]
     if feat_dim != feature_width(encoder["dim"], window, feature["positional"], feature["sin_dim"],
                                  feature["label_mode"] != "off"):
@@ -937,17 +924,27 @@ def load_checkpoint(path) -> ModelBundle:
         raise DataError(f"checkpoint dims inconsistent with context kind {context_kind!r}")
     if context_kind == "bilstm" and context_dim % 2:
         raise DataError("checkpoint dims inconsistent with LSTM tensors")
-    tensors = payload["tensors"]
+    tensors = header["tensors"]
+    listed = {entry[0] for entry in tensors if type(entry) is list and entry and type(entry[0]) is str}
     layers = 1
-    while f"attn.layer{layers}.Q" in tensors:
+    while f"attn.layer{layers}.Q" in listed:
         layers += 1
-    layout = parameter_layout(context_kind, head_kind, feat_dim, context_dim, layers, "shift.w" in tensors)
-    unexpected = sorted(set(tensors) - set(layout))
-    if unexpected:
-        raise DataError(f"checkpoint has unexpected tensor {unexpected[0]!r}")
-    # every tensor is checked before the vector is allocated, so that it
+    layout = parameter_layout(context_kind, head_kind, feat_dim, context_dim, layers, "shift.w" in listed)
+    wanted = [[name, list(spec.shape)] for name, spec in layout.items()]
+    for i, (got, want) in enumerate(itertools.zip_longest(tensors, wanted)):
+        if got != want:
+            raise DataError(f"checkpoint tensor {i} is listed as {got!r}, expected {want!r}")
+    if cut < 0:
+        raise DataError("checkpoint has no newline after its header")
+    # the byte count is checked before the vector is allocated, so that it
     # never holds more than the file does
-    flat = np.concatenate([_tensor(tensors, name, spec.shape).reshape(-1) for name, spec in layout.items()])
+    size = layout_size(layout)
+    if len(data) - cut - 1 != 8 * size:
+        raise DataError(f"checkpoint holds {len(data) - cut - 1} parameter bytes, expected {8 * size}")
+    flat = np.frombuffer(data, "<f8", size, cut + 1).copy()
+    if not np.isfinite(flat).all():
+        name = next(name for name, view in _views(flat, layout).items() if not np.isfinite(view).all())
+        raise DataError(f"checkpoint tensor {name!r} holds a non-finite value")
     return ModelBundle(
         encoder_spec=encoder,
         window=window,
@@ -955,11 +952,11 @@ def load_checkpoint(path) -> ModelBundle:
         sin_dim=feature["sin_dim"],
         label_mode=feature["label_mode"],
         context_kind=context_kind,
-        gcn_sim_threshold=payload["context"]["sim_threshold"],
+        gcn_sim_threshold=header["context"]["sim_threshold"],
         head_kind=head_kind,
         feat_dim=feat_dim,
         context_dim=context_dim,
         layout=layout,
         flat=flat,
-        config_echo=payload.get("config", {}),
+        config_echo=header.get("config", {}),
     )

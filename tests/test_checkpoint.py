@@ -1,11 +1,12 @@
-"""Checkpoint bytes and the checkpoint loader: the writer against json.dump
-of the whole payload with independently encoded tensors, and malformed files
-against exit code 2 with a one-line message."""
+"""Checkpoint bytes and the checkpoint loader: the writer against a header
+line and a parameter vector encoded in the test, and malformed files against
+exit code 2 with a one-line message."""
 
 import base64
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -45,22 +46,36 @@ def bundles_equal(a, b) -> bool:
     return a.layout == b.layout and np.array_equal(a.flat, b.flat)
 
 
-def read_tensor(payload, name) -> np.ndarray:
-    """Tensor entry `name` of a checkpoint payload as a flat, writable float64
-    vector, decoded without the loader."""
-    return np.frombuffer(base64.b64decode(payload["tensors"][name]), "<f8").copy()
+def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """(header, {name: writable float64 array}) of a checkpoint, decoded
+    without the loader: the JSON line, then the tensors its "tensors" list
+    names, in that order and at those shapes."""
+    data = path.read_bytes()
+    cut = data.index(b"\n")
+    header = json.loads(data[:cut])
+    values = np.frombuffer(data, "<f8", offset=cut + 1)
+    tensors, start = {}, 0
+    for name, shape in header["tensors"]:
+        size = math.prod(shape)
+        tensors[name] = values[start : start + size].reshape(shape).copy()
+        start += size
+    return header, tensors
 
 
-def write_tensor(payload, name, values) -> None:
-    """Store `values` (any shape, C order) as tensor entry `name`, encoded
-    without the writer."""
-    payload["tensors"][name] = base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+def write_checkpoint(path, header, tensors) -> None:
+    """Write header as one JSON line, then each tensor's little-endian float64
+    bytes (or the bytes given) in dict order, without the writer. The header
+    goes out as it is, so it may list tensors the bytes do not hold."""
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        for values in tensors.values():
+            fh.write(values if isinstance(values, bytes) else np.asarray(values, "<f8").tobytes())
 
 
-def json_dump_bytes(bundle) -> bytes:
-    """The checkpoint as json.dump writes the whole payload in one call."""
-    payload = {
-        "format_version": 2,
+def header_dict(bundle) -> dict:
+    """The header the writer should give bundle, built field by field."""
+    return {
+        "format_version": 3,
         "kind": "rhetseg-checkpoint",
         "encoder": bundle.encoder_spec,
         "feature": {
@@ -73,15 +88,15 @@ def json_dump_bytes(bundle) -> bytes:
         "head": {"kind": bundle.head_kind},
         "labels": list(ROLE_NAMES),
         "dims": {"feat_dim": bundle.feat_dim, "context_dim": bundle.context_dim},
-        "tensors": {},
+        "tensors": [[name, list(tensor.shape)] for name, tensor in bundle.parameter_blocks().items()],
         "config": bundle.config_echo,
     }
-    for name, tensor in bundle.parameter_blocks().items():
-        write_tensor(payload, name, tensor)
-    buf = io.StringIO()
-    json.dump(payload, buf, sort_keys=True)
-    buf.write("\n")
-    return buf.getvalue().encode("utf-8")
+
+
+def expected_bytes(bundle) -> bytes:
+    """The checkpoint as the header's sorted-key JSON, a newline, then the
+    parameter vector's little-endian float64 bytes."""
+    return json.dumps(header_dict(bundle), sort_keys=True).encode("utf-8") + b"\n" + bundle.flat.astype("<f8").tobytes()
 
 
 @pytest.mark.parametrize("mtl", [True, False])
@@ -95,7 +110,7 @@ def test_save_bytes_equal_json_dump(tmp_path, kind, head, mtl):
     bundle.flat[:4] = (-0.0, 5e-324, 1.7976931348623157e308, 0.1)
     path = tmp_path / "model.json"
     save_checkpoint(bundle, path)
-    assert path.read_bytes() == json_dump_bytes(bundle)
+    assert path.read_bytes() == expected_bytes(bundle)
     loaded = load_checkpoint(path)
     assert bundles_equal(bundle, loaded)
     assert loaded.flat.tobytes() == bundle.flat.tobytes()
@@ -125,19 +140,21 @@ def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("checkpoints")
     corpus = root / "corpus.jsonl"
     write_jsonl(generate_corpus(2, 3, 6, noise=0.1, seed=1), corpus)
-    texts = {}
+    paths = {}
     for name, (kind, head) in {"bilstm_crf": ("bilstm", "crf"), "attention_softmax": ("attention", "softmax"),
                                "gcn_crf": ("gcn", "crf")}.items():
-        save_checkpoint(model(kind, head), root / f"{name}.json")
-        texts[name] = (root / f"{name}.json").read_text()
-    return root, corpus, texts
+        paths[name] = root / f"{name}.json"
+        save_checkpoint(model(kind, head), paths[name])
+    return root, corpus, paths
 
 
-def run_command(command, root, corpus, payload):
-    """Write the payload as a checkpoint, run the command on it, and return
-    (exit code, stdout, stderr)."""
+def run_command(command, root, corpus, header, tensors, edit=None):
+    """Write the checkpoint, pass its bytes through edit if given, run the
+    command on it, and return (exit code, stdout, stderr)."""
     path = root / "broken.json"
-    path.write_text(json.dumps(payload))
+    write_checkpoint(path, header, tensors)
+    if edit:
+        path.write_bytes(edit(path.read_bytes()))
     argv = [command, "--input", str(corpus), "--model", str(path)]
     if command == "predict":
         argv += ["--output", str(root / "preds.jsonl")]
@@ -148,89 +165,135 @@ def run_command(command, root, corpus, payload):
 
 
 def _drop(section, key):
-    return lambda p: p[section].pop(key)
+    return lambda h, t: h[section].pop(key)
 
 
 def _set(section, key, value):
-    return lambda p: p[section].__setitem__(key, value)
+    return lambda h, t: h[section].__setitem__(key, value)
 
 
 def _shorten(name, length):
-    return lambda p: write_tensor(p, name, read_tensor(p, name)[:length])
-
-
-def _recode(name, edit):
-    """Replace tensor `name`'s base64 text s with edit(s)."""
-    return lambda p: p["tensors"].__setitem__(name, edit(p["tensors"][name]))
+    """Keep the first `length` values of tensor `name` (a negative length
+    drops values from its end); the header still lists its full shape."""
+    return lambda h, t: t.__setitem__(name, t[name].reshape(-1)[:length])
 
 
 def _cut_bytes(name, n):
-    """Drop the last n bytes of tensor `name`, re-encoded as valid base64."""
-    return lambda p: p["tensors"].__setitem__(
-        name, base64.b64encode(base64.b64decode(p["tensors"][name])[:-n]).decode("ascii"))
+    """Drop the last n bytes of tensor `name`."""
+    return lambda h, t: t.__setitem__(name, t[name].tobytes()[:-n])
 
 
-def _as_list(name, shape):
-    """Store tensor `name` as version 1 wrote it: nested lists of floats."""
-    return lambda p: p["tensors"].__setitem__(name, read_tensor(p, name).reshape(shape).tolist())
+def _append(name, values):
+    """List one more tensor after the others, and store its values."""
+    def damage(h, t):
+        h["tensors"].append([name, [len(values)]])
+        t[name] = values
+    return damage
 
 
-def _version_one(kind, head):
-    """The whole checkpoint of model(kind, head) as version 1 wrote it."""
-    def damage(p):
-        p["format_version"] = 1
-        p["tensors"] = {name: t.tolist() for name, t in model(kind, head).parameter_blocks().items()}
+def _remove(name):
+    """Drop tensor `name` from the list and from the bytes."""
+    def damage(h, t):
+        h["tensors"] = [entry for entry in h["tensors"] if entry[0] != name]
+        del t[name]
+    return damage
+
+
+def _swap(a, b):
+    """Swap tensors a and b in the list and in the bytes."""
+    def damage(h, t):
+        order = [b if n == a else a if n == b else n for n in t]
+        shapes = dict(h["tensors"])
+        h["tensors"] = [[n, shapes[n]] for n in order]
+        t.update({n: t.pop(n) for n in order})
+    return damage
+
+
+def _relist(name, shape):
+    """List tensor `name` at another shape, leaving its bytes as they are."""
+    def damage(h, t):
+        h["tensors"] = [[n, shape if n == name else s] for n, s in h["tensors"]]
+    return damage
+
+
+def _version(number, tensor_entry):
+    """The whole checkpoint as version `number` wrote it: one JSON object,
+    with each tensor stored inside it as tensor_entry(array), and nothing after
+    its line."""
+    def damage(h, t):
+        h["format_version"] = number
+        h["tensors"] = {name: tensor_entry(values) for name, values in t.items()}
+        t.clear()
     return damage
 
 
 def _widen_encoder(dim):
     """Set encoder.dim, and feat_dim to match it, leaving every tensor as it is."""
-    def damage(p):
-        f = p["feature"]
-        p["encoder"]["dim"] = dim
-        p["dims"]["feat_dim"] = feature_width(dim, tuple(f["window"]), f["positional"], f["sin_dim"],
+    def damage(h, t):
+        f = h["feature"]
+        h["encoder"]["dim"] = dim
+        h["dims"]["feat_dim"] = feature_width(dim, tuple(f["window"]), f["positional"], f["sin_dim"],
                                               f["label_mode"] != "off")
     return damage
 
 
-# case -> (checkpoint, command, damage, part of the expected message)
+def _keep(h, t):
+    pass
+
+
+# case -> (checkpoint, command, damage, edit of the bytes or None, part of the expected message)
 MALFORMED = {
-    "short shift.w": ("bilstm_crf", "gradcheck", _shorten("shift.w", 2),
-                      "'shift.w' has 16 bytes, expected 48 for shape (6,)"),
-    "softmax.b of length 3": ("attention_softmax", "predict", _shorten("softmax.b", 3),
-                              "'softmax.b' has 24 bytes, expected 56 for shape (7,)"),
-    "non-base64 character": ("bilstm_crf", "predict", _recode("crf.T", lambda s: "*" + s[1:]),
-                             "'crf.T' is not a numeric array"),
-    "bad padding": ("bilstm_crf", "predict", _recode("crf.b_e", lambda s: s.rstrip("=")),
-                    "'crf.b_e' is not a numeric array"),
-    "bytes not a multiple of 8": ("gcn_crf", "predict", _cut_bytes("gcn.W2", 3),
-                                  "'gcn.W2' has 197 bytes, expected 200 for shape (5, 5)"),
-    "one value short": ("attention_softmax", "predict", _shorten("attn.layer1.V", -1),
-                        "'attn.layer1.V' has 4992 bytes, expected 5000 for shape (25, 25)"),
-    "list tensor in a version-2 file": ("bilstm_crf", "predict", _as_list("bilstm.bwd.Wh", (12, 3)),
-                                        "'bilstm.bwd.Wh' is not a numeric array"),
-    "encoder dim 10**12": ("bilstm_crf", "predict", _widen_encoder(10**12),  # 349 TiB if allocated first
-                           "'bilstm.fwd.Wx' has 2400 bytes, expected 192000000000864 for shape (12, 2000000000009)"),
-    "whole version-1 file": ("gcn_crf", "predict", _version_one("gcn", "crf"), "unsupported version 1, expected 2"),
-    "unknown tensor": ("bilstm_crf", "predict", _set("tensors", "bogus.x", [1.0]), "unexpected tensor 'bogus.x'"),
-    "window not a list": ("bilstm_crf", "predict", _set("feature", "window", 3), "feature.window has an invalid value"),
-    "missing sin_dim": ("bilstm_crf", "predict", _drop("feature", "sin_dim"), "feature is missing 'sin_dim'"),
-    "unknown label_mode": ("bilstm_crf", "predict", _set("feature", "label_mode", "weird"),
+    "short shift.w": ("bilstm_crf", "gradcheck", _shorten("shift.w", 2), None,
+                      "holds 6488 parameter bytes, expected 6520"),
+    "softmax.b of length 3": ("attention_softmax", "predict", _shorten("softmax.b", 3), None,
+                              "holds 41632 parameter bytes, expected 41664"),
+    "bytes not a multiple of 8": ("gcn_crf", "predict", _cut_bytes("gcn.W2", 3), None,
+                                  "holds 2085 parameter bytes, expected 2088"),
+    "one value short": ("attention_softmax", "predict", _shorten("attn.layer1.V", -1), None,
+                        "holds 41656 parameter bytes, expected 41664"),
+    "trailing bytes": ("gcn_crf", "predict", _keep, lambda data: data + b"\0" * 8,
+                       "holds 2096 parameter bytes, expected 2088"),
+    "no newline after the header": ("bilstm_crf", "predict", _keep, lambda data: data[: data.index(b"\n")],
+                                    "has no newline after its header"),
+    "header not JSON": ("bilstm_crf", "predict", _keep, lambda data: b"x" + data[1:], "is not valid JSON"),
+    "tensors out of order": ("bilstm_crf", "predict", _swap("crf.b_e", "crf.T"), None,
+                             "tensor 7 is listed as ['crf.T', [7, 7]], expected ['crf.b_e', [7]]"),
+    "missing tensor": ("gcn_crf", "predict", _remove("crf.T"), None,
+                       "tensor 4 is listed as ['crf.start', [7]], expected ['crf.T', [7, 7]]"),
+    "unknown tensor": ("bilstm_crf", "predict", _append("bogus.x", [1.0]), None,
+                       "tensor 13 is listed as ['bogus.x', [1]], expected None"),
+    "tensor listed twice": ("gcn_crf", "predict", _append("shift.b", [1.0]), None,
+                            "tensor 9 is listed as ['shift.b', [1]], expected None"),
+    "tensor of the wrong shape": ("gcn_crf", "predict", _relist("gcn.W2", [25]), None,
+                                  "tensor 1 is listed as ['gcn.W2', [25]], expected ['gcn.W2', [5, 5]]"),
+    "encoder dim 10**12": ("bilstm_crf", "predict", _widen_encoder(10**12), None,  # 349 TiB if allocated first
+                           "tensor 0 is listed as ['bilstm.fwd.Wx', [12, 25]], "
+                           "expected ['bilstm.fwd.Wx', [12, 2000000000009]]"),
+    "whole version-1 file": ("gcn_crf", "predict", _version(1, np.ndarray.tolist), None,
+                             "unsupported version 1, expected 3"),
+    "whole version-2 file": ("bilstm_crf", "predict",
+                             _version(2, lambda a: base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")), None,
+                             "unsupported version 2, expected 3"),
+    "window not a list": ("bilstm_crf", "predict", _set("feature", "window", 3), None,
+                          "feature.window has an invalid value"),
+    "missing sin_dim": ("bilstm_crf", "predict", _drop("feature", "sin_dim"), None, "feature is missing 'sin_dim'"),
+    "unknown label_mode": ("bilstm_crf", "predict", _set("feature", "label_mode", "weird"), None,
                            "feature.label_mode has an invalid value"),
-    "encoder dim not an int": ("bilstm_crf", "predict", _set("encoder", "dim", "x"), "encoder.dim has an invalid value"),
-    "missing encoder seed": ("bilstm_crf", "predict", _drop("encoder", "seed"), "encoder is missing 'seed'"),
-    "sim_threshold not a number": ("gcn_crf", "predict", _set("context", "sim_threshold", "x"),
+    "encoder dim not an int": ("bilstm_crf", "predict", _set("encoder", "dim", "x"), None,
+                               "encoder.dim has an invalid value"),
+    "missing encoder seed": ("bilstm_crf", "predict", _drop("encoder", "seed"), None, "encoder is missing 'seed'"),
+    "sim_threshold not a number": ("gcn_crf", "predict", _set("context", "sim_threshold", "x"), None,
                                    "context.sim_threshold has an invalid value"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_checkpoint_exits_two(workspace, case):
-    root, corpus, texts = workspace
-    base, command, damage, message = MALFORMED[case]
-    payload = json.loads(texts[base])
-    damage(payload)
-    code, out, err = run_command(command, root, corpus, payload)
+    root, corpus, paths = workspace
+    base, command, damage, edit, message = MALFORMED[case]
+    header, tensors = read_checkpoint(paths[base])
+    damage(header, tensors)
+    code, out, err = run_command(command, root, corpus, header, tensors, edit)
     assert code == 2
     assert out == ""
     assert err.startswith("error: checkpoint ") and err.count("\n") == 1
@@ -240,18 +303,18 @@ def test_malformed_checkpoint_exits_two(workspace, case):
 @pytest.mark.parametrize("orders", [[1, 1, 2], [3]], ids=str)
 def test_bad_ngram_orders_exit_two(workspace, orders):
     """The hash encoder's own check, which names no checkpoint field."""
-    root, corpus, texts = workspace
-    payload = json.loads(texts["bilstm_crf"])
-    payload["encoder"]["ngram_orders"] = orders
-    code, out, err = run_command("predict", root, corpus, payload)
+    root, corpus, paths = workspace
+    header, tensors = read_checkpoint(paths["bilstm_crf"])
+    header["encoder"]["ngram_orders"] = orders
+    code, out, err = run_command("predict", root, corpus, header, tensors)
     assert (code, out) == (2, "")
     assert err == f"error: ngram orders must be a non-empty subset of {{1, 2}}, got {tuple(orders)}\n"
 
 
 def test_undamaged_checkpoints_run(workspace):
-    root, corpus, texts = workspace
-    for text in texts.values():
-        assert run_command("predict", root, corpus, json.loads(text))[0] == 0
+    root, corpus, paths = workspace
+    for path in paths.values():
+        assert run_command("predict", root, corpus, *read_checkpoint(path))[0] == 0
 
 
 # Values no feature, encoder or tensor entry accepts: never an integer or a
@@ -268,27 +331,35 @@ JUNK = st.one_of(
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_mutated_checkpoint_exits_two_with_one_line(workspace, data):
-    root, corpus, texts = workspace
-    payload = json.loads(texts[data.draw(st.sampled_from(sorted(texts)), label="model")])
+    """A "tensors" key is a tensor name: deleting it drops it from the list
+    and the bytes, and junk replaces its list entry."""
+    root, corpus, paths = workspace
+    header, tensors = read_checkpoint(paths[data.draw(st.sampled_from(sorted(paths)), label="model")])
     section = data.draw(st.sampled_from(["feature", "encoder", "tensors"]), label="section")
-    entry = payload[section]
+    entry = tensors if section == "tensors" else header[section]
     key = data.draw(st.sampled_from(sorted(entry)), label="key")
     actions = ["delete", "junk"] + (["extra", "short", "non-finite"] if section == "tensors" else [])
     action = data.draw(st.sampled_from(actions), label="action")
+    listed = [name for name, _ in header["tensors"]]
     if action == "delete":
         del entry[key]
+        if section == "tensors":
+            del header["tensors"][listed.index(key)]
     elif action == "junk":
-        entry[key] = data.draw(JUNK, label="value")
+        value = data.draw(JUNK, label="value")
+        if section == "tensors":
+            header["tensors"][listed.index(key)] = value
+        else:
+            entry[key] = value
     elif action == "extra":
-        write_tensor(payload, "?" + data.draw(st.text(max_size=4), label="name"), [1.0])
+        _append("?" + data.draw(st.text(max_size=4), label="name"), [1.0])(header, tensors)
     elif action == "short":
-        write_tensor(payload, key, read_tensor(payload, key)[:-1])
+        tensors[key] = tensors[key].reshape(-1)[:-1]
     else:
-        values = read_tensor(payload, key)
+        values = tensors[key].reshape(-1)
         values[data.draw(st.integers(0, len(values) - 1), label="index")] = data.draw(
             st.sampled_from([float("nan"), float("inf"), float("-inf")]), label="bad")
-        write_tensor(payload, key, values)
-    code, out, err = run_command("predict", root, corpus, payload)
+    code, out, err = run_command("predict", root, corpus, header, tensors)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -16,7 +16,7 @@ from rhetseg.cli import main
 from rhetseg.corpus import Corpus, Document, Sentence, load_jsonl, write_jsonl
 from rhetseg.instructions import INSTRUCTION_TEMPLATES
 from rhetseg.train import load_checkpoint, predict_documents
-from test_checkpoint import read_tensor, write_tensor
+from test_checkpoint import read_checkpoint, write_checkpoint
 
 # frozen digest of `synth` with builtin defaults (100 docs, noise 0.1, seed 0)
 SYNTH_DEFAULT_SHA256 = "1db6869e5d39cf231fa08ae8efc6b6e871d925ef62fd09139b3b4d7b850e557b"
@@ -432,11 +432,9 @@ class TestTrainPredictEvaluate:
     def test_predict_non_finite_checkpoint_exits_two(self, tmp_path, capsys):
         corpus = make_corpus(tmp_path)
         model, _ = train_small(tmp_path, corpus)
-        payload = json.loads(model.read_text())
-        values = read_tensor(payload, "crf.T")
-        values[2 * 7 + 3] = float("nan")  # row 2, column 3 of the (7, 7) transitions
-        write_tensor(payload, "crf.T", values)
-        model.write_text(json.dumps(payload))
+        header, tensors = read_checkpoint(model)
+        tensors["crf.T"][2, 3] = float("nan")
+        write_checkpoint(model, header, tensors)
         preds = tmp_path / "preds.jsonl"
         code, out, err = run(capsys, "predict", "--input", str(corpus),
                              "--model", str(model), "--output", str(preds))
@@ -449,15 +447,14 @@ class TestTrainPredictEvaluate:
     def test_predict_malformed_checkpoint_exits_two(self, tmp_path, capsys, damage):
         corpus = make_corpus(tmp_path)
         model, _ = train_small(tmp_path, corpus)
-        payload = json.loads(model.read_text())
+        header, tensors = read_checkpoint(model)
         if damage == "drop feature":
-            del payload["feature"]
+            del header["feature"]
         elif damage == "list payload":
-            payload = [payload]
+            header = [header]
         else:  # one row of the (4h, feat_dim) input weights short
-            values = read_tensor(payload, "bilstm.fwd.Wx")
-            write_tensor(payload, "bilstm.fwd.Wx", values[: -payload["dims"]["feat_dim"]])
-        model.write_text(json.dumps(payload))
+            tensors["bilstm.fwd.Wx"] = tensors["bilstm.fwd.Wx"][:-1]
+        write_checkpoint(model, header, tensors)
         code, out, err = run(capsys, "predict", "--input", str(corpus),
                              "--model", str(model), "--output", str(tmp_path / "preds.jsonl"))
         assert code == 2
@@ -486,7 +483,7 @@ class TestConfigFile:
                            "--output", str(model), "--config", str(cfg),
                            "--epochs", "2", "--patience", "0", "--hash-dim", "32")
         assert code == 0
-        echo = json.loads(model.read_text())["config"]
+        echo = read_checkpoint(model)[0]["config"]
         assert echo["epochs"] == 2          # flag beats config
         assert echo["learning_rate"] == 0.002  # config beats default
         assert echo["lstm_hidden"] == 6
@@ -506,7 +503,7 @@ class TestConfigFile:
                            "--hash-dim", "32")
         assert code == 0
         assert "shift_val_accuracy" not in out
-        assert "shift.w" not in json.loads(model.read_text())["tensors"]
+        assert "shift.w" not in read_checkpoint(model)[1]
 
     def test_unknown_key_exits_two(self, tmp_path, capsys):
         corpus = make_corpus(tmp_path)
@@ -620,7 +617,7 @@ class TestEmbeddingWorkflow:
                          "--output", str(model), "--embeddings", str(emb),
                          "--epochs", "1", "--lstm-hidden", "4", "--patience", "0")
         assert code == 0
-        assert json.loads(model.read_text())["encoder"]["kind"] == "precomputed"
+        assert read_checkpoint(model)[0]["encoder"]["kind"] == "precomputed"
 
         preds = tmp_path / "p.jsonl"
         code, _, _ = run(capsys, "predict", "--input", str(out_dir / "test.jsonl"),

@@ -301,31 +301,35 @@ def test_attention_uniform_weights_give_mean_plus_residual():
 
 
 def test_attention_backward_finite_differences():
+    """Every layer's parameter gradients; the input gradient only of layer 1,
+    the one with a layer below it."""
     rng = np.random.default_rng(12)
-    p = draw_params("attention", rng, 3)
+    p = draw_params("attention", rng, 3, layers=2)
     X = rng.normal(size=(4, 3))
     R = rng.normal(size=(4, 3))
-    _, cache = attention_forward_cache(X, p)
-    grads = grad_block(p)
-    dX = attention_backward(cache, p, grads, R)
     step = 1e-6
+    for layer in (0, 1):
+        _, cache = attention_forward_cache(X, p, layer)
+        grads = grad_block(p)
+        dX = attention_backward(cache, p, grads, R, layer)
 
-    def loss():
-        return float((attention_forward_cache(X, p)[0] * R).sum())
+        def loss():
+            return float((attention_forward_cache(X, p, layer)[0] * R).sum())
 
-    for name in ("layer0.Q", "layer0.K", "layer0.V", "layer0.O"):
-        arr = p[name]
-        flat = arr.reshape(-1)
-        gflat = grads[name].reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            up = loss()
-            flat[idx] = orig - step
-            dn = loss()
-            flat[idx] = orig
-            np.testing.assert_allclose(gflat[idx], (up - dn) / (2 * step),
-                                       atol=1e-6, err_msg=name)
+        for name in (f"layer{layer}.{n}" for n in "QKVO"):
+            arr = p[name]
+            flat = arr.reshape(-1)
+            gflat = grads[name].reshape(-1)
+            for idx in range(flat.size):
+                orig = flat[idx]
+                flat[idx] = orig + step
+                up = loss()
+                flat[idx] = orig - step
+                dn = loss()
+                flat[idx] = orig
+                np.testing.assert_allclose(gflat[idx], (up - dn) / (2 * step),
+                                           atol=1e-6, err_msg=name)
+    assert attention_backward(attention_forward_cache(X, p)[1], p, grad_block(p), R) is None
     for idx in range(X.size):
         r, c = divmod(idx, 3)
         orig = X[r, c]

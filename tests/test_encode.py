@@ -211,7 +211,7 @@ def test_chunk_coder_matches_hash_embed(texts, picks, cuts, orders, signed, capp
     calls = []
     real = encode_mod._hash64
     cap = 5 if capped else encode_mod._MEMO_CAP
-    with mock.patch.object(encode_mod, "_hash64", lambda text, key: calls.append(text) or real(text, key)), \
+    with mock.patch.object(encode_mod, "_hash64", lambda texts, key: calls.extend(texts) or real(texts, key)), \
             mock.patch.object(encode_mod, "_MEMO_CAP", cap):
         for chunk in chunks:
             start = len(calls)
@@ -241,7 +241,7 @@ class TestHashingMemo:
     def test_hashes_each_distinct_ngram_once(self, monkeypatch):
         calls = []
         real = encode_mod._hash64
-        monkeypatch.setattr(encode_mod, "_hash64", lambda text, key: calls.append(text) or real(text, key))
+        monkeypatch.setattr(encode_mod, "_hash64", lambda texts, key: calls.extend(texts) or real(texts, key))
         enc = HashingEncoder(HashEncoderConfig(dim=16))
         doc = random_doc(np.random.default_rng(1), 12)
         first = enc.encode_document(doc)

@@ -3,7 +3,6 @@ path it replaced (kept here as an oracle) and against the
 re-encode-per-sentence reference, its independence from the rest of a
 chunk, its call counts, and its numeric checks."""
 
-import json
 import zlib
 
 import numpy as np
@@ -24,7 +23,7 @@ from rhetseg.train import (
     save_checkpoint,
     train_model,
 )
-from test_checkpoint import read_tensor
+from test_checkpoint import read_checkpoint
 from test_encode import role_list_features
 from test_parameter_init import draw_params
 
@@ -367,8 +366,7 @@ def test_overflow_exits_three(tmp_path, capsys, mode):
     write_jsonl(generate_corpus(2, 6, 6, noise=0.1, seed=3), corpus)
     model = tmp_path / "model.json"
     save_checkpoint(overflowing_attention_model(), model)
-    payload = json.loads(model.read_text())
-    assert all(np.isfinite(read_tensor(payload, name)).all() for name in payload["tensors"])
+    assert all(np.isfinite(values).all() for values in read_checkpoint(model)[1].values())
     capsys.readouterr()
     code = main(["predict", "--input", str(corpus), "--model", str(model),
                  "--output", str(tmp_path / "preds.jsonl"), "--mode", mode])

@@ -24,7 +24,7 @@ from rhetseg.train import (
     shift_loss,
     train_model,
 )
-from test_checkpoint import bundles_equal, read_tensor, write_tensor
+from test_checkpoint import bundles_equal, read_checkpoint, write_checkpoint
 from test_parameter_init import grad_block
 
 
@@ -452,54 +452,46 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_rejects_missing_tensor(self, tmp_path):
-        import json
-
         bundle, path = self.trained(tmp_path)
-        payload = json.loads(path.read_text())
-        del payload["tensors"]["crf.T"]
-        path.write_text(json.dumps(payload))
+        header, tensors = read_checkpoint(path)
+        header["tensors"] = [entry for entry in header["tensors"] if entry[0] != "crf.T"]
+        del tensors["crf.T"]
+        write_checkpoint(path, header, tensors)
         with pytest.raises(DataError, match="crf.T"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("name", ["crf.T", "bilstm.fwd.Wx"])
     def test_rejects_non_finite_tensor(self, tmp_path, name):
-        import json
-
         bundle, path = self.trained(tmp_path)
         for bad in (float("nan"), float("inf"), float("-inf")):
-            payload = json.loads(path.read_text())
-            values = read_tensor(payload, name)
-            values.reshape(bundle.layout[name].shape)[1, 0] = bad
-            write_tensor(payload, name, values)
+            header, tensors = read_checkpoint(path)
+            tensors[name][1, 0] = bad
             broken = tmp_path / "broken.json"
-            broken.write_text(json.dumps(payload))
+            write_checkpoint(broken, header, tensors)
             with pytest.raises(DataError, match=f"{name}.*non-finite"):
                 load_checkpoint(broken)
 
     def test_rejects_non_numeric_tensor(self, tmp_path):
-        import json
-
+        """A tensor listed with a shape that is not a list of integers."""
         bundle, path = self.trained(tmp_path)
         for bad in ("abc", [[1.0, 2.0], [3.0]], {"a": 1}):
-            payload = json.loads(path.read_text())
-            payload["tensors"]["crf.T"] = bad
+            header, tensors = read_checkpoint(path)
+            header["tensors"] = [[name, bad if name == "crf.T" else shape] for name, shape in header["tensors"]]
             broken = tmp_path / "broken.json"
-            broken.write_text(json.dumps(payload))
-            with pytest.raises(DataError, match="crf.T.*not a numeric array"):
+            write_checkpoint(broken, header, tensors)
+            with pytest.raises(DataError, match=r"listed as \['crf.T', .*\], expected \['crf.T', \[7, 7\]\]"):
                 load_checkpoint(broken)
 
     def test_rejects_wrong_version_and_labels(self, tmp_path):
-        import json
-
         bundle, path = self.trained(tmp_path)
-        payload = json.loads(path.read_text())
-        payload["format_version"] = 99
-        path.write_text(json.dumps(payload))
+        header, tensors = read_checkpoint(path)
+        header["format_version"] = 99
+        write_checkpoint(path, header, tensors)
         with pytest.raises(DataError, match="version"):
             load_checkpoint(path)
-        payload["format_version"] = 2
-        payload["labels"] = ["A", "B"]
-        path.write_text(json.dumps(payload))
+        header["format_version"] = 3
+        header["labels"] = ["A", "B"]
+        write_checkpoint(path, header, tensors)
         with pytest.raises(DataError, match="label set"):
             load_checkpoint(path)
 
@@ -512,18 +504,19 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("entry", ["encoder", "feature", "context", "head", "dims", "tensors"])
     def test_rejects_missing_entry(self, tmp_path, entry):
-        import json
-
+        """Every entry is an object but "tensors", the list of [name, shape] pairs."""
         bundle, path = self.trained(tmp_path)
-        for bad in (None, [1, 2]):
-            payload = json.loads(path.read_text())
+        kind = "a list" if entry == "tensors" else "an object"
+        for bad in (None, {"a": 1} if entry == "tensors" else [1, 2]):
+            header, tensors = read_checkpoint(path)
             if bad is None:
-                del payload[entry]
+                del header[entry]
             else:
-                payload[entry] = bad
-            path.write_text(json.dumps(payload))
-            with pytest.raises(DataError, match=f"'{entry}' is missing or not an object"):
-                load_checkpoint(path)
+                header[entry] = bad
+            broken = tmp_path / "broken.json"
+            write_checkpoint(broken, header, tensors)
+            with pytest.raises(DataError, match=f"'{entry}' is missing or not {kind}"):
+                load_checkpoint(broken)
 
     @pytest.mark.parametrize("kind,name", [
         ("bilstm", "bilstm.fwd.Wx"),
@@ -534,22 +527,19 @@ class TestCheckpoint:
         ("gcn", "gcn.W2"),
     ])
     def test_rejects_context_tensor_of_wrong_shape(self, tmp_path, kind, name):
-        import json
-
+        """A tensor stored, and listed, one row short."""
         bundle, path = self.trained(tmp_path, context_kind=kind, gcn_hidden=6, epochs=1)
-        payload = json.loads(path.read_text())
-        shape = bundle.layout[name].shape
-        write_tensor(payload, name, read_tensor(payload, name).reshape(shape)[:-1])  # one row short
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match=f"{name}' has .* bytes, expected .* for shape"):
+        header, tensors = read_checkpoint(path)
+        tensors[name] = tensors[name][:-1]
+        header["tensors"] = [[n, list(tensors[n].shape)] for n in tensors]
+        write_checkpoint(path, header, tensors)
+        with pytest.raises(DataError, match=rf"listed as \['{name}', \[.*\]\], expected \['{name}'"):
             load_checkpoint(path)
 
     def test_rejects_inconsistent_dims(self, tmp_path):
-        import json
-
         bundle, path = self.trained(tmp_path)
-        payload = json.loads(path.read_text())
-        payload["dims"]["context_dim"] = 99
-        path.write_text(json.dumps(payload))
+        header, tensors = read_checkpoint(path)
+        header["dims"]["context_dim"] = 99
+        write_checkpoint(path, header, tensors)
         with pytest.raises(DataError, match="inconsistent"):
             load_checkpoint(path)

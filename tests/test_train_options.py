@@ -4,7 +4,6 @@ every bad value exits 2 with one line."""
 
 import contextlib
 import io
-import json
 import warnings
 
 import pytest
@@ -17,6 +16,7 @@ from rhetseg.corpus import write_jsonl
 from rhetseg.encode import HashEncoderConfig, HashingEncoder
 from rhetseg.synth import generate_corpus
 from rhetseg.train import TrainConfig
+from test_checkpoint import read_checkpoint
 
 # A value other than the default for every train option (None: a flag
 # without a value), with any flags the value needs beside it.
@@ -106,9 +106,9 @@ def test_config_key_builds_the_same_configs_as_its_flag(workspace, monkeypatch, 
 
 def test_no_option_trains_with_the_dataclass_defaults(workspace, tmp_path):
     assert quiet(train_argv(workspace, output=tmp_path / "model.json"))[0] == 0
-    payload = json.loads((tmp_path / "model.json").read_text())
-    assert payload["config"] == TrainConfig().to_echo()
-    assert payload["encoder"] == HashingEncoder(HashEncoderConfig()).spec()
+    header, _ = read_checkpoint(tmp_path / "model.json")
+    assert header["config"] == TrainConfig().to_echo()
+    assert header["encoder"] == HashingEncoder(HashEncoderConfig()).spec()
 
 
 @pytest.mark.parametrize("line", ["class_weights=bogus", "mtl=maybe", "head=bogus", "lr=x", "epochs=2.5",
