@@ -2,15 +2,18 @@
 """Digest the outputs of a fixed set of rhetseg runs, so that two source
 trees can be shown to produce the same bytes.
 
---out DIR synthesizes fixed corpora and, for each of twelve train
-configurations, writes into DIR/<configuration>/ the checkpoint, the digest
-of the model it loads to (params.sha256), the report CSV, train's stdout, the
-`predict` output and stdout in free-running and teacher-forced mode on a
-corpus of short documents and on one of long documents, and gradcheck's
-stdout: 164 files in all. params.sha256 reads the checkpoint through the
-public loader only, so a change of checkpoint format that keeps the model
-changes model.json and leaves params.sha256 as it is. It prints one SHA-256
-per file, as `sha256sum` does. Every command runs in-process through rhetseg.cli.main
+--out DIR synthesizes fixed corpora into DIR/data/, with `stats` of each,
+a `split`, an `ingest` of fixed text files and an `export-instructions`.
+Then, for each of twelve train configurations, it writes into
+DIR/<configuration>/ the checkpoint, the digest of the model it loads to
+(params.sha256), the report CSV, train's stdout, the `predict` output and
+stdout in free-running and teacher-forced mode on a corpus of short documents
+and on one of long documents, `evaluate`'s CSV report, confusion grid,
+markdown report (without None) and stdout for each prediction, and
+gradcheck's stdout: 424 files in all. params.sha256 reads the checkpoint
+through the public loader only, so a change of checkpoint format that keeps
+the model changes model.json and leaves params.sha256 as it is. It prints one
+SHA-256 per file, as `sha256sum` does. Every command runs in-process through rhetseg.cli.main
 from the src/ tree next to this script, so copy the script into another
 checkout to digest that one.
 
@@ -51,6 +54,17 @@ CORPORA = {
     "long": ("--n-docs", "4", "--min-sentences", "90", "--max-sentences", "130", "--seed", "3"),
 }
 PREDICT_CORPORA = ("predict", "long")
+
+# Text file name -> contents for `ingest`: abbreviations, initials, paragraph
+# breaks, lowercase continuations, digits and non-ASCII text.
+INGEST_TEXTS = {
+    "appeal.txt": "The appellant, Mr. A. K. Sharma, filed Art. 226 proceedings vs. the State. "
+                  "Dr. Rao and Ors. opposed it!\n\nIs the order valid? 3 issues arise. "
+                  "the Hon. Court heard No. 4 of Sec. 9.\n  \n\nAnr. was absent.",
+    "order.txt": "Heard counsel for the petitioner.\nThe writ petition is dismissed. Costs of "
+                 "Rs. 5,000 shall be paid by J. Doe within 30 days.\n\nOrdered accordingly. "
+                 "Café naïve «§» judgment — 日本 ends here.",
+}
 TRAIN_FLAGS = ("--epochs", "3")
 
 # Configuration name -> train flags.
@@ -103,6 +117,18 @@ def write_outputs(root: Path) -> None:
         data.mkdir()
         for name, flags in CORPORA.items():
             run(data / f"{name}.out", "synth", "--output", data / f"{name}.jsonl", *flags)
+        raw = data / "raw"
+        raw.mkdir()
+        for name, text in INGEST_TEXTS.items():
+            (raw / name).write_text(text, encoding="utf-8")
+        run(data / "ingest.out", "ingest", "--input", raw, "--output", data / "ingest.jsonl")
+        for name in (*CORPORA, "ingest"):
+            run(data / f"{name}-stats.out", "stats", "--input", data / f"{name}.jsonl",
+                "--output", data / f"{name}-stats.json")
+        run(data / "split.out", "split", "--input", data / "predict.jsonl", "--output-dir", data / "split",
+            "--seed", "7")
+        run(data / "instructions.out", "export-instructions", "--input", data / "train.jsonl",
+            "--output", data / "instructions.jsonl")
         for name, flags in CONFIGURATIONS.items():
             out = Path(name)
             out.mkdir()
@@ -112,8 +138,15 @@ def write_outputs(root: Path) -> None:
             (out / "params.sha256").write_text(params_digest(model), encoding="utf-8")
             for corpus in PREDICT_CORPORA:
                 for mode in ("free_running", "teacher_forced"):
-                    run(out / f"{corpus}-{mode}.out", "predict", "--input", data / f"{corpus}.jsonl",
-                        "--model", model, "--output", out / f"{corpus}-{mode}.jsonl", "--mode", mode)
+                    pred = out / f"{corpus}-{mode}"
+                    run(pred.with_suffix(".out"), "predict", "--input", data / f"{corpus}.jsonl",
+                        "--model", model, "--output", pred.with_suffix(".jsonl"), "--mode", mode)
+                    run(out / f"{pred.name}-evaluate.out", "evaluate", "--input", data / f"{corpus}.jsonl",
+                        "--pred", pred.with_suffix(".jsonl"), "--output", out / f"{pred.name}-report.csv",
+                        "--confusion", out / f"{pred.name}-confusion.csv")
+                    run(out / f"{pred.name}-evaluate-markdown.out", "evaluate", "--input", data / f"{corpus}.jsonl",
+                        "--pred", pred.with_suffix(".jsonl"), "--output", out / f"{pred.name}-report.md",
+                        "--format", "markdown", "--exclude-none")
             run(out / "gradcheck.out", "gradcheck", "--model", model, "--input", data / "val.jsonl")
     finally:
         os.chdir(cwd)

@@ -11,7 +11,6 @@ from .corpus import (
     Corpus,
     CorpusStats,
     Document,
-    Sentence,
     compute_stats,
     label_shift_sequence,
     load_jsonl,
@@ -33,7 +32,6 @@ __all__ = [
     "NumericError",
     "ROLE_NAMES",
     "RhetoricalRole",
-    "Sentence",
     "compute_stats",
     "label_shift_sequence",
     "load_jsonl",

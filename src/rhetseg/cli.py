@@ -20,7 +20,6 @@ import numpy as np
 from .corpus import (
     Corpus,
     Document,
-    Sentence,
     compute_stats,
     load_jsonl,
     segment_text,
@@ -190,15 +189,10 @@ def _cmd_ingest(args) -> int:
     documents = []
     for path in files:
         with open_text(path) as fh:
-            sentences = segment_text(fh.read())
-        if not sentences:
+            texts = tuple(segment_text(fh.read()))
+        if not texts:
             raise DataError(f"{path} contains no sentences")
-        documents.append(
-            Document(
-                doc_id=path.stem,
-                sentences=tuple(Sentence(index=i, text=s) for i, s in enumerate(sentences)),
-            )
-        )
+        documents.append(Document(doc_id=path.stem, texts=texts, labels=(None,) * len(texts)))
     write_jsonl(Corpus(documents=tuple(documents)), args.output)
     print(f"ingested {len(documents)} documents -> {args.output}")
     return 0

@@ -1,8 +1,9 @@
 """Corpus model and plumbing: JSONL I/O, sentence segmentation, splits, stats.
 
-A corpus is a list of documents; a document is an ordered list of sentences,
-each optionally carrying a gold rhetorical role. Everything here is immutable
-after construction and safe to share across parallel readers.
+A corpus is a list of documents; a document is its id, its sentence texts
+and, in parallel, each sentence's gold rhetorical role or None, so a
+sentence's index is its position. Everything here is immutable after
+construction and safe to share across parallel readers.
 """
 
 from __future__ import annotations
@@ -19,59 +20,45 @@ from .roles import ROLE_NAMES, RhetoricalRole
 
 
 @dataclass(frozen=True)
-class Sentence:
-    """One sentence with its 0-based position and optional gold role."""
-
-    index: int
-    text: str
-    gold: RhetoricalRole | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.text, str) or not self.text.strip():
-            raise DataError(f"sentence {self.index}: text empty after trimming")
-        if self.index < 0:
-            raise DataError(f"negative sentence index {self.index}")
-
-
-@dataclass(frozen=True)
 class Document:
+    """One judgment: sentence j is texts[j], with gold role labels[j] or None."""
+
     doc_id: str
-    sentences: tuple[Sentence, ...]
+    texts: tuple[str, ...]
+    labels: tuple[RhetoricalRole | None, ...]
 
     def __post_init__(self) -> None:
         if not self.doc_id:
             raise DataError("document with empty doc_id")
-        if len(self.sentences) < 1:
+        if len(self.texts) < 1:
             raise DataError(f"document {self.doc_id!r} has no sentences")
-        for pos, sent in enumerate(self.sentences):
-            if sent.index != pos:
-                raise DataError(
-                    f"document {self.doc_id!r}: sentence index {sent.index} at position {pos}"
-                )
+        if len(self.labels) != len(self.texts):
+            raise DataError(
+                f"document {self.doc_id!r} has {len(self.texts)} texts and {len(self.labels)} labels"
+            )
+        for j, text in enumerate(self.texts):
+            if not isinstance(text, str) or not text.strip():
+                raise DataError(f"sentence {j}: text empty after trimming")
 
     def __len__(self) -> int:
-        return len(self.sentences)
+        return len(self.texts)
 
     @property
     def is_labeled(self) -> bool:
-        return all(s.gold is not None for s in self.sentences)
+        return None not in self.labels
 
     def gold_labels(self) -> list[RhetoricalRole]:
         """Gold roles in order; raises if any sentence is unlabeled."""
-        labels = []
-        for sent in self.sentences:
-            if sent.gold is None:
-                raise DataError(
-                    f"document {self.doc_id!r}: sentence {sent.index} has no gold label"
-                )
-            labels.append(sent.gold)
-        return labels
+        if None in self.labels:
+            raise DataError(
+                f"document {self.doc_id!r}: sentence {self.labels.index(None)} has no gold label"
+            )
+        return list(self.labels)
 
 
 @dataclass(frozen=True)
 class Corpus:
     documents: tuple[Document, ...]
-    split_tag: str | None = None
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -79,8 +66,6 @@ class Corpus:
             if doc.doc_id in seen:
                 raise DataError(f"duplicate doc_id {doc.doc_id!r}")
             seen.add(doc.doc_id)
-        if self.split_tag is not None and self.split_tag not in ("train", "validation", "test"):
-            raise DataError(f"unknown split tag {self.split_tag!r}")
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -111,25 +96,6 @@ class CorpusStats:
 _parse_role = RhetoricalRole.parse
 
 
-def _sentence_from_obj(obj, doc_id: str, index: int, line_no: int) -> Sentence:
-    if not isinstance(obj, dict) or "text" not in obj:
-        raise DataError(f"line {line_no}: sentence {index} of {doc_id!r} is not an object with 'text'")
-    text = obj["text"]
-    if not isinstance(text, str):
-        raise DataError(f"line {line_no}: sentence {index} of {doc_id!r} has non-string text")
-    raw_label = obj.get("label")
-    gold = None
-    if raw_label is not None:
-        try:
-            gold = _parse_role(raw_label)
-        except DataError as exc:
-            raise DataError(f"line {line_no}: {exc}") from None
-    try:
-        return Sentence(index=index, text=text, gold=gold)
-    except DataError as exc:
-        raise DataError(f"line {line_no}: {exc}") from None
-
-
 # A \uD800-\uDFFF escape. JSON decodes one left unpaired to a lone
 # surrogate, a str that no UTF-8 output can hold.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
@@ -151,6 +117,8 @@ def load_jsonl(path) -> Corpus:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"line {line_no}: malformed JSON ({exc.msg})") from None
+            except RecursionError:
+                raise DataError(f"line {line_no}: malformed JSON (nesting too deep)") from None
             if _SURROGATE_ESCAPE.search(line):
                 try:
                     json.dumps(record, ensure_ascii=False).encode("utf-8")
@@ -167,10 +135,24 @@ def load_jsonl(path) -> Corpus:
             raw_sents = record.get("sentences")
             if not isinstance(raw_sents, list) or not raw_sents:
                 raise DataError(f"line {line_no}: document {doc_id!r} has no sentences")
-            sentences = tuple(
-                _sentence_from_obj(s, doc_id, i, line_no) for i, s in enumerate(raw_sents)
-            )
-            documents.append(Document(doc_id=doc_id, sentences=sentences))
+            texts, labels = [], []
+            for i, obj in enumerate(raw_sents):
+                if not isinstance(obj, dict) or "text" not in obj:
+                    raise DataError(f"line {line_no}: sentence {i} of {doc_id!r} is not an object with 'text'")
+                text = obj["text"]
+                if not isinstance(text, str):
+                    raise DataError(f"line {line_no}: sentence {i} of {doc_id!r} has non-string text")
+                label = obj.get("label")
+                if label is not None:
+                    try:
+                        label = _parse_role(label)
+                    except DataError as exc:
+                        raise DataError(f"line {line_no}: {exc}") from None
+                if not text.strip():  # as Document checks, but before a later sentence's error
+                    raise DataError(f"line {line_no}: sentence {i}: text empty after trimming")
+                texts.append(text)
+                labels.append(label)
+            documents.append(Document(doc_id, tuple(texts), tuple(labels)))
     if not documents:
         raise DataError("empty corpus")
     return Corpus(documents=tuple(documents))
@@ -181,9 +163,9 @@ def write_jsonl(corpus: Corpus, path, labels=None) -> None:
     one role list per document, stand in for the gold roles."""
     with open(path, "w", encoding="utf-8") as fh:
         for k, doc in enumerate(corpus):
-            roles = [s.gold for s in doc.sentences] if labels is None else labels[k]
-            sentences = [{"text": s.text, "label": None if r is None else ROLE_NAMES[r]}
-                         for s, r in zip(doc.sentences, roles)]
+            roles = doc.labels if labels is None else labels[k]
+            sentences = [{"text": text, "label": None if r is None else ROLE_NAMES[r]}
+                         for text, r in zip(doc.texts, roles)]
             fh.write(json.dumps({"doc_id": doc.doc_id, "sentences": sentences}, ensure_ascii=False) + "\n")
 
 
@@ -258,11 +240,7 @@ def split_corpus(
     train = tuple(docs[i] for i in order[:n_train])
     val = tuple(docs[i] for i in order[n_train : n_train + n_val])
     test = tuple(docs[i] for i in order[n_train + n_val :])
-    return (
-        Corpus(documents=train, split_tag="train"),
-        Corpus(documents=val, split_tag="validation"),
-        Corpus(documents=test, split_tag="test"),
-    )
+    return Corpus(documents=train), Corpus(documents=val), Corpus(documents=test)
 
 
 def compute_stats(corpus: Corpus) -> CorpusStats:
@@ -275,12 +253,12 @@ def compute_stats(corpus: Corpus) -> CorpusStats:
     token_sums = {role: 0 for role in RhetoricalRole}
     for doc in corpus:
         n_sentences += len(doc)
-        for sent in doc.sentences:
-            n_tok = len(tokenize(sent.text))
+        for text, label in zip(doc.texts, doc.labels):
+            n_tok = len(tokenize(text))
             total_tokens += n_tok
-            if sent.gold is not None:
-                counts[sent.gold] += 1
-                token_sums[sent.gold] += n_tok
+            if label is not None:
+                counts[label] += 1
+                token_sums[label] += n_tok
     return CorpusStats(
         n_docs=n_docs,
         n_sentences=n_sentences,

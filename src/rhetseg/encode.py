@@ -91,7 +91,7 @@ class HashingEncoder:
 
     def encode_documents(self, docs) -> list[np.ndarray]:
         """One (m, dim) matrix per document."""
-        sentences = [tokenize(s.text) for doc in docs for s in doc.sentences]
+        sentences = [tokenize(text) for doc in docs for text in doc.texts]
         tokens = list(itertools.chain.from_iterable(sentences))
         ids, cap = self._ids, _MEMO_CAP
         new = [t for t in dict.fromkeys(tokens) if t not in ids]
@@ -203,11 +203,11 @@ def load_embeddings(path, docs: "Iterable[Document]") -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for doc in docs:
         per_doc = rows.get(doc.doc_id, {})
-        for sent in doc.sentences:
-            if sent.index not in per_doc:
-                raise DataError(f"{doc.doc_id}:{sent.index} missing from embedding file")
+        for j in range(len(doc)):
+            if j not in per_doc:
+                raise DataError(f"{doc.doc_id}:{j} missing from embedding file")
         # built from the rows read, so never larger than the file, whatever the header says
-        out[doc.doc_id] = np.array([per_doc[sent.index] for sent in doc.sentences]).reshape(len(doc), dim)
+        out[doc.doc_id] = np.array([per_doc[j] for j in range(len(doc))]).reshape(len(doc), dim)
     return out
 
 

@@ -39,16 +39,16 @@ def instruction_records(corpus: Corpus) -> list[dict]:
     records = []
     counter = 0
     for doc in corpus:
-        for sent in doc.sentences:
-            if sent.gold is None:
+        for j, (text, label) in enumerate(zip(doc.texts, doc.labels)):
+            if label is None:
                 raise DataError(
-                    f"document {doc.doc_id!r}: sentence {sent.index} has no gold label"
+                    f"document {doc.doc_id!r}: sentence {j} has no gold label"
                 )
             records.append(
                 {
                     "instruction": INSTRUCTION_TEMPLATES[counter % len(INSTRUCTION_TEMPLATES)],
-                    "input": sent.text,
-                    "output": str(int(sent.gold)),
+                    "input": text,
+                    "output": str(int(label)),
                 }
             )
             counter += 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import Corpus, Document, Sentence
+from .corpus import Corpus, Document
 from .errors import DataError
 from .roles import RhetoricalRole
 
@@ -114,10 +114,7 @@ def generate_corpus(
     documents = []
     for d in range(n_docs):
         m = int(rng.integers(min_sentences, max_sentences + 1))
-        labels = _label_sequence(m, rng)
-        sentences = tuple(
-            Sentence(index=j, text=_sentence_text(labels[j], pools, fillers, noise, rng), gold=labels[j])
-            for j in range(m)
-        )
-        documents.append(Document(doc_id=f"synth-{d:04d}", sentences=sentences))
+        labels = tuple(_label_sequence(m, rng))
+        texts = tuple(_sentence_text(role, pools, fillers, noise, rng) for role in labels)
+        documents.append(Document(doc_id=f"synth-{d:04d}", texts=texts, labels=labels))
     return Corpus(documents=tuple(documents))

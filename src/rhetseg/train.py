@@ -18,6 +18,7 @@ are bit-reproducible for a fixed (corpus, config, seed).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -194,6 +195,15 @@ def _views(flat: np.ndarray, layout: dict[str, ParamSpec]) -> dict[str, np.ndarr
     return {name: part.reshape(spec.shape) for (name, spec), part in zip(layout.items(), parts)}
 
 
+def _blocks(flat: np.ndarray, layout: dict[str, ParamSpec]) -> dict[str, dict[str, np.ndarray]]:
+    """The views of flat by block, then by the rest of the layout name."""
+    blocks: dict[str, dict[str, np.ndarray]] = {}
+    for name, view in _views(flat, layout).items():
+        block, _, rest = name.partition(".")
+        blocks.setdefault(block, {})[rest] = view
+    return blocks
+
+
 def init_parameters(layout: dict[str, ParamSpec], rng: np.random.Generator) -> np.ndarray:
     """A parameter vector with every tensor at its init rule. Only the
     uniform entries draw from rng, in layout order."""
@@ -219,7 +229,8 @@ class ModelBundle:
     the first segment of the layout name, then by the rest of the name:
     params["crf"]["T"] is "crf.T" and params["attn"]["layer0.Q"] is
     "attn.layer0.Q". A model has a "shift" block only with the shift head.
-    `grad` and `grads` hold the gradient in the same way; backward passes write it."""
+    `grad` and `grads` hold the gradient in the same way; backward passes write
+    it. They are built on first use, so a model loaded only to predict has none."""
 
     encoder_spec: dict
     window: tuple[int, ...]
@@ -235,16 +246,17 @@ class ModelBundle:
     flat: np.ndarray
     config_echo: dict = field(default_factory=dict)
     params: dict[str, dict[str, np.ndarray]] = field(init=False, repr=False)
-    grad: np.ndarray = field(init=False, repr=False)
-    grads: dict[str, dict[str, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.grad = np.zeros(self.flat.shape[0])
-        self.params, self.grads = {}, {}
-        for vec, blocks in ((self.flat, self.params), (self.grad, self.grads)):
-            for name, view in _views(vec, self.layout).items():
-                block, _, rest = name.partition(".")
-                blocks.setdefault(block, {})[rest] = view
+        self.params = _blocks(self.flat, self.layout)
+
+    @functools.cached_property
+    def grad(self) -> np.ndarray:
+        return np.zeros(self.flat.shape[0])
+
+    @functools.cached_property
+    def grads(self) -> dict[str, dict[str, np.ndarray]]:
+        return _blocks(self.grad, self.layout)
 
     def parameter_blocks(self) -> dict[str, np.ndarray]:
         """Live views of every trainable tensor, in layout order."""
@@ -289,9 +301,9 @@ def inverse_frequency_weights(corpus: Corpus) -> dict[RhetoricalRole, float]:
     """
     counts = {role: 0 for role in RhetoricalRole}
     for doc in corpus:
-        for sent in doc.sentences:
-            if sent.gold is not None:
-                counts[sent.gold] += 1
+        for label in doc.labels:
+            if label is not None:
+                counts[label] += 1
     raw = {role: 1.0 / max(counts[role], 1) for role in RhetoricalRole}
     mean = sum(raw.values()) / NUM_ROLES
     return {role: raw[role] / mean for role in RhetoricalRole}
@@ -896,6 +908,8 @@ def load_checkpoint(path) -> ModelBundle:
         raise DataError(f"not UTF-8 ({exc.reason}): {str(path)!r}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"checkpoint is not valid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise DataError("checkpoint is not valid JSON (nesting too deep)") from None
     if not isinstance(header, dict) or header.get("kind") != "rhetseg-checkpoint":
         raise DataError("not a model checkpoint")
     if header.get("format_version") != CHECKPOINT_VERSION:

@@ -1,6 +1,7 @@
 """Batched inference across documents against the per-document path: the
 same labels, bit-identical BiLSTM states, and unchanged training bytes."""
 
+import dataclasses
 import zlib
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from rhetseg import context, crf, kernels
 from rhetseg import train as train_mod
-from rhetseg.corpus import Corpus, Document, label_shift_sequence
+from rhetseg.corpus import Corpus, label_shift_sequence
 from rhetseg.encode import HashEncoderConfig, HashingEncoder
 from rhetseg.errors import DataError
 from rhetseg.synth import generate_corpus
@@ -41,7 +42,7 @@ def mixed_docs():
     docs = []
     for i, m in enumerate(lengths):
         doc = generate_corpus(1, m, m, noise=0.2, seed=i).documents[0]
-        docs.append(Document(doc_id=f"doc{i}", sentences=doc.sentences))
+        docs.append(dataclasses.replace(doc, doc_id=f"doc{i}"))
     return docs
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rhetseg.cli import main
-from rhetseg.corpus import Corpus, Document, Sentence, load_jsonl, write_jsonl
+from rhetseg.corpus import Corpus, Document, load_jsonl, write_jsonl
 from rhetseg.instructions import INSTRUCTION_TEMPLATES
 from rhetseg.train import load_checkpoint, predict_documents
 from test_checkpoint import read_checkpoint, write_checkpoint
@@ -125,6 +125,27 @@ class TestUsage:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(str(bad if "BAD" in argv else tmp_path)) in err
+
+    @pytest.mark.parametrize("argv, message", [
+        ("stats --input DEEP", "line 2: malformed JSON (nesting too deep)"),
+        ("predict --model DEEP --input CORPUS --output OUT", "checkpoint is not valid JSON (nesting too deep)"),
+    ], ids=["corpus", "checkpoint"])
+    def test_deeply_nested_json_exits_two(self, capsys, tmp_path, argv, message):
+        """JSON nested deeper than the parser recurses: a doc_id in a corpus
+        line, or a whole checkpoint header, of 100,000 nested lists."""
+        corpus = make_corpus(tmp_path, n="2", lo="3", hi="4")
+        nested = "[" * 100_000 + "]" * 100_000
+        deep = tmp_path / "deep"
+        if "stats" in argv:
+            first = corpus.read_text(encoding="utf-8").splitlines()[0]
+            deep.write_text(first + '\n{"doc_id": ' + nested + ', "sentences": [{"text": "x"}]}\n', encoding="utf-8")
+        else:
+            deep.write_text(nested + "\n", encoding="utf-8")
+        paths = {"DEEP": deep, "CORPUS": corpus, "OUT": tmp_path / "out"}
+        code, out, err = run(capsys, *(str(paths.get(word, word)) for word in argv.split()))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field", ["text", "doc_id"])
     @pytest.mark.parametrize("argv", [
@@ -265,9 +286,8 @@ class TestIngest:
         corpus = load_jsonl(out)
         assert corpus.doc_ids() == ["case1", "case2"]
         doc1 = corpus.documents[0]
-        assert [s.text for s in doc1.sentences] == \
-            ["The court heard counsel.", "The appeal fails."]
-        assert all(s.gold is None for s in doc1.sentences)
+        assert doc1.texts == ("The court heard counsel.", "The appeal fails.")
+        assert doc1.labels == (None, None)
         # "Mr." must not split
         assert len(corpus.documents[1]) == 2
 
@@ -396,9 +416,9 @@ class TestTrainPredictEvaluate:
         model, _ = train_small(tmp_path, corpus)
         docs = []
         for i, doc in enumerate(load_jsonl(corpus)):
-            sentences = tuple(Sentence(index=s.index, text=s.text + (" «§ naïve» 日本\u2028ß" if i % 2 else ""),
-                                       gold=s.gold if labeled else None) for s in doc.sentences)
-            docs.append(Document(doc_id=f"dok-{i}-ü€" if i % 3 else f"d{i}", sentences=sentences))
+            texts = tuple(text + (" «§ naïve» 日本\u2028ß" if i % 2 else "") for text in doc.texts)
+            labels = doc.labels if labeled else (None,) * len(doc)
+            docs.append(Document(doc_id=f"dok-{i}-ü€" if i % 3 else f"d{i}", texts=texts, labels=labels))
         given = tmp_path / "given.jsonl"
         write_jsonl(Corpus(documents=tuple(docs)), given)
         assert ('"label": null' in given.read_text(encoding="utf-8")) != labeled
@@ -406,9 +426,8 @@ class TestTrainPredictEvaluate:
                          "--output", str(tmp_path / "pred.jsonl"))
         assert code == 0
         predictions = predict_documents(docs, load_checkpoint(model))
-        rebuilt = [Document(doc_id=doc.doc_id, sentences=tuple(
-            Sentence(index=s.index, text=s.text, gold=labels[s.index]) for s in doc.sentences))
-            for doc, labels in zip(docs, predictions)]
+        rebuilt = [Document(doc_id=doc.doc_id, texts=doc.texts, labels=tuple(labels))
+                   for doc, labels in zip(docs, predictions)]
         write_jsonl(Corpus(documents=tuple(rebuilt)), tmp_path / "rebuilt.jsonl")
         assert (tmp_path / "pred.jsonl").read_bytes() == (tmp_path / "rebuilt.jsonl").read_bytes()
 
@@ -577,9 +596,8 @@ class TestExportInstructions:
         outputs = {r["output"] for r in records}
         assert outputs <= {str(i) for i in range(7)}
         gold = load_jsonl(corpus)
-        flat = [s for d in gold for s in d.sentences]
-        assert [r["input"] for r in records] == [s.text for s in flat]
-        assert [r["output"] for r in records] == [str(int(s.gold)) for s in flat]
+        assert [r["input"] for r in records] == [t for d in gold for t in d.texts]
+        assert [r["output"] for r in records] == [str(int(label)) for d in gold for label in d.labels]
 
     def test_unlabeled_corpus_exits_two(self, tmp_path, capsys):
         raw = tmp_path / "one.txt"
@@ -599,9 +617,9 @@ def write_embeddings(path, corpus):
     with open(path, "w") as fh:
         fh.write("dim=16\n")
         for doc in corpus:
-            for s in doc.sentences:
+            for j in range(len(doc)):
                 vec = " ".join(f"{v:.6f}" for v in rng.normal(size=16))
-                fh.write(f"{doc.doc_id}\t{s.index}\t{vec}\n")
+                fh.write(f"{doc.doc_id}\t{j}\t{vec}\n")
 
 
 class TestEmbeddingWorkflow:

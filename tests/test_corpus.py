@@ -9,7 +9,6 @@ import pytest
 from rhetseg.corpus import (
     Corpus,
     Document,
-    Sentence,
     compute_stats,
     label_shift_sequence,
     load_jsonl,
@@ -24,32 +23,26 @@ from test_roles import if_chain_parse
 
 
 def make_doc(doc_id, texts, labels=None):
-    sents = tuple(
-        Sentence(index=i, text=t,
-                 gold=None if labels is None else RhetoricalRole(labels[i]))
-        for i, t in enumerate(texts)
-    )
-    return Document(doc_id=doc_id, sentences=sents)
+    roles = (None,) * len(texts) if labels is None else tuple(RhetoricalRole(v) for v in labels)
+    return Document(doc_id=doc_id, texts=tuple(texts), labels=roles)
 
 
 class TestModel:
     def test_sentence_rejects_empty_text(self):
-        with pytest.raises(DataError):
-            Sentence(index=0, text="   ")
+        for text in ("   ", "", None):
+            with pytest.raises(DataError, match=r"^sentence 1: text empty after trimming$"):
+                Document(doc_id="d", texts=("a", text), labels=(None, None))
 
-    def test_document_requires_contiguous_indices(self):
-        s0 = Sentence(index=0, text="a")
-        s2 = Sentence(index=2, text="b")
-        with pytest.raises(DataError):
-            Document(doc_id="d", sentences=(s0, s2))
-        with pytest.raises(DataError):
-            Document(doc_id="d", sentences=())
+    def test_document_requires_sentences_and_one_label_each(self):
+        with pytest.raises(DataError, match=r"^document 'd' has no sentences$"):
+            Document(doc_id="d", texts=(), labels=())
+        with pytest.raises(DataError, match=r"^document 'd' has 2 texts and 1 labels$"):
+            Document(doc_id="d", texts=("a", "b"), labels=(None,))
+        with pytest.raises(DataError, match=r"^document with empty doc_id$"):
+            Document(doc_id="", texts=("a",), labels=(None,))
 
     def test_gold_labels_names_the_gap(self):
-        doc = Document(doc_id="d1", sentences=(
-            Sentence(index=0, text="a", gold=RhetoricalRole.FACTS),
-            Sentence(index=1, text="b"),
-        ))
+        doc = Document(doc_id="d1", texts=("a", "b"), labels=(RhetoricalRole.FACTS, None))
         assert not doc.is_labeled
         with pytest.raises(DataError, match=r"'d1'.*sentence 1"):
             doc.gold_labels()
@@ -74,8 +67,8 @@ class TestJsonl:
         back = load_jsonl(path)
         assert back.doc_ids() == corpus.doc_ids()
         for a, b in zip(corpus, back):
-            assert [s.text for s in a.sentences] == [s.text for s in b.sentences]
-            assert [s.gold for s in a.sentences] == [s.gold for s in b.sentences]
+            assert a.texts == b.texts
+            assert a.labels == b.labels
 
     def test_written_records_use_canonical_names(self, tmp_path):
         doc = make_doc("d", ["first.", "second."], labels=[1, 6])
@@ -89,12 +82,12 @@ class TestJsonl:
         path = tmp_path / "c.jsonl"
         write_jsonl(Corpus(documents=(doc,)), path)
         assert json.loads(path.read_text())["sentences"][0]["label"] is None
-        assert load_jsonl(path).documents[0].sentences[0].gold is None
+        assert load_jsonl(path).documents[0].labels == (None,)
 
     def test_integer_labels_accepted(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"doc_id": "d", "sentences": [{"text": "x", "label": 5}]}\n')
-        assert load_jsonl(path).documents[0].sentences[0].gold is RhetoricalRole.REASONING
+        assert load_jsonl(path).documents[0].labels[0] is RhetoricalRole.REASONING
 
     def test_error_carries_line_number(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -192,7 +185,6 @@ class TestSplit:
         corpus = self.one_liner_corpus(7120)
         tr, va, te = split_corpus(corpus, (0.7, 0.2, 0.1), seed=0)
         assert (len(tr), len(va), len(te)) == (4984, 1424, 712)
-        assert (tr.split_tag, va.split_tag, te.split_tag) == ("train", "validation", "test")
 
     def test_sizes_small(self):
         tr, va, te = split_corpus(self.one_liner_corpus(10), (0.7, 0.2, 0.1), seed=3)
@@ -236,8 +228,8 @@ class TestStats:
         corpus = generate_corpus(8, 4, 10, noise=0.3, seed=17)
         stats = compute_stats(corpus)
 
-        texts = [s.text for d in corpus for s in d.sentences]
-        labels = [s.gold for d in corpus for s in d.sentences]
+        texts = [t for d in corpus for t in d.texts]
+        labels = [r for d in corpus for r in d.labels]
         assert stats.n_docs == 8
         assert stats.n_sentences == len(texts)
         assert stats.avg_sentences_per_doc == pytest.approx(len(texts) / 8)
@@ -322,4 +314,4 @@ def test_loaded_label_or_error_line_matches_role_parse(tmp_path, value):
             load_jsonl(path)
         assert str(exc.value) == f"line 2: {ref}"
     else:
-        assert load_jsonl(path).documents[0].sentences[1].gold == ref
+        assert load_jsonl(path).documents[0].labels[1] == ref

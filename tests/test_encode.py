@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from rhetseg import encode as encode_mod
 from rhetseg import train as train_mod
-from rhetseg.corpus import Corpus, Document, Sentence
+from rhetseg.corpus import Corpus, Document
 from rhetseg.encode import (
     WINDOW_SPECS,
     HashEncoderConfig,
@@ -127,11 +127,12 @@ class TestHashEmbed:
             HashEncoderConfig(ngram_orders=())
 
 
+def unlabeled(doc_id, texts):
+    return Document(doc_id=doc_id, texts=tuple(texts), labels=(None,) * len(texts))
+
+
 def two_sentence_doc():
-    return Document(doc_id="d", sentences=(
-        Sentence(index=0, text="The appeal is allowed."),
-        Sentence(index=1, text="Costs follow the event."),
-    ))
+    return unlabeled("d", ["The appeal is allowed.", "Costs follow the event."])
 
 
 class TestEncoders:
@@ -165,15 +166,15 @@ WORDS = ["court", "held", "appeal", "§", "münchen", "naïve", "€€", "?!", 
 
 def random_doc(rng, n_sentences):
     """Sentences of random words, some repeated, some non-ASCII, some a single token."""
-    sentences = []
+    texts = []
     for idx in range(n_sentences):
         n = 1 if idx % 4 == 0 else int(rng.integers(2, 12))
-        sentences.append(Sentence(index=idx, text=" ".join(rng.choice(WORDS, size=n))))
-    return Document(doc_id="r", sentences=tuple(sentences))
+        texts.append(" ".join(rng.choice(WORDS, size=n)))
+    return unlabeled("r", texts)
 
 
 def uncached(doc, cfg):
-    return np.vstack([hash_embed(tokenize(s.text), cfg) for s in doc.sentences])
+    return np.vstack([hash_embed(tokenize(text), cfg) for text in doc.texts])
 
 
 def ngrams(text, orders):
@@ -198,8 +199,7 @@ SENTENCE = st.lists(st.sampled_from(CHUNK_WORDS), min_size=1, max_size=6).map(" 
 def test_chunk_coder_matches_hash_embed(texts, picks, cuts, orders, signed, capped):
     """Random documents, some repeated, coded in random chunks: every row is
     the oracle's, and below the cap every distinct n-gram is hashed once."""
-    pool = [Document(doc_id=f"d{i}", sentences=tuple(Sentence(index=j, text=t) for j, t in enumerate(doc)))
-            for i, doc in enumerate(texts)]
+    pool = [unlabeled(f"d{i}", doc) for i, doc in enumerate(texts)]
     docs = [pool[p % len(pool)] for p in picks]
     chunks, lo = [], 0
     for size in cuts + [len(docs)]:  # the last chunk takes what is left
@@ -221,10 +221,10 @@ def test_chunk_coder_matches_hash_embed(texts, picks, cuts, orders, signed, capp
                 np.testing.assert_array_equal(got, uncached(doc, cfg))
             hashed = calls[start:]
             assert len(hashed) == len(set(hashed))
-            assert set(hashed) <= {g for doc in chunk for s in doc.sentences for g in ngrams(s.text, orders)}
+            assert set(hashed) <= {g for doc in chunk for text in doc.texts for g in ngrams(text, orders)}
     assert len(enc._codes) <= cap and len(enc._ids) <= cap
     if not capped:
-        assert sorted(calls) == sorted({g for doc in docs for s in doc.sentences for g in ngrams(s.text, orders)})
+        assert sorted(calls) == sorted({g for doc in docs for text in doc.texts for g in ngrams(text, orders)})
 
 
 class TestHashingMemo:
@@ -245,7 +245,7 @@ class TestHashingMemo:
         enc = HashingEncoder(HashEncoderConfig(dim=16))
         doc = random_doc(np.random.default_rng(1), 12)
         first = enc.encode_document(doc)
-        assert sorted(calls) == sorted({g for s in doc.sentences for g in ngrams(s.text, (1, 2))})
+        assert sorted(calls) == sorted({g for text in doc.texts for g in ngrams(text, (1, 2))})
         calls.clear()
         np.testing.assert_array_equal(enc.encode_document(doc), first)
         assert calls == []
@@ -270,7 +270,7 @@ class TestHashingMemo:
         enc = HashingEncoder(cfg)
         texts = [["a", "b", "c", "d", "e", "court held"], ["appeal dismissed"]]
         for n, chunk in enumerate(texts):
-            doc = Document(doc_id=f"d{n}", sentences=tuple(Sentence(index=j, text=t) for j, t in enumerate(chunk)))
+            doc = unlabeled(f"d{n}", chunk)
             np.testing.assert_array_equal(enc.encode_documents([doc])[0], uncached(doc, cfg))
 
 
@@ -292,7 +292,7 @@ class TestLoadEmbeddings:
         """Training and validation documents are read in one call, the
         validation ones last: a doc id in both maps to its validation rows."""
         path = self.write(tmp_path, "dim=3\nd\t0\t1 2 3\nd\t1\t4 5 6\n")
-        short = Document(doc_id="d", sentences=(Sentence(index=0, text="A."),))
+        short = unlabeled("d", ["A."])
         np.testing.assert_array_equal(load_embeddings(path, [two_sentence_doc(), short])["d"], [[1, 2, 3]])
         np.testing.assert_array_equal(load_embeddings(path, [short, two_sentence_doc()])["d"], [[1, 2, 3], [4, 5, 6]])
 

@@ -1,6 +1,6 @@
 import pytest
 
-from rhetseg.corpus import Corpus, Document, Sentence
+from rhetseg.corpus import Corpus, Document
 from rhetseg.errors import DataError
 from rhetseg.instructions import INSTRUCTION_TEMPLATES, instruction_records
 from rhetseg.roles import RhetoricalRole
@@ -28,24 +28,22 @@ def test_first_template_verbatim():
 def test_records_cycle_across_document_boundaries():
     corpus = generate_corpus(3, 10, 14, seed=0)
     records = instruction_records(corpus)
-    sentences = [s for d in corpus for s in d.sentences]
+    sentences = [(text, label) for d in corpus for text, label in zip(d.texts, d.labels)]
     assert len(records) == len(sentences)
-    for j, (rec, sent) in enumerate(zip(records, sentences)):
+    for j, (rec, (text, label)) in enumerate(zip(records, sentences)):
         assert rec["instruction"] == INSTRUCTION_TEMPLATES[j % 16]
-        assert rec["input"] == sent.text
-        assert rec["output"] == str(int(sent.gold))
+        assert rec["input"] == text
+        assert rec["output"] == str(int(label))
 
 
 def test_output_is_stringified_id():
-    doc = Document(doc_id="d", sentences=(
-        Sentence(index=0, text="The appeal is allowed.", gold=RhetoricalRole.DECISION),
-    ))
+    doc = Document(doc_id="d", texts=("The appeal is allowed.",), labels=(RhetoricalRole.DECISION,))
     rec = instruction_records(Corpus(documents=(doc,)))[0]
     assert rec["output"] == "6"
 
 
 def test_unlabeled_sentence_rejected():
-    doc = Document(doc_id="d", sentences=(Sentence(index=0, text="x"),))
+    doc = Document(doc_id="d", texts=("x",), labels=(None,))
     with pytest.raises(DataError, match="'d'.*sentence 0"):
         instruction_records(Corpus(documents=(doc,)))
 

@@ -19,11 +19,10 @@ def test_same_seed_identical_corpora():
     a = generate_corpus(6, 5, 9, noise=0.2, seed=3)
     b = generate_corpus(6, 5, 9, noise=0.2, seed=3)
     for da, db in zip(a, b):
-        assert [s.text for s in da.sentences] == [s.text for s in db.sentences]
+        assert da.texts == db.texts
         assert da.gold_labels() == db.gold_labels()
     c = generate_corpus(6, 5, 9, noise=0.2, seed=4)
-    assert any([s.text for s in x.sentences] != [s.text for s in y.sentences]
-               for x, y in zip(a, c))
+    assert any(x.texts != y.texts for x, y in zip(a, c))
 
 
 def test_core_roles_follow_document_order():
@@ -53,9 +52,9 @@ def test_noise_zero_keeps_keywords_on_label():
     corpus = generate_corpus(8, 8, 14, noise=0.0, seed=6)
     stems = ["none", "facts", "issue", "petitioner", "respondent", "reasoning", "decision"]
     for doc in corpus:
-        for sent in doc.sentences:
-            stem = stems[int(sent.gold)]
-            keywords = [t for t in sent.text.split() if "kw" in t]
+        for text, label in zip(doc.texts, doc.labels):
+            stem = stems[int(label)]
+            keywords = [t for t in text.split() if "kw" in t]
             assert keywords
             assert all(t.startswith(stem) for t in keywords)
 
@@ -79,9 +78,9 @@ def test_noise_swaps_some_keywords():
     def off_label(corpus):
         wrong = total = 0
         for doc in corpus:
-            for sent in doc.sentences:
-                stem = stems[int(sent.gold)]
-                for tok in sent.text.split():
+            for text, label in zip(doc.texts, doc.labels):
+                stem = stems[int(label)]
+                for tok in text.split():
                     if "kw" in tok:
                         total += 1
                         wrong += not tok.startswith(stem)
@@ -96,8 +95,8 @@ def test_vocab_sizes_respected():
     fillers = set()
     kw_index = set()
     for doc in corpus:
-        for sent in doc.sentences:
-            for tok in sent.text.rstrip(".").split():
+        for text in doc.texts:
+            for tok in text.rstrip(".").split():
                 if "kw" in tok:
                     kw_index.add(int(tok.split("kw")[1]))
                 else:

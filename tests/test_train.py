@@ -1,10 +1,12 @@
 """Training loop, composite objective, checkpoints, and prediction modes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rhetseg import train as train_mod
-from rhetseg.corpus import label_shift_sequence, split_corpus
+from rhetseg.corpus import Corpus, label_shift_sequence, split_corpus
 from rhetseg.encode import HashEncoderConfig, HashingEncoder
 from rhetseg.errors import DataError
 from rhetseg.roles import RhetoricalRole
@@ -284,11 +286,11 @@ class TestTrainLoop:
 
     def test_unlabeled_training_doc_rejected(self):
         train, val, _ = small_data()
-        stripped = train.documents[0]
-        object.__setattr__(stripped.sentences[0], "gold", None)
+        first = train.documents[0]
+        stripped = dataclasses.replace(first, labels=(None, *first.labels[1:]))
+        train = Corpus(documents=(stripped, *train.documents[1:]))
         with pytest.raises(DataError):
             train_model(train, val, TrainConfig(**FAST), encoder())
-        object.__setattr__(stripped.sentences[0], "gold", RhetoricalRole.FACTS)
 
     def test_report_csv_format(self):
         train, val, _ = small_data()
@@ -335,8 +337,7 @@ class TestLabelFeatures:
         cfg = TrainConfig(label_mode="gold", **FAST)
         bundle, _ = train_model(train, val, cfg, encoder())
         doc = test.documents[0]
-        for s in doc.sentences:
-            object.__setattr__(s, "gold", None)
+        doc = dataclasses.replace(doc, labels=(None,) * len(doc))
         with pytest.raises(DataError, match="gold"):
             predict_document(doc, bundle, mode="teacher_forced", encoder=encoder())
 
@@ -417,6 +418,20 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         for doc in test:
             assert predict_document(doc, bundle) == predict_document(doc, loaded)
+
+    def test_loaded_model_predicts_without_a_gradient(self, tmp_path):
+        """Prediction never builds the gradient vector; training code gets a
+        zero one, viewed by block, on first use."""
+        _, path = self.trained(tmp_path)
+        _, _, test = small_data()
+        loaded = load_checkpoint(path)
+        predict_document(test.documents[0], loaded)
+        assert "grad" not in vars(loaded) and "grads" not in vars(loaded)
+        assert np.array_equal(loaded.grad, np.zeros_like(loaded.flat))
+        assert loaded.grads.keys() == loaded.params.keys()
+        for block, grads in loaded.grads.items():
+            for rest, grad in grads.items():
+                assert np.shares_memory(grad, loaded.grad) and grad.shape == loaded.params[block][rest].shape
 
     def test_saves_are_byte_identical(self, tmp_path):
         bundle, path = self.trained(tmp_path)
