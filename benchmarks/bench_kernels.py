@@ -11,7 +11,11 @@ BATCH_LEN-sentence document of FEAT_DIM feature columns with --hidden units,
 the training forward context.bilstm_forward_cache (both directions in one
 recurrence) against the same forward as two 2-D recurrences, one per
 direction, with a check that both give the same bits, and the training
-backward context.bilstm_backward. The Adam step updates the parameter vector
+backward context.bilstm_backward (both directions in one backward
+recurrence) against the per-direction backward kept in tests/test_context.py,
+asserting that both write the same gradient bits. The crf_forward_backward
+row times the one-loop training sweep; it asserts that the sweep equals
+crf_forward and crf_backward bit for bit. The Adam step updates the parameter vector
 of the default model (BiLSTM with --hidden units over hashed features of
 width FEAT_DIM, CRF head, shift head) from a gradient vector. The checkpoint
 rows save and load the default BiLSTM and attention models with random
@@ -75,6 +79,7 @@ def build_cases(doc_len: int, hidden: int, rng) -> dict[str, tuple]:
     return {
         "crf_forward": (E, T, start, end),
         "crf_backward": (E, T, end),
+        "crf_forward_backward": (E, T, start, end),
         "crf_viterbi": (E, T, start, end),
         "lstm_recurrence": (XW, Wh, b),
         "lstm_recurrence_backward": (G, C, Wh.T.copy(), dH),
@@ -128,9 +133,15 @@ def main(argv=None) -> int:
           f"repeats={args.repeats}")
     rng = np.random.default_rng(args.seed)
     print(f"{'kernel':<34}{'ms':>12}")
-    for name, inputs in build_cases(args.doc_len, args.hidden, rng).items():
+    cases = build_cases(args.doc_len, args.hidden, rng)
+    for name, inputs in cases.items():
         seconds = best_of(getattr(kernels, name), inputs, args.repeats)
         print(f"{name:<34}{1000 * seconds:>12.3f}")
+    log_z, alpha, beta = kernels.crf_forward_backward(*cases["crf_forward_backward"])
+    want_z, want_alpha = kernels.crf_forward(*cases["crf_forward"])
+    assert log_z == want_z and np.array_equal(alpha, want_alpha), "sweep's forward half differs"
+    assert np.array_equal(beta, kernels.crf_backward(*cases["crf_backward"])), "sweep's backward half differs"
+    print(f"{'sweep bit-identical to two passes':<34}{'True':>12}")
 
     h = args.hidden
     Wh = rng.standard_normal((4 * h, h)) * 0.1
@@ -148,21 +159,32 @@ def main(argv=None) -> int:
         label = f"lstm_recurrence B={B}"
         print(f"{label:<34}{1e6 * seconds / B:>12.1f}  columns bit-identical: {exact}")
 
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+    from test_context import per_direction_bilstm_backward
+    from test_free_running import reencode_one, row_decode
+
     model = build_model(TrainConfig(lstm_hidden=h), HASH_SPEC, rng)
-    bilstm = model.params["bilstm"]
+    bilstm, grads = model.params["bilstm"], model.grads["bilstm"]
+    want = {name: np.empty_like(grad) for name, grad in grads.items()}
     X = rng.standard_normal((BATCH_LEN, FEAT_DIM))
     H, cache = context.bilstm_forward_cache(X, bilstm)
+    _, G, C, Hs = cache
+    per_direction = {d: {"X": Xd, "G": G[:, k], "C": C[:, k], "H": Hs[:, k]}
+                     for k, (d, Xd) in enumerate((("fwd", X), ("bwd", X[::-1])))}
     dH = rng.standard_normal(H.shape)
     exact = np.array_equal(H, two_direction_runs(X, bilstm))
     print(f"{f'bilstm training, m={BATCH_LEN}':<34}{'us':>12}")
     for label, fn, inputs in (
         ("bilstm_forward_cache", context.bilstm_forward_cache, (X, bilstm)),
         ("two 2-D direction runs", two_direction_runs, (X, bilstm)),
-        ("bilstm_backward", context.bilstm_backward, (cache, bilstm, model.grads["bilstm"], dH)),
+        ("bilstm_backward", context.bilstm_backward, (cache, bilstm, grads, dH)),
+        ("per-direction backward", per_direction_bilstm_backward, (per_direction, bilstm, want, dH)),
     ):
         seconds = best_of(fn, inputs, 10 * args.repeats)
         print(f"{label:<34}{1e6 * seconds:>12.1f}")
     print(f"{'forward bit-identical to 2-D runs':<34}{str(exact):>12}")
+    assert all(np.array_equal(grads[name], want[name]) for name in grads), "backward differs per direction"
+    print(f"{'backward bit-identical':<34}{'True':>12}")
 
     layout = parameter_layout("bilstm", "crf", FEAT_DIM, 2 * h, 1, True)
     optimizer = make_optimizer(TrainConfig(), layout)
@@ -178,9 +200,6 @@ def main(argv=None) -> int:
             save_s, load_s, size = checkpoint_times(kind, h, args.repeats, rng, Path(workdir))
             label = f"{kind} params={size}"
             print(f"{label:<34}{1000 * save_s:>12.3f}{1000 * load_s:>12.3f}  round trip bit-exact")
-
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-    from test_free_running import reencode_one, row_decode
 
     print(f"{f'free-running decode m={FREE_LEN}':<34}{'ms':>12}")
     base = rng.standard_normal((FREE_LEN, HASH_SPEC["dim"]))

@@ -4,13 +4,13 @@ trees can be shown to produce the same bytes.
 
 --out DIR synthesizes fixed corpora into DIR/data/, with `stats` of each,
 a `split`, an `ingest` of fixed text files and an `export-instructions`.
-Then, for each of twelve train configurations, it writes into
+Then, for each of thirteen train configurations, it writes into
 DIR/<configuration>/ the checkpoint, the digest of the model it loads to
 (params.sha256), the report CSV, train's stdout, the `predict` output and
 stdout in free-running and teacher-forced mode on a corpus of short documents
 and on one of long documents, `evaluate`'s CSV report, confusion grid,
 markdown report (without None) and stdout for each prediction, and
-gradcheck's stdout: 424 files in all. params.sha256 reads the checkpoint
+gradcheck's stdout: 461 files in all. params.sha256 reads the checkpoint
 through the public loader only, so a change of checkpoint format that keeps
 the model changes model.json and leaves params.sha256 as it is. It prints one
 SHA-256 per file, as `sha256sum` does. Every command runs in-process through rhetseg.cli.main
@@ -46,12 +46,15 @@ from rhetseg import cli, train  # noqa: E402
 
 # Corpus name -> synth flags. "predict" mixes lengths 1 to 30 over more
 # documents than three prediction chunks hold; "long" is one chunk of long
-# documents of unequal length, so free-running decoding steps through padding.
+# documents of unequal length, so free-running decoding steps through padding;
+# "short" holds documents of 1 and 2 sentences, the shortest runs of the
+# training recurrences.
 CORPORA = {
     "train": ("--n-docs", "24", "--seed", "0"),
     "val": ("--n-docs", "8", "--seed", "1"),
     "predict": ("--n-docs", "40", "--min-sentences", "1", "--max-sentences", "30", "--seed", "2"),
     "long": ("--n-docs", "4", "--min-sentences", "90", "--max-sentences", "130", "--seed", "3"),
+    "short": ("--n-docs", "12", "--min-sentences", "1", "--max-sentences", "2", "--seed", "4"),
 }
 PREDICT_CORPORA = ("predict", "long")
 
@@ -67,7 +70,8 @@ INGEST_TEXTS = {
 }
 TRAIN_FLAGS = ("--epochs", "3")
 
-# Configuration name -> train flags.
+# Configuration name -> train flags. Each trains on the "train" corpus unless
+# TRAIN_CORPUS names another.
 CONFIGURATIONS = {
     "default": (),
     "predicted": ("--label-mode", "predicted"),
@@ -83,7 +87,9 @@ CONFIGURATIONS = {
     "softmax-weighted-lambda0": ("--label-mode", "gold", "--head", "softmax", "--class-weights", "auto",
                                  "--lambda", "0"),
     "gold-window-sinusoidal": ("--label-mode", "gold", "--window", "i-2:i-1:i", "--positional", "sinusoidal"),
+    "short-docs": (),
 }
+TRAIN_CORPUS = {"short-docs": "short"}
 
 
 def run(out_file: Path, *argv) -> None:
@@ -133,7 +139,8 @@ def write_outputs(root: Path) -> None:
             out = Path(name)
             out.mkdir()
             model = out / "model.json"
-            run(out / "train.out", "train", "--input", data / "train.jsonl", "--val", data / "val.jsonl",
+            run(out / "train.out", "train", "--input", data / f"{TRAIN_CORPUS.get(name, 'train')}.jsonl",
+                "--val", data / "val.jsonl",
                 "--output", model, "--report", out / "report.csv", *TRAIN_FLAGS, *flags)
             (out / "params.sha256").write_text(params_digest(model), encoding="utf-8")
             for corpus in PREDICT_CORPORA:

@@ -82,15 +82,18 @@ def bilstm_forward_cache(X: np.ndarray, p: Params):
 
 
 def bilstm_backward(cache: tuple, p: Params, g: Params, dH: np.ndarray) -> None:
-    """Writes both directions' "Wx", "Wh" and "b" gradients. The backward
-    direction ran on the reversed document, so it reads X and its half of dH
-    reversed."""
+    """Writes both directions' "Wx", "Wh" and "b" gradients from one
+    backward recurrence over both. The backward direction ran on the
+    reversed document, so it reads X and its half of dH reversed."""
     X, G, C, H = cache
     h = H.shape[-1]
-    for k, (d, Xd, dHd) in enumerate((("fwd", X, dH[:, :h]), ("bwd", X[::-1], dH[::-1, h:]))):
-        dA = kernels.lstm_recurrence_backward(G[:, k], C[:, k], np.ascontiguousarray(p[f"{d}.Wh"].T), dHd)
-        H_prev = np.vstack([np.zeros((1, h)), H[:-1, k]])
-        g[f"{d}.Wx"][...], g[f"{d}.Wh"][...], g[f"{d}.b"][...] = dA.T @ Xd, dA.T @ H_prev, dA.sum(axis=0)
+    WhT = np.stack([p["fwd.Wh"].T, p["bwd.Wh"].T])
+    dA = kernels.lstm_backward(G, C, WhT, np.stack([dH[:, :h], dH[::-1, h:]], axis=1))
+    H_prev = np.zeros(H.shape)
+    H_prev[1:] = H[:-1]
+    for k, (d, Xd) in enumerate((("fwd", X), ("bwd", X[::-1]))):
+        dAd = dA[:, k]
+        g[f"{d}.Wx"][...], g[f"{d}.Wh"][...], g[f"{d}.b"][...] = dAd.T @ Xd, dAd.T @ H_prev[:, k], dAd.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -51,20 +51,23 @@ def sequence_score(E: np.ndarray, y, p: Params) -> float:
     return float(score)
 
 
-def log_partition(E: np.ndarray, p: Params, forward=None) -> float:
-    """log Z. `forward` is crf_forward's (log_z, alpha) for E when the caller
-    already has it; marginals takes it too."""
-    log_z, _ = forward if forward is not None else kernels.crf_forward(E, p["T"], p["start"], p["end"])
+def _sweep(E: np.ndarray, p: Params):
+    return kernels.crf_forward_backward(E, p["T"], p["start"], p["end"])
+
+
+def log_partition(E: np.ndarray, p: Params, sweep=None) -> float:
+    """log Z. `sweep` is crf_forward_backward's (log_z, alpha, beta) for E
+    when the caller already has it; marginals takes it too."""
+    log_z = (sweep or _sweep(E, p))[0]
     if not np.isfinite(log_z):
         raise NumericError("non-finite log partition")
     return float(log_z)
 
 
-def marginals(E: np.ndarray, p: Params, forward=None) -> tuple[np.ndarray, np.ndarray]:
+def marginals(E: np.ndarray, p: Params, sweep=None) -> tuple[np.ndarray, np.ndarray]:
     """Exact posterior node (m, 7) and edge (m-1, 7, 7) marginals."""
     m = E.shape[0]
-    log_z, alpha = forward if forward is not None else kernels.crf_forward(E, p["T"], p["start"], p["end"])
-    beta = kernels.crf_backward(E, p["T"], p["end"])
+    log_z, alpha, beta = sweep or _sweep(E, p)
     node = np.exp(alpha + beta - log_z)
     if m > 1:
         # edge[t, a, b] = P(y_t = a, y_{t+1} = b)
@@ -82,8 +85,9 @@ def marginals(E: np.ndarray, p: Params, forward=None) -> tuple[np.ndarray, np.nd
 
 
 def nll_and_grad(E: np.ndarray, y, p: Params, g: Params) -> tuple[float, np.ndarray]:
-    """Negative log-likelihood of y and its gradient grad_E, from one forward
-    and one backward pass; writes the gradients of "T", "start" and "end" to g.
+    """Negative log-likelihood of y and its gradient grad_E, from one
+    forward-backward sweep; writes the gradients of "T", "start" and "end"
+    to g.
 
     grad_E = node_marginals - onehot(y); the others are expected counts minus
     empirical counts. The caller forms the emission-projection gradients from
@@ -91,9 +95,9 @@ def nll_and_grad(E: np.ndarray, y, p: Params, g: Params) -> tuple[float, np.ndar
     """
     y = _validate_labels(E, y)
     m = E.shape[0]
-    forward = kernels.crf_forward(E, p["T"], p["start"], p["end"])
-    loss = log_partition(E, p, forward) - sequence_score(E, y, p)
-    node, edge = marginals(E, p, forward)
+    sweep = _sweep(E, p)
+    loss = log_partition(E, p, sweep) - sequence_score(E, y, p)
+    node, edge = marginals(E, p, sweep)
     grad_E = node.copy()
     grad_E[np.arange(m), y] -= 1.0
     g["T"][...] = edge.sum(axis=0)

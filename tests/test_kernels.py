@@ -2,7 +2,8 @@
 enumeration of every label sequence (and, for sequences too long to
 enumerate, against scalar per-label loops), the LSTM recurrence and its
 backward pass against the per-gate oracle of tests/test_context.py and,
-bit for bit, against a per-step loop, and padded batches and stacked
+bit for bit, against a per-step loop, the forward-backward sweep against
+the separate forward and backward passes, and padded batches and stacked
 directions against the same sequences run one at a time. A
 `*_paths_agree` test checks that the kernel and its oracle agree."""
 
@@ -115,6 +116,22 @@ def test_crf_backward_paths_agree(m):
             scores = scores + end[paths[:, -1]]
             want = [np.logaddexp.reduce(scores + T[a, paths[:, 0]]) for a in range(K)]
             np.testing.assert_allclose(beta[t], want, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 37])
+def test_crf_forward_backward_equals_two_passes(m):
+    """The one-loop sweep against crf_forward and crf_backward, bit for bit,
+    with emissions from unit scale to 1e6, where the max shift matters."""
+    rng = np.random.default_rng(m + 300)
+    for scale in (1.0, 30.0, 1e3, 1e6):
+        for _ in range(10):
+            E, T, start, end = crf_instance(rng, m)
+            E *= scale
+            log_z, alpha, beta = kernels.crf_forward_backward(E, T, start, end)
+            want_z, want_alpha = kernels.crf_forward(E, T, start, end)
+            assert log_z == want_z
+            assert np.array_equal(alpha, want_alpha)
+            assert np.array_equal(beta, kernels.crf_backward(E, T, end))
 
 
 def tie_breaking_best(E, T, start, end):
@@ -250,6 +267,27 @@ def test_lstm_backward_equals_per_step_loop():
         assert np.array_equal(kernels.lstm_recurrence_backward(G, C, WhT, dH),
                               loop_lstm_backward(G, C, WhT, dH)), (m, h, scale)
     assert clipped >= 50
+
+
+@pytest.mark.parametrize("h", [3, 32])
+@pytest.mark.parametrize("m", [1, 2, 13, 40])
+def test_lstm_backward_direction_axis_equals_2d_loops(m, h):
+    """(m, 2, 4h) gates with WhT stacked as (2, h, 4h): each direction equals
+    the per-step loop on that direction alone, bit for bit, on both
+    kernel names, with pre-activations past the +-60 clip."""
+    rng = np.random.default_rng(m * 7 + h)
+    for scale in (0.5, 3.0, 30.0):
+        XW = rng.normal(size=(m, 2, 1, 4 * h)) * scale
+        Wh = rng.normal(size=(2, 1, 4 * h, h)) * scale / np.sqrt(h)
+        G, C, _ = kernels.lstm_recurrence(XW, Wh, rng.normal(size=(2, 1, 4 * h)))
+        G, C = G[:, :, 0], C[:, :, 0]
+        WhT = np.ascontiguousarray(Wh[:, 0].transpose(0, 2, 1))
+        dH = rng.normal(size=(m, 2, h))
+        for kernel in (kernels.lstm_recurrence_backward, kernels.lstm_backward):
+            dA = kernel(G, C, WhT, dH)
+            assert dA.shape == (m, 2, 4 * h)
+            for k in range(2):
+                assert np.array_equal(dA[:, k], loop_lstm_backward(G[:, k], C[:, k], WhT[k], dH[:, k])), (scale, k)
 
 
 def test_lstm_step_clamp_equals_clip():
