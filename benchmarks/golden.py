@@ -31,7 +31,6 @@ before numpy loads, whatever the caller set.
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -102,12 +101,15 @@ def run(out_file: Path, *argv) -> None:
 
 def params_digest(model: Path) -> str:
     """The SHA-256 of the loaded parameter vector as little-endian float64
-    bytes, then the sorted-key JSON of the bundle's other fields and its
-    layout (names and shapes)."""
+    bytes, then the sorted-key JSON of the model's config echo, encoder spec
+    and layout (names and shapes). A bundle without a `cfg`, as checkpoint
+    format 3 loaded, holds the echo as `config_echo`."""
     bundle = train.load_checkpoint(model)
-    fields = {f.name: getattr(bundle, f.name) for f in dataclasses.fields(bundle)
-              if f.init and f.name not in ("layout", "flat")}
-    fields["layout"] = [[name, list(spec.shape)] for name, spec in bundle.layout.items()]
+    fields = {
+        "config": bundle.cfg.to_echo() if hasattr(bundle, "cfg") else bundle.config_echo,
+        "encoder": bundle.encoder_spec,
+        "layout": [[name, list(spec.shape)] for name, spec in bundle.layout.items()],
+    }
     digest = hashlib.sha256(bundle.flat.astype("<f8").tobytes()).hexdigest()
     return f"{digest}\n{json.dumps(fields, sort_keys=True)}\n"
 

@@ -178,6 +178,8 @@ def load_embeddings(path, docs: "Iterable[Document]") -> dict[str, np.ndarray]:
         if not match:
             raise DataError(f"embedding file header must be 'dim=<d>', got {header!r}")
         dim = int(match.group(1))
+        if dim == 0:
+            raise DataError("embedding file header declares dim=0; vectors need at least one value")
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue

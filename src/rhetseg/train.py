@@ -36,7 +36,7 @@ from .errors import DataError, NumericError
 from .metrics import confusion, macro_prf
 from .roles import NUM_ROLES, ROLE_NAMES, RhetoricalRole
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # The values each setting may take; the CLI, TrainConfig and the checkpoint
 # loader all read these.
@@ -101,15 +101,22 @@ class TrainConfig:
         for size in ("lstm_hidden", "gcn_hidden", "attention_layers"):
             if getattr(self, size) < 1:
                 raise DataError(f"{size} must be >= 1, got {getattr(self, size)}")
+        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
+            raise DataError(f"adam betas must lie in [0, 1), got {self.adam_beta1}, {self.adam_beta2}")
+        if not (self.adam_eps > 0 and math.isfinite(self.adam_eps)):
+            raise DataError(f"adam eps must be positive and finite, got {self.adam_eps}")
         if self.gcn_sim_threshold is not None and not math.isfinite(self.gcn_sim_threshold):
             raise DataError(f"gcn similarity threshold must be finite, got {self.gcn_sim_threshold}")
         self.window = tuple(self.window)
+        validate_offsets(self.window)
+        if self.positional == "sinusoidal" and (self.sin_dim < 2 or self.sin_dim % 2):
+            raise DataError(f"sin_dim must be even and >= 2, got {self.sin_dim}")
         if self.class_weights is not None:
             if self.head != "softmax":
                 raise DataError("class weights apply to the softmax head only")
             for role, w in self.class_weights.items():
-                if w <= 0:
-                    raise DataError(f"class weight for {role} must be positive")
+                if not (w > 0 and math.isfinite(w)):
+                    raise DataError(f"class weight for {role} must be positive and finite")
 
     def to_echo(self) -> dict:
         echo = dataclasses.asdict(self)
@@ -222,32 +229,36 @@ def init_parameters(layout: dict[str, ParamSpec], rng: np.random.Generator) -> n
 _CONTEXT_BLOCK = {"bilstm": "bilstm", "attention": "attn", "gcn": "gcn"}
 
 
+def model_layout(cfg: TrainConfig, base_dim: int) -> tuple[int, int, dict[str, ParamSpec]]:
+    """(feat_dim, context_dim, layout) of the model cfg describes, over
+    sentence vectors of width base_dim."""
+    feat_dim = feature_width(base_dim, cfg.window, cfg.positional, cfg.sin_dim, cfg.label_mode != "off")
+    context_dim = {"bilstm": 2 * cfg.lstm_hidden, "gcn": cfg.gcn_hidden}.get(cfg.context_kind, feat_dim)
+    layout = parameter_layout(cfg.context_kind, cfg.head, feat_dim, context_dim, cfg.attention_layers, cfg.mtl)
+    return feat_dim, context_dim, layout
+
+
 @dataclass
 class ModelBundle:
-    """A model. Every trainable tensor is a view into `flat`, one contiguous
-    float64 vector laid out by `layout`. `params` holds those views by block,
-    the first segment of the layout name, then by the rest of the name:
-    params["crf"]["T"] is "crf.T" and params["attn"]["layer0.Q"] is
-    "attn.layer0.Q". A model has a "shift" block only with the shift head.
-    `grad` and `grads` hold the gradient in the same way; backward passes write
-    it. They are built on first use, so a model loaded only to predict has none."""
+    """A model: its settings, its encoder's spec and its parameters, one
+    contiguous float64 vector laid out by `layout` (see model_layout). `params`
+    holds the views of each tensor by block, the first segment of the layout
+    name, then by the rest of the name: params["crf"]["T"] is "crf.T" and
+    params["attn"]["layer0.Q"] is "attn.layer0.Q". A model has a "shift"
+    block only with the shift head. `grad` and `grads` hold the gradient in
+    the same way; backward passes write it. They are built on first use, so
+    a model loaded only to predict has none."""
 
+    cfg: TrainConfig
     encoder_spec: dict
-    window: tuple[int, ...]
-    positional: str
-    sin_dim: int
-    label_mode: str
-    context_kind: str
-    gcn_sim_threshold: float | None
-    head_kind: str
-    feat_dim: int
-    context_dim: int
-    layout: dict[str, ParamSpec]
     flat: np.ndarray
-    config_echo: dict = field(default_factory=dict)
+    feat_dim: int = field(init=False)
+    context_dim: int = field(init=False)
+    layout: dict[str, ParamSpec] = field(init=False, repr=False)
     params: dict[str, dict[str, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.feat_dim, self.context_dim, self.layout = model_layout(self.cfg, self.encoder_spec["dim"])
         self.params = _blocks(self.flat, self.layout)
 
     @functools.cached_property
@@ -320,26 +331,8 @@ def _class_weight_vector(cfg: TrainConfig) -> np.ndarray:
 def build_model(cfg: TrainConfig, encoder_spec: dict, rng: np.random.Generator) -> ModelBundle:
     """Assemble a fresh bundle, its parameters at their layout init rules:
     only the uniform entries draw from rng, in layout order."""
-    base_dim = encoder_spec["dim"]
-    with_labels = cfg.label_mode != "off"
-    feat_dim = feature_width(base_dim, cfg.window, cfg.positional, cfg.sin_dim, with_labels)
-    context_dim = {"bilstm": 2 * cfg.lstm_hidden, "gcn": cfg.gcn_hidden}.get(cfg.context_kind, feat_dim)
-    layout = parameter_layout(cfg.context_kind, cfg.head, feat_dim, context_dim, cfg.attention_layers, cfg.mtl)
-    return ModelBundle(
-        encoder_spec=dict(encoder_spec),
-        window=cfg.window,
-        positional=cfg.positional,
-        sin_dim=cfg.sin_dim,
-        label_mode=cfg.label_mode,
-        context_kind=cfg.context_kind,
-        gcn_sim_threshold=cfg.gcn_sim_threshold,
-        head_kind=cfg.head,
-        feat_dim=feat_dim,
-        context_dim=context_dim,
-        layout=layout,
-        flat=init_parameters(layout, rng),
-        config_echo=cfg.to_echo(),
-    )
+    _, _, layout = model_layout(cfg, encoder_spec["dim"])
+    return ModelBundle(cfg, dict(encoder_spec), init_parameters(layout, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +341,7 @@ def build_model(cfg: TrainConfig, encoder_spec: dict, rng: np.random.Generator) 
 
 
 def _context_forward(bundle: ModelBundle, X: np.ndarray):
-    kind = bundle.context_kind
+    kind = bundle.cfg.context_kind
     if kind == "none":
         return X, None
     p = bundle.params[_CONTEXT_BLOCK[kind]]
@@ -356,16 +349,13 @@ def _context_forward(bundle: ModelBundle, X: np.ndarray):
         return ctx.bilstm_forward_cache(X, p)
     if kind == "attention":
         return ctx.attention_stack_forward_cache(X, p)
-    a_hat = ctx.build_graph(
-        X.shape[0],
-        X if bundle.gcn_sim_threshold is not None else None,
-        bundle.gcn_sim_threshold,
-    )
+    threshold = bundle.cfg.gcn_sim_threshold
+    a_hat = ctx.build_graph(X.shape[0], X if threshold is not None else None, threshold)
     return ctx.gcn_forward_cache(X, a_hat, p)
 
 
 def _context_backward(bundle: ModelBundle, cache, dH: np.ndarray) -> None:
-    kind = bundle.context_kind
+    kind = bundle.cfg.context_kind
     if kind != "none":
         backward = {"bilstm": ctx.bilstm_backward, "attention": ctx.attention_stack_backward, "gcn": ctx.gcn_backward}
         block = _CONTEXT_BLOCK[kind]
@@ -390,8 +380,8 @@ def _softmax_loss_and_grads(H: np.ndarray, y: np.ndarray, p: ctx.Params, g: ctx.
 
 def _rr_loss_and_grads(bundle: ModelBundle, H: np.ndarray, y: np.ndarray, cw: np.ndarray):
     """Head loss and dH; writes the head block's gradients."""
-    p, g = bundle.params[bundle.head_kind], bundle.grads[bundle.head_kind]
-    if bundle.head_kind == "crf":
+    p, g = bundle.params[bundle.cfg.head], bundle.grads[bundle.cfg.head]
+    if bundle.cfg.head == "crf":
         E = crf_mod.emissions(H, p)
         loss, dE = crf_mod.nll_and_grad(E, y, p, g)
         g["W_e"][...], g["b_e"][...] = H.T @ dE, dE.sum(axis=0)
@@ -415,7 +405,7 @@ def document_loss_and_grads(
     H, cache = _context_forward(bundle, X)
     rr_loss, dH_rr = _rr_loss_and_grads(bundle, H, y, cw)
     rr_scale = 1.0 - lam
-    for grad in bundle.grads[bundle.head_kind].values():
+    for grad in bundle.grads[bundle.cfg.head].values():
         grad *= rr_scale
     dH = rr_scale * dH_rr
     total = rr_scale * rr_loss
@@ -499,12 +489,12 @@ def _features(bundle: ModelBundle, base: np.ndarray, y: np.ndarray | None = None
     """Features of one document. With label features on, row j's previous
     label is y[j-1] when the label ids y are given, and none on every row
     otherwise, as at the start of a free-running decode."""
-    prev = None
-    if bundle.label_mode != "off":
+    cfg, prev = bundle.cfg, None
+    if cfg.label_mode != "off":
         prev = np.full(base.shape[0], -1)
         if y is not None:
             prev[1:] = y[:-1]
-    return featurize(base, bundle.window, bundle.positional, bundle.sin_dim, prev)
+    return featurize(base, cfg.window, cfg.positional, cfg.sin_dim, prev)
 
 
 def _targets(bundle: ModelBundle, gold) -> tuple[np.ndarray, np.ndarray | None]:
@@ -519,12 +509,12 @@ def _predict_chunk(bundle: ModelBundle, bases: list, mode: str, ys=None) -> list
     label features steps through the chunk a sentence at a time; every other
     configuration featurizes per document, then runs the BiLSTM recurrence
     and the CRF Viterbi pass once over the padded chunk."""
-    if bundle.label_mode != "off" and mode == "free_running":
+    if bundle.cfg.label_mode != "off" and mode == "free_running":
         return [labels for labels, _, _ in _free_running(bundle, bases)]
     ys = ys or [None] * len(bases)
     Hs = _context_rows(bundle, [_features(bundle, base, y) for base, y in zip(bases, ys)])
-    p = bundle.params[bundle.head_kind]
-    if bundle.head_kind == "crf":
+    p = bundle.params[bundle.cfg.head]
+    if bundle.cfg.head == "crf":
         return crf_mod.viterbi_decode_batch([crf_mod.emissions(H, p) for H in Hs], p)
     return [[int(v) for v in (H @ p["W"] + p["b"]).argmax(axis=1)] for H in Hs]
 
@@ -532,7 +522,7 @@ def _predict_chunk(bundle: ModelBundle, bases: list, mode: str, ys=None) -> list
 def _context_rows(bundle: ModelBundle, Xs: list) -> list[np.ndarray]:
     """Context output of each document: the BiLSTM runs once over the padded
     batch, the other encoders per document."""
-    if bundle.context_kind == "bilstm":
+    if bundle.cfg.context_kind == "bilstm":
         return ctx.bilstm_forward_batch(Xs, bundle.params["bilstm"])[0]
     return [_context_forward(bundle, X)[0] for X in Xs]
 
@@ -542,8 +532,8 @@ def _step_head(bundle: ModelBundle, m: np.ndarray):
     lengths m from its context row in H (B, d), given the labels prev
     committed at j - 1 (-1 at j = 0). Each row meets the head weights in its
     own product."""
-    p = bundle.params[bundle.head_kind]
-    if bundle.head_kind == "softmax":
+    p = bundle.params[bundle.cfg.head]
+    if bundle.cfg.head == "softmax":
         W, b = p["W"], p["b"]
         return lambda j, H, prev: (H[:, None] @ W)[:, 0] + b
     W_e, b_e = p["W_e"], p["b_e"]
@@ -574,7 +564,7 @@ class _FullForwardSteps:
 
 
 def _chunk_steps(bundle: ModelBundle, Xs: list):
-    kind = bundle.context_kind
+    kind = bundle.cfg.context_kind
     if kind == "none":
         return ctx.FeatureSteps(Xs)
     p = bundle.params[_CONTEXT_BLOCK[kind]]
@@ -582,7 +572,7 @@ def _chunk_steps(bundle: ModelBundle, Xs: list):
         return ctx.BilstmSteps(Xs, p)
     if kind == "attention" and "layer1.Q" not in p:
         return ctx.AttentionSteps(Xs, p)
-    if kind == "gcn" and bundle.gcn_sim_threshold is None:
+    if kind == "gcn" and bundle.cfg.gcn_sim_threshold is None:
         return ctx.GcnSteps(Xs, p)
     return _FullForwardSteps(bundle, Xs)
 
@@ -644,7 +634,7 @@ def predict_documents(
     if encoder is None:
         encoder = bundle.make_encoder()
     docs = list(docs)
-    forced = bundle.label_mode != "off" and mode == "teacher_forced"
+    forced = bundle.cfg.label_mode != "off" and mode == "teacher_forced"
     ys = [np.asarray(doc.gold_labels(), np.int64) for doc in docs] if forced else None
     out: list = [None] * len(docs)
     for idx, chunk in _chunks(docs):
@@ -837,28 +827,16 @@ def gradcheck(
 
 
 def save_checkpoint(bundle: ModelBundle, path) -> None:
-    """A line of JSON with sorted keys and no timestamps, listing each tensor's [name, shape] in layout
-    order, then the parameter vector as little-endian float64 bytes: identical bundles give identical
-    bytes, and every value round-trips exactly."""
+    """A line of JSON with sorted keys and no timestamps, holding the settings and listing each tensor's
+    [name, shape] in layout order, then the parameter vector as little-endian float64 bytes: identical
+    bundles give identical bytes, and every value round-trips exactly."""
     header = {
         "format_version": CHECKPOINT_VERSION,
         "kind": "rhetseg-checkpoint",
-        "encoder": bundle.encoder_spec,
-        "feature": {
-            "window": list(bundle.window),
-            "positional": bundle.positional,
-            "sin_dim": bundle.sin_dim,
-            "label_mode": bundle.label_mode,
-        },
-        "context": {
-            "kind": bundle.context_kind,
-            "sim_threshold": bundle.gcn_sim_threshold,
-        },
-        "head": {"kind": bundle.head_kind},
         "labels": list(ROLE_NAMES),
-        "dims": {"feat_dim": bundle.feat_dim, "context_dim": bundle.context_dim},
+        "encoder": bundle.encoder_spec,
+        "config": bundle.cfg.to_echo(),
         "tensors": [[name, list(spec.shape)] for name, spec in bundle.layout.items()],
-        "config": bundle.config_echo,
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
@@ -873,17 +851,31 @@ def _is_int_list(value) -> bool:
     return isinstance(value, list) and all(map(_is_int, value))
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+def _is_like(default):
+    """The test that a config value has its field's type, read from the
+    default: an int passes for a float and a list of ints for a tuple."""
+    if isinstance(default, tuple):
+        return _is_int_list
+    return _is_number if type(default) is float else lambda v: type(v) is type(default)
+
+
+_ROLE_OF_ID = {str(int(role)): role for role in RhetoricalRole}  # class_weights key in the config echo -> role
+
 # Checkpoint fields: section -> key -> the values it may take, or a test of
 # its value. "hash" lists the further encoder fields of a hashing encoder.
 _FIELDS = {
     "encoder": {"kind": ("hash", "precomputed"), "dim": lambda v: _is_int(v) and v > 0},
     "hash": {"ngram_orders": _is_int_list, "seed": lambda v: _is_int(v) and -(2**63) <= v < 2**63,
              "signed": lambda v: type(v) is bool},
-    "feature": {"window": _is_int_list, "positional": POSITIONAL_MODES, "sin_dim": _is_int, "label_mode": LABEL_MODES},
-    "context": {"kind": CONTEXT_KINDS,
-                "sim_threshold": lambda v: v is None or (type(v) in (int, float) and math.isfinite(v))},
-    "head": {"kind": HEADS},
-    "dims": {"feat_dim": lambda v: _is_int(v) and v > 0, "context_dim": lambda v: _is_int(v) and v > 0},
+    "config": {f.name: _is_like(f.default) for f in dataclasses.fields(TrainConfig)} | {
+        "gcn_sim_threshold": lambda v: v is None or _is_number(v),
+        "class_weights": lambda v: v is None or isinstance(v, dict) and all(
+            k in _ROLE_OF_ID and _is_number(w) for k, w in v.items()),
+    },
 }
 
 
@@ -897,8 +889,8 @@ def _check_fields(entry: dict, section: str) -> None:
 
 
 def load_checkpoint(path) -> ModelBundle:
-    """Read a checkpoint, checking every header field, then the tensor list and
-    the byte count against the layout the fields imply."""
+    """Read a checkpoint, checking the encoder fields and the config, then the
+    tensor list and the byte count against the layout the config implies."""
     with open(path, "rb") as fh:
         data = fh.read()
     cut = data.find(b"\n")
@@ -917,33 +909,27 @@ def load_checkpoint(path) -> ModelBundle:
                         f"expected {CHECKPOINT_VERSION}")
     if header.get("labels") != list(ROLE_NAMES):
         raise DataError("checkpoint label set does not match this package")
-    for entry in ("encoder", "feature", "context", "head", "dims"):
+    for entry in ("encoder", "config"):
         if not isinstance(header.get(entry), dict):
             raise DataError(f"checkpoint entry {entry!r} is missing or not an object")
         _check_fields(header[entry], entry)
     if not isinstance(header.get("tensors"), list):
         raise DataError("checkpoint entry 'tensors' is missing or not a list")
-    encoder, feature, dims = header["encoder"], header["feature"], header["dims"]
+    encoder, echo, tensors = header["encoder"], header["config"], header["tensors"]
     if encoder["kind"] == "hash":
         _check_fields(encoder, "hash")
         _hash_config(encoder)  # checks the width and the n-gram orders
-    window = tuple(feature["window"])
-    validate_offsets(window)
-    context_kind, head_kind = header["context"]["kind"], header["head"]["kind"]
-    feat_dim, context_dim = dims["feat_dim"], dims["context_dim"]
-    if feat_dim != feature_width(encoder["dim"], window, feature["positional"], feature["sin_dim"],
-                                 feature["label_mode"] != "off"):
-        raise DataError("checkpoint dims inconsistent with its feature settings")
-    if context_kind in ("none", "attention") and context_dim != feat_dim:
-        raise DataError(f"checkpoint dims inconsistent with context kind {context_kind!r}")
-    if context_kind == "bilstm" and context_dim % 2:
-        raise DataError("checkpoint dims inconsistent with LSTM tensors")
-    tensors = header["tensors"]
-    listed = {entry[0] for entry in tensors if type(entry) is list and entry and type(entry[0]) is str}
-    layers = 1
-    while f"attn.layer{layers}.Q" in listed:
-        layers += 1
-    layout = parameter_layout(context_kind, head_kind, feat_dim, context_dim, layers, "shift.w" in listed)
+    if echo.keys() != _FIELDS["config"].keys():
+        raise DataError(f"checkpoint config has unknown key {min(echo.keys() - _FIELDS['config'].keys())!r}")
+    if echo["class_weights"] is not None:
+        echo = {**echo, "class_weights": {_ROLE_OF_ID[k]: w for k, w in echo["class_weights"].items()}}
+    try:  # TrainConfig checks the values; OverflowError: an int too large for a float's check
+        cfg = TrainConfig(**echo)
+    except (DataError, OverflowError) as exc:
+        raise DataError(f"checkpoint config: {exc}") from None
+    if cfg.context_kind == "attention" and 4 * cfg.attention_layers > len(tensors):  # before building their layout
+        raise DataError(f"checkpoint lists {len(tensors)} tensors, too few for {cfg.attention_layers} attention layers")
+    _, _, layout = model_layout(cfg, encoder["dim"])
     wanted = [[name, list(spec.shape)] for name, spec in layout.items()]
     for i, (got, want) in enumerate(itertools.zip_longest(tensors, wanted)):
         if got != want:
@@ -959,18 +945,4 @@ def load_checkpoint(path) -> ModelBundle:
     if not np.isfinite(flat).all():
         name = next(name for name, view in _views(flat, layout).items() if not np.isfinite(view).all())
         raise DataError(f"checkpoint tensor {name!r} holds a non-finite value")
-    return ModelBundle(
-        encoder_spec=encoder,
-        window=window,
-        positional=feature["positional"],
-        sin_dim=feature["sin_dim"],
-        label_mode=feature["label_mode"],
-        context_kind=context_kind,
-        gcn_sim_threshold=header["context"]["sim_threshold"],
-        head_kind=head_kind,
-        feat_dim=feat_dim,
-        context_dim=context_dim,
-        layout=layout,
-        flat=flat,
-        config_echo=header.get("config", {}),
-    )
+    return ModelBundle(cfg, encoder, flat)

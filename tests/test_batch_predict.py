@@ -60,7 +60,7 @@ def random_model(label_mode, kind, head):
 def context_rows(bundle, X):
     """The context output of one document. The BiLSTM runs as one 2-D kernel
     recurrence per direction, independent of the padded batch path."""
-    if bundle.context_kind != "bilstm":
+    if bundle.cfg.context_kind != "bilstm":
         return train_mod._context_forward(bundle, X)[0]
     p = bundle.params["bilstm"]
     Hf = kernels.lstm_recurrence(X @ p["fwd.Wx"].T, p["fwd.Wh"], p["fwd.b"])[2]
@@ -73,8 +73,8 @@ def per_document(bundle, doc, enc):
     then Viterbi or argmax on this document alone."""
     X = role_list_features(bundle, enc.encode_document(doc), doc.gold_labels())
     H = context_rows(bundle, X)
-    p = bundle.params[bundle.head_kind]
-    if bundle.head_kind == "crf":
+    p = bundle.params[bundle.cfg.head]
+    if bundle.cfg.head == "crf":
         labels, _ = crf.viterbi_decode(crf.emissions(H, p), p)
     else:
         labels = [int(v) for v in (H @ p["W"] + p["b"]).argmax(axis=1)]
@@ -143,7 +143,7 @@ def per_document_chunk(bundle, bases, mode, ys=None):
     """_predict_chunk computed one document at a time, as before batching."""
     out = []
     for base in bases:
-        if bundle.label_mode != "off":
+        if bundle.cfg.label_mode != "off":
             out.append(train_mod._free_running(bundle, [base])[0][0])
             continue
         H = context_rows(bundle, role_list_features(bundle, base))

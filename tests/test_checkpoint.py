@@ -4,9 +4,12 @@ exit code 2 with a one-line message."""
 
 import base64
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +18,8 @@ from hypothesis import strategies as st
 
 from rhetseg.cli import main
 from rhetseg.corpus import write_jsonl
-from rhetseg.encode import feature_width
-from rhetseg.roles import ROLE_NAMES
+from rhetseg.errors import DataError
+from rhetseg.roles import ROLE_NAMES, RhetoricalRole
 from rhetseg.synth import generate_corpus
 from rhetseg.train import (
     TrainConfig,
@@ -72,24 +75,25 @@ def write_checkpoint(path, header, tensors) -> None:
             fh.write(values if isinstance(values, bytes) else np.asarray(values, "<f8").tobytes())
 
 
+def config_echo(cfg) -> dict:
+    """cfg's fields as JSON values: the window as a list, and class weights
+    keyed by role id."""
+    echo = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    echo["window"] = list(cfg.window)
+    if cfg.class_weights is not None:
+        echo["class_weights"] = {str(int(RhetoricalRole.parse(k))): w for k, w in cfg.class_weights.items()}
+    return echo
+
+
 def header_dict(bundle) -> dict:
     """The header the writer should give bundle, built field by field."""
     return {
-        "format_version": 3,
+        "format_version": 4,
         "kind": "rhetseg-checkpoint",
-        "encoder": bundle.encoder_spec,
-        "feature": {
-            "window": list(bundle.window),
-            "positional": bundle.positional,
-            "sin_dim": bundle.sin_dim,
-            "label_mode": bundle.label_mode,
-        },
-        "context": {"kind": bundle.context_kind, "sim_threshold": bundle.gcn_sim_threshold},
-        "head": {"kind": bundle.head_kind},
         "labels": list(ROLE_NAMES),
-        "dims": {"feat_dim": bundle.feat_dim, "context_dim": bundle.context_dim},
+        "encoder": bundle.encoder_spec,
+        "config": config_echo(bundle.cfg),
         "tensors": [[name, list(tensor.shape)] for name, tensor in bundle.parameter_blocks().items()],
-        "config": bundle.config_echo,
     }
 
 
@@ -99,11 +103,17 @@ def expected_bytes(bundle) -> bytes:
     return json.dumps(header_dict(bundle), sort_keys=True).encode("utf-8") + b"\n" + bundle.flat.astype("<f8").tobytes()
 
 
+# Class weights of the softmax models, keyed every way TrainConfig accepts
+# (role, name, id), two of them at values whose repr needs 17 digits or an
+# exponent.
+CLASS_WEIGHTS = {RhetoricalRole.FACTS: 1 / 3, "Issue": 2.5e-300, 0: 7.0, RhetoricalRole.DECISION: 0.1 + 0.2}
+
+
 @pytest.mark.parametrize("mtl", [True, False])
 @pytest.mark.parametrize("head", ["crf", "softmax"])
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_save_bytes_equal_json_dump(tmp_path, kind, head, mtl):
-    bundle = model(kind, head, mtl)
+    bundle = model(kind, head, mtl, **({"class_weights": CLASS_WEIGHTS} if head == "softmax" else {}))
     rng = np.random.default_rng(3)
     n = bundle.flat.size
     bundle.flat[:] = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
@@ -114,6 +124,10 @@ def test_save_bytes_equal_json_dump(tmp_path, kind, head, mtl):
     loaded = load_checkpoint(path)
     assert bundles_equal(bundle, loaded)
     assert loaded.flat.tobytes() == bundle.flat.tobytes()
+    if head == "softmax":
+        assert loaded.cfg.class_weights == {RhetoricalRole.parse(k): w for k, w in CLASS_WEIGHTS.items()}
+        assert read_checkpoint(path)[0]["config"]["class_weights"] == {"1": 1 / 3, "2": 2.5e-300, "0": 7.0,
+                                                                        "6": 0.1 + 0.2}
     again = tmp_path / "again.json"
     save_checkpoint(loaded, again)
     assert again.read_bytes() == path.read_bytes()
@@ -227,14 +241,13 @@ def _version(number, tensor_entry):
     return damage
 
 
-def _widen_encoder(dim):
-    """Set encoder.dim, and feat_dim to match it, leaving every tensor as it is."""
-    def damage(h, t):
-        f = h["feature"]
-        h["encoder"]["dim"] = dim
-        h["dims"]["feat_dim"] = feature_width(dim, tuple(f["window"]), f["positional"], f["sin_dim"],
-                                              f["label_mode"] != "off")
-    return damage
+def _version3(h, t):
+    """The header as version 3 wrote it: the settings in feature, context,
+    head and dims sections next to the config echo."""
+    c = h["config"]
+    h.update(format_version=3, feature={k: c[k] for k in ("window", "positional", "sin_dim", "label_mode")},
+             context={"kind": c["context_kind"], "sim_threshold": c["gcn_sim_threshold"]},
+             head={"kind": c["head"]}, dims={"feat_dim": 25, "context_dim": 6})
 
 
 def _keep(h, t):
@@ -266,24 +279,48 @@ MALFORMED = {
                             "tensor 9 is listed as ['shift.b', [1]], expected None"),
     "tensor of the wrong shape": ("gcn_crf", "predict", _relist("gcn.W2", [25]), None,
                                   "tensor 1 is listed as ['gcn.W2', [25]], expected ['gcn.W2', [5, 5]]"),
-    "encoder dim 10**12": ("bilstm_crf", "predict", _widen_encoder(10**12), None,  # 349 TiB if allocated first
+    "encoder dim 10**12": ("bilstm_crf", "predict", _set("encoder", "dim", 10**12), None,  # 349 TiB if allocated
                            "tensor 0 is listed as ['bilstm.fwd.Wx', [12, 25]], "
                            "expected ['bilstm.fwd.Wx', [12, 2000000000009]]"),
     "whole version-1 file": ("gcn_crf", "predict", _version(1, np.ndarray.tolist), None,
-                             "unsupported version 1, expected 3"),
+                             "unsupported version 1, expected 4"),
     "whole version-2 file": ("bilstm_crf", "predict",
                              _version(2, lambda a: base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")), None,
-                             "unsupported version 2, expected 3"),
-    "window not a list": ("bilstm_crf", "predict", _set("feature", "window", 3), None,
-                          "feature.window has an invalid value"),
-    "missing sin_dim": ("bilstm_crf", "predict", _drop("feature", "sin_dim"), None, "feature is missing 'sin_dim'"),
-    "unknown label_mode": ("bilstm_crf", "predict", _set("feature", "label_mode", "weird"), None,
-                           "feature.label_mode has an invalid value"),
+                             "unsupported version 2, expected 4"),
+    "whole version-3 file": ("bilstm_crf", "predict", _version3, None, "unsupported version 3, expected 4"),
+    "window not a list": ("bilstm_crf", "predict", _set("config", "window", 3), None,
+                          "config.window has an invalid value"),
+    "window of strings": ("bilstm_crf", "predict", _set("config", "window", ["i-1", "i"]), None,
+                          "config.window has an invalid value"),
+    "missing sin_dim": ("bilstm_crf", "predict", _drop("config", "sin_dim"), None, "config is missing 'sin_dim'"),
+    "missing mtl": ("gcn_crf", "predict", _drop("config", "mtl"), None, "config is missing 'mtl'"),
+    "unknown config key": ("attention_softmax", "predict", _set("config", "dropout", 0.1), None,
+                           "config has unknown key 'dropout'"),
+    "missing config": ("bilstm_crf", "predict", lambda h, t: h.pop("config"), None,
+                       "entry 'config' is missing or not an object"),
+    "config not an object": ("gcn_crf", "predict", lambda h, t: h.__setitem__("config", [1]), None,
+                             "entry 'config' is missing or not an object"),
+    "unknown label_mode": ("bilstm_crf", "predict", _set("config", "label_mode", "weird"), None,
+                           "config: unknown label mode 'weird'"),
+    "lstm_hidden true": ("bilstm_crf", "predict", _set("config", "lstm_hidden", True), None,
+                         "config.lstm_hidden has an invalid value"),
+    "adam_eps NaN": ("bilstm_crf", "predict", _set("config", "adam_eps", float("nan")), None,
+                     "config: adam eps must be positive and finite, got nan"),
+    "learning rate 10**400": ("gcn_crf", "predict", _set("config", "learning_rate", 10**400), None,
+                              "config: int too large to convert to float"),
+    "class weight keyed by name": ("attention_softmax", "predict", _set("config", "class_weights", {"Facts": 1.0}),
+                                   None, "config.class_weights has an invalid value"),
+    "class weights with a CRF head": ("bilstm_crf", "predict", _set("config", "class_weights", {"1": 1.0}), None,
+                                      "config: class weights apply to the softmax head only"),
+    "config of another context": ("bilstm_crf", "predict", _set("config", "context_kind", "gcn"), None,
+                                  "tensor 0 is listed as ['bilstm.fwd.Wx', [12, 25]], expected ['gcn.W1', [25, 128]]"),
+    "config without the shift head": ("bilstm_crf", "predict", _set("config", "mtl", False), None,
+                                      "tensor 11 is listed as ['shift.w', [6]], expected None"),
     "encoder dim not an int": ("bilstm_crf", "predict", _set("encoder", "dim", "x"), None,
                                "encoder.dim has an invalid value"),
     "missing encoder seed": ("bilstm_crf", "predict", _drop("encoder", "seed"), None, "encoder is missing 'seed'"),
-    "sim_threshold not a number": ("gcn_crf", "predict", _set("context", "sim_threshold", "x"), None,
-                                   "context.sim_threshold has an invalid value"),
+    "sim_threshold not a number": ("gcn_crf", "predict", _set("config", "gcn_sim_threshold", "x"), None,
+                                   "config.gcn_sim_threshold has an invalid value"),
 }
 
 
@@ -317,15 +354,15 @@ def test_undamaged_checkpoints_run(workspace):
         assert run_command("predict", root, corpus, *read_checkpoint(path))[0] == 0
 
 
-# Values no feature, encoder or tensor entry accepts: never an integer or a
-# boolean, and every string starts with "?".
-JUNK = st.one_of(
-    st.none(),
-    st.floats(),
+# Values no config field accepts: never a number, a boolean or null, every
+# string starts with "?", and so does every key of a dict. No encoder or
+# tensor entry accepts them either, nor a null or a float.
+CONFIG_JUNK = st.one_of(
     st.text(max_size=4).map(lambda s: "?" + s),
     st.lists(st.text(max_size=2).map(lambda s: "?" + s), min_size=1, max_size=3),
-    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2).map(lambda s: "?" + s), st.integers(), min_size=1, max_size=2),
 )
+JUNK = st.one_of(st.none(), st.floats(), CONFIG_JUNK)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -335,7 +372,7 @@ def test_mutated_checkpoint_exits_two_with_one_line(workspace, data):
     and the bytes, and junk replaces its list entry."""
     root, corpus, paths = workspace
     header, tensors = read_checkpoint(paths[data.draw(st.sampled_from(sorted(paths)), label="model")])
-    section = data.draw(st.sampled_from(["feature", "encoder", "tensors"]), label="section")
+    section = data.draw(st.sampled_from(["config", "encoder", "tensors"]), label="section")
     entry = tensors if section == "tensors" else header[section]
     key = data.draw(st.sampled_from(sorted(entry)), label="key")
     actions = ["delete", "junk"] + (["extra", "short", "non-finite"] if section == "tensors" else [])
@@ -346,7 +383,7 @@ def test_mutated_checkpoint_exits_two_with_one_line(workspace, data):
         if section == "tensors":
             del header["tensors"][listed.index(key)]
     elif action == "junk":
-        value = data.draw(JUNK, label="value")
+        value = data.draw(CONFIG_JUNK if section == "config" else JUNK, label="value")
         if section == "tensors":
             header["tensors"][listed.index(key)] = value
         else:
@@ -363,3 +400,27 @@ def test_mutated_checkpoint_exits_two_with_one_line(workspace, data):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_layer_count_past_the_tensor_list_is_refused_at_once(workspace):
+    """A layout of that many attention layers is never built: the tensor list
+    bounds the layer count. Unbounded, 10**5 layers take about 0.5 s and tens
+    of MB, so that count fails first and 10**12 is never tried."""
+    root, _, paths = workspace
+    header, tensors = read_checkpoint(paths["attention_softmax"])
+    path = root / "layers.json"
+    for layers in (10**5, 10**12):
+        header["config"]["attention_layers"] = layers
+        write_checkpoint(path, header, tensors)
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(DataError) as refused:
+                load_checkpoint(path)
+            seconds = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == f"checkpoint lists 12 tensors, too few for {layers} attention layers"
+        assert seconds < 1.0
+        assert peak < 2**20  # the file is 42 kB

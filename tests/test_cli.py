@@ -462,13 +462,13 @@ class TestTrainPredictEvaluate:
         assert err == "error: checkpoint tensor 'crf.T' holds a non-finite value\n"
         assert not preds.exists()
 
-    @pytest.mark.parametrize("damage", ["drop feature", "list payload", "short Wx"])
+    @pytest.mark.parametrize("damage", ["drop config", "list payload", "short Wx"])
     def test_predict_malformed_checkpoint_exits_two(self, tmp_path, capsys, damage):
         corpus = make_corpus(tmp_path)
         model, _ = train_small(tmp_path, corpus)
         header, tensors = read_checkpoint(model)
-        if damage == "drop feature":
-            del header["feature"]
+        if damage == "drop config":
+            del header["config"]
         elif damage == "list payload":
             header = [header]
         else:  # one row of the (4h, feat_dim) input weights short
@@ -654,6 +654,21 @@ class TestEmbeddingWorkflow:
                            "--embeddings", str(emb))
         assert code == 0
         assert "gradcheck,PASS" in out
+
+    @pytest.mark.parametrize("context", ["none", "bilstm", "attention", "gcn"])
+    def test_train_refuses_zero_width_embeddings(self, tmp_path, capsys, context):
+        """A dim=0 file would train a model on position features alone, which
+        the loader then refuses for its encoder width."""
+        corpus = make_corpus(tmp_path, n="6", lo="3", hi="4")
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("dim=0\n" + "".join(f"{doc.doc_id}\t{j}\t\n" for doc in load_jsonl(corpus)
+                                            for j in range(len(doc))))
+        model = tmp_path / "m.json"
+        code, out, err = run(capsys, "train", "--input", str(corpus), "--val", str(corpus), "--output", str(model),
+                             "--embeddings", str(emb), "--context", context, "--epochs", "1", "--lstm-hidden", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: embedding file header declares dim=0; vectors need at least one value\n"
+        assert not model.exists()
 
     def test_train_reads_the_embedding_file_once(self, tmp_path, capsys, monkeypatch):
         """One read serves the training and the validation corpus."""

@@ -399,8 +399,8 @@ def role_list_features(bundle, base, labels=()):
     """Reference features of one document with the previous-label block
     built from roles: row j's previous label is labels[j-1], None past the
     end of labels, and the one-hot is filled one row at a time."""
-    X = featurize(base, bundle.window, bundle.positional, bundle.sin_dim, None)
-    if bundle.label_mode == "off":
+    X = featurize(base, bundle.cfg.window, bundle.cfg.positional, bundle.cfg.sin_dim, None)
+    if bundle.cfg.label_mode == "off":
         return X
     m = base.shape[0]
     prevs = ([None] + list(labels))[:m]
@@ -433,8 +433,8 @@ class TestLabelFeature:
         for bit, with gold labels and at the free-running start."""
         rng = np.random.default_rng(zlib.crc32(repr((window, positional)).encode()))
         for label_mode in ("off", "gold"):
-            bundle = types.SimpleNamespace(window=WINDOW_SPECS[window], positional=positional, sin_dim=4,
-                                           label_mode=label_mode)
+            bundle = types.SimpleNamespace(cfg=train_mod.TrainConfig(window=WINDOW_SPECS[window], positional=positional,
+                                                                     sin_dim=4, label_mode=label_mode))
             for m in (1, 2, 3, 8, 25):
                 base = rng.normal(size=(m, 5))
                 y = rng.integers(0, NUM_ROLES, size=m)

@@ -144,15 +144,15 @@ def row_decode(bundle, base):
     scores and the features with the labels committed."""
     m = base.shape[0]
     X = train_mod._features(bundle, base)
-    kind = bundle.context_kind
+    kind = bundle.cfg.context_kind
     row = (lambda j, x: x) if kind == "none" else ROWS[kind](X, bundle.params[train_mod._CONTEXT_BLOCK[kind]]).row
-    head = bundle.params[bundle.head_kind]
+    head = bundle.params[bundle.cfg.head]
     preds = []
     scores = np.empty((m, NUM_ROLES))
     for j in range(m):
         if j > 0:
             X[j, preds[-1] - NUM_ROLES] = 1.0
-        scores[j] = step_score(bundle.head_kind, head, row(j, X[j]), j, m, preds)
+        scores[j] = step_score(bundle.cfg.head, head, row(j, X[j]), j, m, preds)
         preds.append(int(np.argmax(scores[j])))
     return preds, scores, X
 
@@ -166,7 +166,7 @@ def reencode_one(bundle, base):
     scores = np.empty((m, NUM_ROLES))
     for j in range(m):
         H, _ = train_mod._context_forward(bundle, role_list_features(bundle, base, preds))
-        scores[j] = step_score(bundle.head_kind, bundle.params[bundle.head_kind], H[j], j, m, preds)
+        scores[j] = step_score(bundle.cfg.head, bundle.params[bundle.cfg.head], H[j], j, m, preds)
         preds.append(int(np.argmax(scores[j])))
     return preds, scores, role_list_features(bundle, base, preds)
 

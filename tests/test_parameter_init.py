@@ -23,7 +23,7 @@ from rhetseg.train import (
     build_model,
     init_parameters,
     layout_size,
-    parameter_layout,
+    model_layout,
 )
 
 SPEC = {"kind": "hash", "dim": 12, "ngram_orders": [1], "seed": 0, "signed": True}
@@ -38,12 +38,13 @@ def draw_params(kind, rng, width, hidden=4, layers=1):
     part alone. hidden is the LSTM or GCN width."""
     head = kind in HEADS
     context, head_kind = ("none", kind) if head else (kind, "crf")
-    context_dim = {"bilstm": 2 * hidden, "gcn": hidden}.get(kind, width)
-    layout = parameter_layout(context, head_kind, width, context_dim, layers, False)
+    cfg = TrainConfig(context_kind=context, head=head_kind, positional="none", mtl=False, lstm_hidden=hidden,
+                      gcn_hidden=hidden, attention_layers=layers)
+    _, _, layout = model_layout(cfg, width)  # window (0,) and no position or label features: feat_dim is width
     own = {name: spec for name, spec in layout.items() if head or not name.startswith("crf.")}
     flat = np.zeros(layout_size(layout))
     flat[: layout_size(own)] = init_parameters(own, rng)  # a context's entries lead the layout
-    bundle = ModelBundle({}, (0,), "none", 0, "off", context, None, head_kind, width, context_dim, layout, flat)
+    bundle = ModelBundle(cfg, {"kind": "precomputed", "dim": width}, flat)
     return bundle.params[kind if head else _CONTEXT_BLOCK[kind]]
 
 

@@ -407,8 +407,7 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert bundles_equal(bundle, loaded)
         assert loaded.encoder_spec == bundle.encoder_spec
-        assert loaded.window == bundle.window
-        assert loaded.config_echo == bundle.config_echo
+        assert loaded.cfg == bundle.cfg
 
     def test_round_trip_preserves_predictions(self, tmp_path):
         train, val, test = small_data()
@@ -504,7 +503,7 @@ class TestCheckpoint:
         write_checkpoint(path, header, tensors)
         with pytest.raises(DataError, match="version"):
             load_checkpoint(path)
-        header["format_version"] = 3
+        header["format_version"] = 4
         header["labels"] = ["A", "B"]
         write_checkpoint(path, header, tensors)
         with pytest.raises(DataError, match="label set"):
@@ -517,7 +516,7 @@ class TestCheckpoint:
             with pytest.raises(DataError, match="not a model checkpoint"):
                 load_checkpoint(path)
 
-    @pytest.mark.parametrize("entry", ["encoder", "feature", "context", "head", "dims", "tensors"])
+    @pytest.mark.parametrize("entry", ["encoder", "config", "tensors"])
     def test_rejects_missing_entry(self, tmp_path, entry):
         """Every entry is an object but "tensors", the list of [name, shape] pairs."""
         bundle, path = self.trained(tmp_path)
@@ -552,9 +551,11 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_rejects_inconsistent_dims(self, tmp_path):
+        """A config whose context width differs from the one the tensors were stored at."""
         bundle, path = self.trained(tmp_path)
         header, tensors = read_checkpoint(path)
-        header["dims"]["context_dim"] = 99
+        header["config"]["lstm_hidden"] = 99
         write_checkpoint(path, header, tensors)
-        with pytest.raises(DataError, match="inconsistent"):
+        with pytest.raises(DataError, match=r"tensor 0 is listed as \['bilstm.fwd.Wx', \[32, 34\]\], "
+                                            r"expected \['bilstm.fwd.Wx', \[396, 34\]\]"):
             load_checkpoint(path)
