@@ -4,13 +4,13 @@ trees can be shown to produce the same bytes.
 
 --out DIR synthesizes fixed corpora into DIR/data/, with `stats` of each,
 a `split`, an `ingest` of fixed text files and an `export-instructions`.
-Then, for each of thirteen train configurations, it writes into
+Then, for each of fourteen train configurations, it writes into
 DIR/<configuration>/ the checkpoint, the digest of the model it loads to
 (params.sha256), the report CSV, train's stdout, the `predict` output and
 stdout in free-running and teacher-forced mode on a corpus of short documents
 and on one of long documents, `evaluate`'s CSV report, confusion grid,
 markdown report (without None) and stdout for each prediction, and
-gradcheck's stdout: 461 files in all. params.sha256 reads the checkpoint
+gradcheck's stdout: 494 files in all. params.sha256 reads the checkpoint
 through the public loader only, so a change of checkpoint format that keeps
 the model changes model.json and leaves params.sha256 as it is. It prints one
 SHA-256 per file, as `sha256sum` does. Every command runs in-process through rhetseg.cli.main
@@ -87,8 +87,11 @@ CONFIGURATIONS = {
                                  "--lambda", "0"),
     "gold-window-sinusoidal": ("--label-mode", "gold", "--window", "i-2:i-1:i", "--positional", "sinusoidal"),
     "short-docs": (),
+    "short-window-sinusoidal-predicted": ("--window", "i-1:i:i+1", "--positional", "sinusoidal",
+                                          "--label-mode", "predicted"),
 }
-TRAIN_CORPUS = {"short-docs": "short"}
+# On the "short" corpus, the windows of training and of free-running decoding are wider than the document.
+TRAIN_CORPUS = {"short-docs": "short", "short-window-sinusoidal-predicted": "short"}
 
 
 def run(out_file: Path, *argv) -> None:

@@ -356,7 +356,10 @@ def _make_predict_encoder(args, bundle, corpus):
         if not args.embeddings:
             raise DataError("model uses precomputed embeddings; pass --embeddings")
         matrices = load_embeddings(args.embeddings, corpus)
-        return PrecomputedEncoder(matrices, bundle.encoder_spec["dim"])
+        width, dim = next(iter(matrices.values())).shape[1], bundle.encoder_spec["dim"]
+        if width != dim:
+            raise DataError(f"embedding file has width {width}, but the model was trained on width {dim}")
+        return PrecomputedEncoder(matrices, dim)
     return bundle.make_encoder()
 
 

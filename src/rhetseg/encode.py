@@ -221,59 +221,28 @@ def parse_window_spec(spec: str) -> tuple[int, ...]:
     return WINDOW_SPECS[spec]
 
 
-def validate_offsets(offsets: tuple[int, ...]) -> None:
+def feature_width(
+    base_dim: int, offsets: tuple[int, ...], positional: str, sin_dim: int, with_labels: bool
+) -> int:
+    """Columns of a featurized document; checks the offsets, the positional mode and sin_dim."""
     if 0 not in offsets:
         raise DataError(f"window offsets must contain 0, got {offsets}")
     if list(offsets) != sorted(set(offsets)):
         raise DataError(f"window offsets must be strictly increasing, got {offsets}")
     if not set(offsets) <= {-2, -1, 0, 1}:
         raise DataError(f"window offsets must come from {{-2,-1,0,+1}}, got {offsets}")
-
-
-def window_features(M: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
-    """Concatenate rows j+o for each offset o; out-of-range rows are zero."""
-    validate_offsets(offsets)
-    m, d = M.shape
-    out = np.zeros((m, d * len(offsets)))
-    for k, off in enumerate(offsets):
-        lo = max(0, -off)
-        hi = min(m, m - off)
-        if lo < hi:
-            out[lo:hi, k * d : (k + 1) * d] = M[lo + off : hi + off]
-    return out
-
-
-def label_feature(M: np.ndarray, labels_prev: np.ndarray) -> np.ndarray:
-    """Append a 7-wide one-hot of each row's previous-label id (zeros for -1, no label)."""
-    m = M.shape[0]
-    if len(labels_prev) != m:
-        raise DataError(f"labels_prev has length {len(labels_prev)}, expected {m}")
-    return np.hstack([M, np.arange(NUM_ROLES) == labels_prev[:, None]])
-
-
-def positional_features(M: np.ndarray, mode: str, sin_dim: int = 8) -> np.ndarray:
-    """Append position features per row.
-
-    normalized: [(j+1)/m, 1/m], carrying both relative position and total
-    document length. sinusoidal: interleaved sin/cos of the raw position j
-    with frequency base 10000.
-    """
-    m = M.shape[0]
-    if mode == "normalized":
-        j = np.arange(1, m + 1)[:, None] / m
-        inv = np.full((m, 1), 1.0 / m)
-        return np.hstack([M, j, inv])
-    if mode == "sinusoidal":
+    width = base_dim * len(offsets)
+    if positional == "normalized":
+        width += 2
+    elif positional == "sinusoidal":
         if sin_dim < 2 or sin_dim % 2 != 0:
             raise DataError(f"sin_dim must be even and >= 2, got {sin_dim}")
-        pos = np.arange(m)[:, None]
-        freq_idx = np.arange(sin_dim // 2)[None, :]
-        angle = pos / np.power(10000.0, 2.0 * freq_idx / sin_dim)
-        block = np.empty((m, sin_dim))
-        block[:, 0::2] = np.sin(angle)
-        block[:, 1::2] = np.cos(angle)
-        return np.hstack([M, block])
-    raise DataError(f"unknown positional mode {mode!r}")
+        width += sin_dim
+    elif positional != "none":
+        raise DataError(f"unknown positional mode {positional!r}")
+    if with_labels:
+        width += NUM_ROLES
+    return width
 
 
 def featurize(
@@ -283,27 +252,36 @@ def featurize(
     sin_dim: int,
     labels_prev: np.ndarray | None,
 ) -> np.ndarray:
-    """Window, then positional, then previous-label block. Widths compose additively."""
-    X = window_features(base, offsets)
-    if positional != "none":
-        X = positional_features(X, positional, sin_dim)
-    if labels_prev is not None:
-        X = label_feature(X, labels_prev)
-    if not np.all(np.isfinite(X)):
+    """Features of one document, one row per sentence, filled into one array.
+
+    Columns, in order: a window block per offset o, holding row j+o of base
+    (zero where j+o is out of range); the position columns, [(j+1)/m, 1/m]
+    when normalized, or interleaved sin/cos of the raw position j with
+    frequency base 10000 when sinusoidal; then, when labels_prev is given,
+    the previous-label block, always the last NUM_ROLES columns: the one-hot
+    of each row's previous-label id, zeros for -1 (no label). Free-running
+    decoding writes that block in place and reads it back by that position.
+    """
+    m, d = base.shape
+    width = feature_width(d, offsets, positional, sin_dim, labels_prev is not None)
+    if labels_prev is not None and len(labels_prev) != m:
+        raise DataError(f"labels_prev has length {len(labels_prev)}, expected {m}")
+    if not np.all(np.isfinite(base)):  # every row of base lands in the offset-0 block
         raise DataError("non-finite value in feature matrix")
-    return X
-
-
-def feature_width(
-    base_dim: int, offsets: tuple[int, ...], positional: str, sin_dim: int, with_labels: bool
-) -> int:
-    width = base_dim * len(offsets)
+    X = np.zeros((m, width))
+    for k, off in enumerate(offsets):
+        lo, hi = max(0, -off), min(m, m - off)
+        if lo < hi:
+            X[lo:hi, k * d : (k + 1) * d] = base[lo + off : hi + off]
+    c = d * len(offsets)
     if positional == "normalized":
-        width += 2
+        X[:, c] = np.arange(1, m + 1) / m
+        X[:, c + 1] = 1.0 / m
     elif positional == "sinusoidal":
-        width += sin_dim
-    elif positional != "none":
-        raise DataError(f"unknown positional mode {positional!r}")
-    if with_labels:
-        width += NUM_ROLES
-    return width
+        angle = np.arange(m)[:, None] / np.power(10000.0, 2.0 * np.arange(sin_dim // 2) / sin_dim)
+        X[:, c : c + sin_dim : 2] = np.sin(angle)
+        X[:, c + 1 : c + sin_dim : 2] = np.cos(angle)
+    if labels_prev is not None:
+        rows = np.flatnonzero(labels_prev >= 0)
+        X[rows, width - NUM_ROLES + labels_prev[rows]] = 1.0
+    return X

@@ -31,7 +31,7 @@ import numpy as np
 from . import context as ctx
 from . import crf as crf_mod
 from .corpus import Corpus, Document, label_shift_sequence
-from .encode import HashEncoderConfig, HashingEncoder, featurize, feature_width, validate_offsets
+from .encode import HashEncoderConfig, HashingEncoder, featurize, feature_width
 from .errors import DataError, NumericError
 from .metrics import confusion, macro_prf
 from .roles import NUM_ROLES, ROLE_NAMES, RhetoricalRole
@@ -108,9 +108,7 @@ class TrainConfig:
         if self.gcn_sim_threshold is not None and not math.isfinite(self.gcn_sim_threshold):
             raise DataError(f"gcn similarity threshold must be finite, got {self.gcn_sim_threshold}")
         self.window = tuple(self.window)
-        validate_offsets(self.window)
-        if self.positional == "sinusoidal" and (self.sin_dim < 2 or self.sin_dim % 2):
-            raise DataError(f"sin_dim must be even and >= 2, got {self.sin_dim}")
+        feature_width(0, self.window, self.positional, self.sin_dim, False)  # checks the window and sin_dim
         if self.class_weights is not None:
             if self.head != "softmax":
                 raise DataError("class weights apply to the softmax head only")
@@ -246,8 +244,9 @@ class ModelBundle:
     name, then by the rest of the name: params["crf"]["T"] is "crf.T" and
     params["attn"]["layer0.Q"] is "attn.layer0.Q". A model has a "shift"
     block only with the shift head. `grad` and `grads` hold the gradient in
-    the same way; backward passes write it. They are built on first use, so
-    a model loaded only to predict has none."""
+    the same way; backward passes write it. `params`, `grad` and `grads` are
+    built on first use, so a model loaded only to predict has no gradient,
+    and the loader can check the layout before it sets `flat`."""
 
     cfg: TrainConfig
     encoder_spec: dict
@@ -255,11 +254,13 @@ class ModelBundle:
     feat_dim: int = field(init=False)
     context_dim: int = field(init=False)
     layout: dict[str, ParamSpec] = field(init=False, repr=False)
-    params: dict[str, dict[str, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.feat_dim, self.context_dim, self.layout = model_layout(self.cfg, self.encoder_spec["dim"])
-        self.params = _blocks(self.flat, self.layout)
+
+    @functools.cached_property
+    def params(self) -> dict[str, dict[str, np.ndarray]]:
+        return _blocks(self.flat, self.layout)
 
     @functools.cached_property
     def grad(self) -> np.ndarray:
@@ -929,20 +930,21 @@ def load_checkpoint(path) -> ModelBundle:
         raise DataError(f"checkpoint config: {exc}") from None
     if cfg.context_kind == "attention" and 4 * cfg.attention_layers > len(tensors):  # before building their layout
         raise DataError(f"checkpoint lists {len(tensors)} tensors, too few for {cfg.attention_layers} attention layers")
-    _, _, layout = model_layout(cfg, encoder["dim"])
-    wanted = [[name, list(spec.shape)] for name, spec in layout.items()]
+    payload = len(data) - cut - 1
+    # the bundle first views the file's bytes, so its layout is checked
+    # before a vector is allocated, and that vector never holds more than the file does
+    bundle = ModelBundle(cfg, encoder, np.frombuffer(data, "<f8", payload // 8, cut + 1))
+    wanted = [[name, list(spec.shape)] for name, spec in bundle.layout.items()]
     for i, (got, want) in enumerate(itertools.zip_longest(tensors, wanted)):
         if got != want:
             raise DataError(f"checkpoint tensor {i} is listed as {got!r}, expected {want!r}")
     if cut < 0:
         raise DataError("checkpoint has no newline after its header")
-    # the byte count is checked before the vector is allocated, so that it
-    # never holds more than the file does
-    size = layout_size(layout)
-    if len(data) - cut - 1 != 8 * size:
-        raise DataError(f"checkpoint holds {len(data) - cut - 1} parameter bytes, expected {8 * size}")
-    flat = np.frombuffer(data, "<f8", size, cut + 1).copy()
-    if not np.isfinite(flat).all():
-        name = next(name for name, view in _views(flat, layout).items() if not np.isfinite(view).all())
+    size = layout_size(bundle.layout)
+    if payload != 8 * size:
+        raise DataError(f"checkpoint holds {payload} parameter bytes, expected {8 * size}")
+    bundle.flat = bundle.flat.copy()
+    if not np.isfinite(bundle.flat).all():
+        name = next(name for name, view in bundle.parameter_blocks().items() if not np.isfinite(view).all())
         raise DataError(f"checkpoint tensor {name!r} holds a non-finite value")
-    return ModelBundle(cfg, encoder, flat)
+    return bundle

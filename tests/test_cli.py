@@ -609,16 +609,16 @@ class TestExportInstructions:
         assert code == 2
 
 
-def write_embeddings(path, corpus):
-    """A dim=16 embedding file with a random row for every sentence."""
+def write_embeddings(path, corpus, dim=16):
+    """An embedding file with a random row of width dim for every sentence."""
     import numpy as np
 
     rng = np.random.default_rng(0)
     with open(path, "w") as fh:
-        fh.write("dim=16\n")
+        fh.write(f"dim={dim}\n")
         for doc in corpus:
             for j in range(len(doc)):
-                vec = " ".join(f"{v:.6f}" for v in rng.normal(size=16))
+                vec = " ".join(f"{v:.6f}" for v in rng.normal(size=dim))
                 fh.write(f"{doc.doc_id}\t{j}\t{vec}\n")
 
 
@@ -669,6 +669,24 @@ class TestEmbeddingWorkflow:
         assert (code, out) == (2, "")
         assert err == "error: embedding file header declares dim=0; vectors need at least one value\n"
         assert not model.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "gradcheck"])
+    def test_embedding_width_must_match_the_model(self, tmp_path, capsys, command):
+        """A model trained on width-16 vectors, given a width-8 file."""
+        corpus = make_corpus(tmp_path, n="6", lo="3", hi="4")
+        emb, narrow = tmp_path / "emb.tsv", tmp_path / "narrow.tsv"
+        write_embeddings(emb, load_jsonl(corpus))
+        write_embeddings(narrow, load_jsonl(corpus), dim=8)
+        model = tmp_path / "m.json"
+        code, _, _ = run(capsys, "train", "--input", str(corpus), "--val", str(corpus), "--output", str(model),
+                         "--embeddings", str(emb), "--epochs", "1", "--lstm-hidden", "2")
+        assert code == 0
+        argv = {"predict": ("--output", str(tmp_path / "p.jsonl")), "gradcheck": ()}[command]
+        code, out, err = run(capsys, command, "--input", str(corpus), "--model", str(model),
+                             "--embeddings", str(narrow), *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: embedding file has width 8, but the model was trained on width 16\n"
+        assert not (tmp_path / "p.jsonl").exists()
 
     def test_train_reads_the_embedding_file_once(self, tmp_path, capsys, monkeypatch):
         """One read serves the training and the validation corpus."""

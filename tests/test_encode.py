@@ -20,12 +20,9 @@ from rhetseg.encode import (
     PrecomputedEncoder,
     feature_width,
     featurize,
-    label_feature,
     load_embeddings,
     parse_window_spec,
-    positional_features,
     tokenize,
-    window_features,
 )
 from rhetseg.errors import DataError
 from rhetseg.roles import NUM_ROLES, RhetoricalRole
@@ -322,6 +319,11 @@ class TestLoadEmbeddings:
             load_embeddings(path, self.corpus())
 
 
+def only(base, offsets=(0,), positional="none", sin_dim=8, labels_prev=None):
+    """featurize with the window (0,) and no position or label block unless given."""
+    return featurize(base, offsets, positional, sin_dim, labels_prev)
+
+
 class TestWindow:
     def test_known_specs(self):
         assert parse_window_spec("i") == (0,)
@@ -332,11 +334,11 @@ class TestWindow:
 
     def test_identity_window(self):
         M = np.arange(6, dtype=float).reshape(3, 2)
-        np.testing.assert_array_equal(window_features(M, (0,)), M)
+        np.testing.assert_array_equal(only(M), M)
 
     def test_padding_at_edges(self):
         M = np.array([[1.0], [2.0], [3.0]])
-        out = window_features(M, (-1, 0, 1))
+        out = only(M, (-1, 0, 1))
         want = np.array([
             [0.0, 1.0, 2.0],
             [1.0, 2.0, 3.0],
@@ -346,7 +348,7 @@ class TestWindow:
 
     def test_two_back_window(self):
         M = np.array([[1.0], [2.0], [3.0], [4.0]])
-        out = window_features(M, (-2, -1, 0))
+        out = only(M, (-2, -1, 0))
         want = np.array([
             [0.0, 0.0, 1.0],
             [0.0, 1.0, 2.0],
@@ -357,31 +359,31 @@ class TestWindow:
 
     def test_offsets_validated(self):
         M = np.zeros((2, 1))
-        with pytest.raises(DataError):
-            window_features(M, (-1,))
-        with pytest.raises(DataError):
-            window_features(M, (0, -1))
-        with pytest.raises(DataError):
-            window_features(M, (0, 2))
+        for offsets, message in (((-1,), "must contain 0"), ((0, -1), "strictly increasing"),
+                                 ((0, 2), "must come from")):
+            with pytest.raises(DataError, match=message):
+                only(M, offsets)
+            with pytest.raises(DataError, match=message):
+                train_mod.TrainConfig(window=offsets)
 
 
 class TestPositional:
     def test_normalized_values(self):
         M = np.zeros((4, 1))
-        out = positional_features(M, "normalized")
+        out = only(M, positional="normalized")
         np.testing.assert_allclose(out[:, 1], [0.25, 0.5, 0.75, 1.0])
         np.testing.assert_allclose(out[:, 2], [0.25, 0.25, 0.25, 0.25])
 
     def test_normalized_single_sentence(self):
-        out = positional_features(np.zeros((1, 2)), "normalized")
+        out = only(np.zeros((1, 2)), positional="normalized")
         np.testing.assert_allclose(out[0, 2:], [1.0, 1.0])
 
     def test_sinusoidal_position_zero(self):
-        out = positional_features(np.zeros((3, 1)), "sinusoidal", sin_dim=6)
+        out = only(np.zeros((3, 1)), positional="sinusoidal", sin_dim=6)
         np.testing.assert_allclose(out[0, 1:], [0, 1, 0, 1, 0, 1], atol=1e-15)
 
     def test_sinusoidal_matches_definition(self):
-        out = positional_features(np.zeros((5, 0)), "sinusoidal", sin_dim=4)
+        out = only(np.zeros((5, 0)), positional="sinusoidal", sin_dim=4)
         for j in range(5):
             for k in range(2):
                 angle = j / 10000.0 ** (2 * k / 4)
@@ -389,10 +391,14 @@ class TestPositional:
                 assert out[j, 2 * k + 1] == pytest.approx(np.cos(angle))
 
     def test_sin_dim_validated(self):
-        with pytest.raises(DataError):
-            positional_features(np.zeros((2, 1)), "sinusoidal", sin_dim=5)
-        with pytest.raises(DataError):
-            positional_features(np.zeros((2, 1)), "nowhere")
+        with pytest.raises(DataError, match="sin_dim must be even and >= 2, got 5"):
+            only(np.zeros((2, 1)), positional="sinusoidal", sin_dim=5)
+        with pytest.raises(DataError, match="sin_dim must be even and >= 2, got 5"):
+            train_mod.TrainConfig(positional="sinusoidal", sin_dim=5)
+        with pytest.raises(DataError, match="unknown positional mode 'nowhere'"):
+            only(np.zeros((2, 1)), positional="nowhere")
+        with pytest.raises(DataError, match="unknown positional mode 'nowhere'"):
+            train_mod.TrainConfig(positional="nowhere")
 
 
 def role_list_features(bundle, base, labels=()):
@@ -415,7 +421,7 @@ def role_list_features(bundle, base, labels=()):
 class TestLabelFeature:
     def test_one_hot_blocks(self):
         M = np.zeros((3, 2))
-        out = label_feature(M, np.array([-1, RhetoricalRole.FACTS, RhetoricalRole.DECISION]))
+        out = only(M, labels_prev=np.array([-1, RhetoricalRole.FACTS, RhetoricalRole.DECISION]))
         assert out.shape == (3, 9)
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out[0, 2:], np.zeros(7))
@@ -424,7 +430,7 @@ class TestLabelFeature:
 
     def test_length_checked(self):
         with pytest.raises(DataError, match="labels_prev has length 2, expected 3"):
-            label_feature(np.zeros((3, 2)), np.array([-1, -1]))
+            only(np.zeros((3, 2)), labels_prev=np.array([-1, -1]))
 
     @pytest.mark.parametrize("positional", ["none", "normalized", "sinusoidal"])
     @pytest.mark.parametrize("window", list(WINDOW_SPECS))
