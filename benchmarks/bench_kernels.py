@@ -54,7 +54,7 @@ K = 7
 BATCH_SIZES = (1, 64)
 BATCH_LEN = 14
 FEAT_DIM = 130  # 128 hashed buckets plus 2 normalized-position columns
-HASH_SPEC = {"kind": "hash", "dim": FEAT_DIM - 2, "ngram_orders": [1, 2], "seed": 0, "signed": True}
+HASH_SPEC = {"kind": "hash", "dim": FEAT_DIM - 2, "ngram_orders": [1, 2], "seed": 0}
 FREE_LEN = 120
 FREE_RUNNING = {  # row label -> TrainConfig settings
     "bilstm+crf": {"context_kind": "bilstm"},

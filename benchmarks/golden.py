@@ -105,11 +105,10 @@ def run(out_file: Path, *argv) -> None:
 def params_digest(model: Path) -> str:
     """The SHA-256 of the loaded parameter vector as little-endian float64
     bytes, then the sorted-key JSON of the model's config echo, encoder spec
-    and layout (names and shapes). A bundle without a `cfg`, as checkpoint
-    format 3 loaded, holds the echo as `config_echo`."""
+    and layout (names and shapes)."""
     bundle = train.load_checkpoint(model)
     fields = {
-        "config": bundle.cfg.to_echo() if hasattr(bundle, "cfg") else bundle.config_echo,
+        "config": bundle.cfg.to_echo(),
         "encoder": bundle.encoder_spec,
         "layout": [[name, list(spec.shape)] for name, spec in bundle.layout.items()],
     }

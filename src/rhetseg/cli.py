@@ -40,6 +40,7 @@ from .metrics import compute_report, confusion, confusion_csv, emit_report
 from .roles import RhetoricalRole
 from .synth import generate_corpus
 from .train import (
+    CLASS_WEIGHTS,
     CONTEXT_KINDS,
     HEADS,
     LABEL_MODE_ALIASES,
@@ -48,7 +49,6 @@ from .train import (
     POSITIONAL_MODES,
     TrainConfig,
     gradcheck,
-    inverse_frequency_weights,
     load_checkpoint,
     predict_document,  # noqa: F401 - unused here; kept as the call site rhetbench's tracer wraps
     predict_documents,
@@ -90,7 +90,7 @@ _TRAIN_OPTIONS = {
     "--epochs": {"type": int},
     "--patience": {"type": int, "help": "early-stopping patience, 0 disables"},
     "--seed": {"type": int},
-    "--class-weights": {"choices": ("none", "auto"), "help": "auto = inverse-frequency, softmax head only"},
+    "--class-weights": {"choices": CLASS_WEIGHTS, "help": "auto = inverse-frequency, softmax head only"},
     "--lstm-hidden": {"type": int},
     "--attention-layers": {"type": int},
     "--gcn-hidden": {"type": int},
@@ -326,8 +326,6 @@ def _cmd_train(args) -> int:
         options["window"] = parse_window_spec(options["window"])
     train_corpus = load_jsonl(args.input)
     val_corpus = load_jsonl(args.val)
-    if options.pop("class_weights", None) == "auto":
-        options["class_weights"] = inverse_frequency_weights(train_corpus)
     cfg = TrainConfig(**{_TRAIN_FIELDS.get(key, key): value for key, value in options.items()})
     if args.embeddings:
         matrices = load_embeddings(args.embeddings, [*train_corpus, *val_corpus])

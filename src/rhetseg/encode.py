@@ -42,7 +42,6 @@ class HashEncoderConfig:
     dim: int = 128
     ngram_orders: tuple[int, ...] = (1, 2)
     seed: int = 0
-    signed: bool = True
 
     def __post_init__(self) -> None:
         if self.dim < 8:
@@ -72,10 +71,10 @@ class HashingEncoder:
 
     Row j is the L2-normalized sum of +-1 over sentence j's n-grams: bucket
     keyed blake2b("<order>:<tokens joined by spaces>") mod dim, negative where
-    bit 63 is set unless unsigned. A chunk is coded at once: tokens map to int
-    ids, n-grams to int64 keys (id, or (id_a + 1) << 32 | id_b), distinct keys
-    to codes 2 * bucket + (1 if negative) through a key -> code memo dict, and
-    one bincount sums the chunk, exactly: entries are integer sums of +-1."""
+    bit 63 is set. A chunk is coded at once: tokens map to int ids, n-grams to
+    int64 keys (id, or (id_a + 1) << 32 | id_b), distinct keys to codes
+    2 * bucket + (1 if negative) through a key -> code memo dict, and one
+    bincount sums the chunk, exactly: entries are integer sums of +-1."""
 
     kind = "hash"
 
@@ -123,19 +122,13 @@ class HashingEncoder:
         texts = [f"2:{names[(k >> 32) - 1]} {names[k & 0xFFFFFFFF]}" if k >> 32 else "1:" + names[k]
                  for k in keys.tolist()]
         h = _hash64(texts, self._keyed)
-        codes = (2 * (h % self.dim) + (h >> 63 if self.cfg.signed else 0)).astype(np.int64)
+        codes = (2 * (h % self.dim) + (h >> 63)).astype(np.int64)
         lasting = np.flatnonzero(((keys >> 32) <= cap) & ((keys & 0xFFFFFFFF) < cap))[: cap - len(memo)]
         memo.update(zip(keys[lasting].tolist(), codes[lasting].tolist()))
         return codes
 
     def spec(self) -> dict:
-        return {
-            "kind": "hash",
-            "dim": self.cfg.dim,
-            "ngram_orders": list(self.cfg.ngram_orders),
-            "seed": self.cfg.seed,
-            "signed": self.cfg.signed,
-        }
+        return {"kind": "hash", "dim": self.cfg.dim, "ngram_orders": list(self.cfg.ngram_orders), "seed": self.cfg.seed}
 
 
 class PrecomputedEncoder:

@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import time
+import zlib
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -36,7 +37,7 @@ from .errors import DataError, NumericError
 from .metrics import confusion, macro_prf
 from .roles import NUM_ROLES, ROLE_NAMES, RhetoricalRole
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 # The values each setting may take; the CLI, TrainConfig and the checkpoint
 # loader all read these.
@@ -44,6 +45,7 @@ HEADS = ("crf", "softmax")
 CONTEXT_KINDS = ("none", "bilstm", "attention", "gcn")
 POSITIONAL_MODES = ("none", "normalized", "sinusoidal")
 OPTIMIZERS = ("sgd", "adam")
+CLASS_WEIGHTS = ("none", "auto")  # auto: inverse-frequency weights from the training corpus
 LABEL_MODE_ALIASES = {  # accepted spelling -> label mode
     "off": "off",
     "gold": "gold",
@@ -68,10 +70,7 @@ class TrainConfig:
     epochs: int = 20
     seed: int = 0
     optimizer: str = "adam"  # sgd | adam
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    class_weights: dict | None = None  # role -> positive weight, softmax head only
+    class_weights: str = "none"  # none | auto, softmax head only
     early_stopping_patience: int = 3
     lstm_hidden: int = 32
     attention_layers: int = 1
@@ -90,6 +89,10 @@ class TrainConfig:
             raise DataError(f"unknown positional mode {self.positional!r}")
         if self.optimizer not in OPTIMIZERS:
             raise DataError(f"unknown optimizer {self.optimizer!r}")
+        if self.class_weights not in CLASS_WEIGHTS:
+            raise DataError(f"unknown class weights {self.class_weights!r}")
+        if self.class_weights != "none" and self.head != "softmax":
+            raise DataError("class weights apply to the softmax head only")
         if not 0.0 <= self.mtl_lambda <= 1.0:
             raise DataError(f"lambda must lie in [0, 1], got {self.mtl_lambda}")
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
@@ -101,29 +104,13 @@ class TrainConfig:
         for size in ("lstm_hidden", "gcn_hidden", "attention_layers"):
             if getattr(self, size) < 1:
                 raise DataError(f"{size} must be >= 1, got {getattr(self, size)}")
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
-            raise DataError(f"adam betas must lie in [0, 1), got {self.adam_beta1}, {self.adam_beta2}")
-        if not (self.adam_eps > 0 and math.isfinite(self.adam_eps)):
-            raise DataError(f"adam eps must be positive and finite, got {self.adam_eps}")
         if self.gcn_sim_threshold is not None and not math.isfinite(self.gcn_sim_threshold):
             raise DataError(f"gcn similarity threshold must be finite, got {self.gcn_sim_threshold}")
         self.window = tuple(self.window)
         feature_width(0, self.window, self.positional, self.sin_dim, False)  # checks the window and sin_dim
-        if self.class_weights is not None:
-            if self.head != "softmax":
-                raise DataError("class weights apply to the softmax head only")
-            for role, w in self.class_weights.items():
-                if not (w > 0 and math.isfinite(w)):
-                    raise DataError(f"class weight for {role} must be positive and finite")
 
     def to_echo(self) -> dict:
-        echo = dataclasses.asdict(self)
-        echo["window"] = list(self.window)
-        if self.class_weights is not None:
-            echo["class_weights"] = {
-                str(int(RhetoricalRole.parse(k))): float(v) for k, v in self.class_weights.items()
-            }
-        return echo
+        return dataclasses.asdict(self) | {"window": list(self.window)}
 
 
 @dataclass
@@ -281,9 +268,7 @@ class ModelBundle:
 
 
 def _hash_config(spec: dict) -> HashEncoderConfig:
-    return HashEncoderConfig(
-        dim=spec["dim"], ngram_orders=tuple(spec["ngram_orders"]), seed=spec["seed"], signed=spec["signed"]
-    )
+    return HashEncoderConfig(dim=spec["dim"], ngram_orders=tuple(spec["ngram_orders"]), seed=spec["seed"])
 
 
 def shift_loss(features: np.ndarray, bits: np.ndarray, p: ctx.Params, g: ctx.Params):
@@ -305,8 +290,9 @@ def shift_loss(features: np.ndarray, bits: np.ndarray, p: ctx.Params, g: ctx.Par
     return loss, np.outer(dz, w)
 
 
-def inverse_frequency_weights(corpus: Corpus) -> dict[RhetoricalRole, float]:
-    """w_r proportional to 1/count_r, normalized to mean 1 over the 7 roles.
+def inverse_frequency_weights(corpus: Corpus) -> np.ndarray:
+    """The (7,) class weights in role-id order: w_r proportional to
+    1/count_r, normalized to mean 1 over the 7 roles.
 
     Roles absent from the corpus are treated as count 1 so the weights stay
     finite.
@@ -316,24 +302,17 @@ def inverse_frequency_weights(corpus: Corpus) -> dict[RhetoricalRole, float]:
         for label in doc.labels:
             if label is not None:
                 counts[label] += 1
-    raw = {role: 1.0 / max(counts[role], 1) for role in RhetoricalRole}
-    mean = sum(raw.values()) / NUM_ROLES
-    return {role: raw[role] / mean for role in RhetoricalRole}
-
-
-def _class_weight_vector(cfg: TrainConfig) -> np.ndarray:
-    vec = np.ones(NUM_ROLES)
-    if cfg.class_weights is not None:
-        for role, w in cfg.class_weights.items():
-            vec[int(RhetoricalRole.parse(role))] = float(w)
-    return vec
+    raw = [1.0 / max(counts[role], 1) for role in RhetoricalRole]
+    mean = sum(raw) / NUM_ROLES
+    return np.array([w / mean for w in raw])
 
 
 def build_model(cfg: TrainConfig, encoder_spec: dict, rng: np.random.Generator) -> ModelBundle:
     """Assemble a fresh bundle, its parameters at their layout init rules:
     only the uniform entries draw from rng, in layout order."""
-    _, _, layout = model_layout(cfg, encoder_spec["dim"])
-    return ModelBundle(cfg, dict(encoder_spec), init_parameters(layout, rng))
+    bundle = ModelBundle(cfg, dict(encoder_spec), np.empty(0))
+    bundle.flat = init_parameters(bundle.layout, rng)
+    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +420,14 @@ class _Sgd:
 
 
 class _Adam(_Sgd):
-    """Kingma & Ba's Adam with in-place vector ops; each element sees the
-    same operations in the same order as the textbook per-tensor update."""
+    """Kingma & Ba's Adam at their suggested constants, with in-place vector
+    ops; each element sees the same operations in the same order as the
+    textbook per-tensor update."""
 
-    def __init__(self, layout: dict[str, ParamSpec], lr: float, beta1: float, beta2: float, eps: float):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, layout: dict[str, ParamSpec], lr: float):
         super().__init__(layout, lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(self.update)
         self.v = np.zeros_like(self.update)
@@ -478,7 +457,7 @@ class _Adam(_Sgd):
 def make_optimizer(cfg: TrainConfig, layout: dict[str, ParamSpec]):
     if cfg.optimizer == "sgd":
         return _Sgd(layout, cfg.learning_rate)
-    return _Adam(layout, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    return _Adam(layout, cfg.learning_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +678,7 @@ def train_model(
     base_train, base_val = ({doc.doc_id: x for _, chunk in _chunks(part.documents)  # coded a chunk at a time
                              for doc, x in zip(chunk, encoder.encode_documents(chunk))} for part in (train, val))
     bundle = build_model(cfg, encoder.spec(), rng)
-    cw = _class_weight_vector(cfg)
+    cw = inverse_frequency_weights(train) if cfg.class_weights == "auto" else np.ones(NUM_ROLES)
     lam = cfg.mtl_lambda if cfg.mtl else 0.0
     optimizer = make_optimizer(cfg, bundle.layout)
 
@@ -770,20 +749,24 @@ def train_model(
 # ---------------------------------------------------------------------------
 
 
+# Gradcheck checks a block of at most this many entries exhaustively, a
+# larger one on this many seeded sample coordinates.
+_GRADCHECK_COORDS = 60
+
+
 def gradcheck(
     bundle: ModelBundle,
     doc: Document,
     step: float = 1e-4,
     tolerance: float = 1e-3,
     encoder=None,
-    max_coords: int = 60,
 ) -> GradCheckReport:
     """Central finite differences against the analytic gradients of the
     composite loss (lambda = 0.5 when the shift head exists, else 0).
 
-    Blocks with at most max_coords entries are checked exhaustively; larger
-    ones on max_coords seeded sample coordinates. Relative error guards the
-    denominator at 1e-6 so near-zero pairs are compared absolutely."""
+    Blocks of at most _GRADCHECK_COORDS entries are checked exhaustively;
+    larger ones on that many seeded sample coordinates. Relative error guards
+    the denominator at 1e-6 so near-zero pairs are compared absolutely."""
     if not (step > 0 and math.isfinite(step)):
         raise DataError(f"finite-difference step must be positive and finite, got {step}")
     if not (tolerance >= 0 and math.isfinite(tolerance)):
@@ -805,7 +788,7 @@ def gradcheck(
     for name, tensor in bundle.parameter_blocks().items():
         flat = tensor.reshape(-1)
         size = flat.shape[0]
-        coords = np.arange(size) if size <= max_coords else rng.choice(size, max_coords, replace=False)
+        coords = np.arange(size) if size <= _GRADCHECK_COORDS else rng.choice(size, _GRADCHECK_COORDS, replace=False)
         grad_flat = analytic[name].reshape(-1)
         worst = 0.0
         for c in coords:
@@ -828,9 +811,11 @@ def gradcheck(
 
 
 def save_checkpoint(bundle: ModelBundle, path) -> None:
-    """A line of JSON with sorted keys and no timestamps, holding the settings and listing each tensor's
-    [name, shape] in layout order, then the parameter vector as little-endian float64 bytes: identical
-    bundles give identical bytes, and every value round-trips exactly."""
+    """A line of JSON with sorted keys and no timestamps, holding the settings, listing each tensor's
+    [name, shape] in layout order and giving the CRC-32 of the parameter bytes, then the parameter vector
+    as little-endian float64 bytes: identical bundles give identical bytes, and every value round-trips
+    exactly."""
+    payload = bundle.flat.astype("<f8", copy=False).tobytes()
     header = {
         "format_version": CHECKPOINT_VERSION,
         "kind": "rhetseg-checkpoint",
@@ -838,10 +823,11 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
         "encoder": bundle.encoder_spec,
         "config": bundle.cfg.to_echo(),
         "tensors": [[name, list(spec.shape)] for name, spec in bundle.layout.items()],
+        "crc32": zlib.crc32(payload),
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        fh.write(bundle.flat.astype("<f8", copy=False).tobytes())
+        fh.write(payload)
 
 
 def _is_int(value) -> bool:
@@ -864,34 +850,31 @@ def _is_like(default):
     return _is_number if type(default) is float else lambda v: type(v) is type(default)
 
 
-_ROLE_OF_ID = {str(int(role)): role for role in RhetoricalRole}  # class_weights key in the config echo -> role
-
 # Checkpoint fields: section -> key -> the values it may take, or a test of
 # its value. "hash" lists the further encoder fields of a hashing encoder.
 _FIELDS = {
     "encoder": {"kind": ("hash", "precomputed"), "dim": lambda v: _is_int(v) and v > 0},
-    "hash": {"ngram_orders": _is_int_list, "seed": lambda v: _is_int(v) and -(2**63) <= v < 2**63,
-             "signed": lambda v: type(v) is bool},
-    "config": {f.name: _is_like(f.default) for f in dataclasses.fields(TrainConfig)} | {
-        "gcn_sim_threshold": lambda v: v is None or _is_number(v),
-        "class_weights": lambda v: v is None or isinstance(v, dict) and all(
-            k in _ROLE_OF_ID and _is_number(w) for k, w in v.items()),
-    },
+    "hash": {"ngram_orders": _is_int_list, "seed": lambda v: _is_int(v) and -(2**63) <= v < 2**63},
+    "config": {f.name: _is_like(f.default) for f in dataclasses.fields(TrainConfig)}
+    | {"gcn_sim_threshold": lambda v: v is None or _is_number(v)},
 }
 
 
-def _check_fields(entry: dict, section: str) -> None:
-    name = "encoder" if section == "hash" else section
-    for key, valid in _FIELDS[section].items():
+def _check_fields(entry: dict, name: str, fields: dict) -> None:
+    """Every key of fields is in entry with a valid value, and entry has no other key."""
+    for key, valid in fields.items():
         if key not in entry:
             raise DataError(f"checkpoint {name} is missing {key!r}")
         if not (valid(entry[key]) if callable(valid) else entry[key] in valid):
             raise DataError(f"checkpoint {name}.{key} has an invalid value")
+    if entry.keys() - fields.keys():
+        raise DataError(f"checkpoint {name} has unknown key {min(entry.keys() - fields.keys())!r}")
 
 
 def load_checkpoint(path) -> ModelBundle:
     """Read a checkpoint, checking the encoder fields and the config, then the
-    tensor list and the byte count against the layout the config implies."""
+    tensor list and the byte count against the layout the config implies, then
+    the parameter bytes against their CRC-32."""
     with open(path, "rb") as fh:
         data = fh.read()
     cut = data.find(b"\n")
@@ -913,17 +896,15 @@ def load_checkpoint(path) -> ModelBundle:
     for entry in ("encoder", "config"):
         if not isinstance(header.get(entry), dict):
             raise DataError(f"checkpoint entry {entry!r} is missing or not an object")
-        _check_fields(header[entry], entry)
     if not isinstance(header.get("tensors"), list):
         raise DataError("checkpoint entry 'tensors' is missing or not a list")
+    if not _is_int(header.get("crc32")):
+        raise DataError("checkpoint entry 'crc32' is missing or not an integer")
     encoder, echo, tensors = header["encoder"], header["config"], header["tensors"]
+    _check_fields(encoder, "encoder", _FIELDS["encoder"] | (_FIELDS["hash"] if encoder.get("kind") == "hash" else {}))
+    _check_fields(echo, "config", _FIELDS["config"])
     if encoder["kind"] == "hash":
-        _check_fields(encoder, "hash")
         _hash_config(encoder)  # checks the width and the n-gram orders
-    if echo.keys() != _FIELDS["config"].keys():
-        raise DataError(f"checkpoint config has unknown key {min(echo.keys() - _FIELDS['config'].keys())!r}")
-    if echo["class_weights"] is not None:
-        echo = {**echo, "class_weights": {_ROLE_OF_ID[k]: w for k, w in echo["class_weights"].items()}}
     try:  # TrainConfig checks the values; OverflowError: an int too large for a float's check
         cfg = TrainConfig(**echo)
     except (DataError, OverflowError) as exc:
@@ -943,6 +924,8 @@ def load_checkpoint(path) -> ModelBundle:
     size = layout_size(bundle.layout)
     if payload != 8 * size:
         raise DataError(f"checkpoint holds {payload} parameter bytes, expected {8 * size}")
+    if zlib.crc32(memoryview(data)[cut + 1 :]) != header["crc32"]:
+        raise DataError("checkpoint parameter bytes do not match their CRC-32")
     bundle.flat = bundle.flat.copy()
     if not np.isfinite(bundle.flat).all():
         name = next(name for name, view in bundle.parameter_blocks().items() if not np.isfinite(view).all())

@@ -25,7 +25,7 @@ from rhetseg.train import (
 from test_encode import role_list_features
 
 BASE_DIM = 12
-SPEC = {"kind": "hash", "dim": BASE_DIM, "ngram_orders": [1, 2], "seed": 0, "signed": True}
+SPEC = {"kind": "hash", "dim": BASE_DIM, "ngram_orders": [1, 2], "seed": 0}
 
 
 def encoder():

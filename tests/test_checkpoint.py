@@ -10,6 +10,7 @@ import json
 import math
 import time
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from rhetseg.cli import main
 from rhetseg.corpus import write_jsonl
 from rhetseg.errors import DataError
-from rhetseg.roles import ROLE_NAMES, RhetoricalRole
+from rhetseg.roles import ROLE_NAMES
 from rhetseg.synth import generate_corpus
 from rhetseg.train import (
     TrainConfig,
@@ -28,7 +29,7 @@ from rhetseg.train import (
     save_checkpoint,
 )
 
-SPEC = {"kind": "hash", "dim": 8, "ngram_orders": [1, 2], "seed": 0, "signed": True}
+SPEC = {"kind": "hash", "dim": 8, "ngram_orders": [1, 2], "seed": 0}
 
 KINDS = {
     "none": dict(context_kind="none"),
@@ -67,33 +68,35 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 def write_checkpoint(path, header, tensors) -> None:
     """Write header as one JSON line, then each tensor's little-endian float64
-    bytes (or the bytes given) in dict order, without the writer. The header
-    goes out as it is, so it may list tensors the bytes do not hold."""
+    bytes (or the bytes given) in dict order, without the writer. A header's
+    "crc32", where it has one, becomes the CRC-32 of those bytes, as the
+    writer's would; the rest of the header goes out as it is, so it may list
+    tensors the bytes do not hold."""
+    payload = b"".join(v if isinstance(v, bytes) else np.asarray(v, "<f8").tobytes() for v in tensors.values())
+    if isinstance(header, dict) and "crc32" in header:
+        header = {**header, "crc32": zlib.crc32(payload)}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for values in tensors.values():
-            fh.write(values if isinstance(values, bytes) else np.asarray(values, "<f8").tobytes())
+        fh.write(payload)
 
 
 def config_echo(cfg) -> dict:
-    """cfg's fields as JSON values: the window as a list, and class weights
-    keyed by role id."""
+    """cfg's fields as JSON values: the window as a list."""
     echo = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     echo["window"] = list(cfg.window)
-    if cfg.class_weights is not None:
-        echo["class_weights"] = {str(int(RhetoricalRole.parse(k))): w for k, w in cfg.class_weights.items()}
     return echo
 
 
 def header_dict(bundle) -> dict:
     """The header the writer should give bundle, built field by field."""
     return {
-        "format_version": 4,
+        "format_version": 5,
         "kind": "rhetseg-checkpoint",
         "labels": list(ROLE_NAMES),
         "encoder": bundle.encoder_spec,
         "config": config_echo(bundle.cfg),
         "tensors": [[name, list(tensor.shape)] for name, tensor in bundle.parameter_blocks().items()],
+        "crc32": zlib.crc32(b"".join(t.astype("<f8").tobytes() for t in bundle.parameter_blocks().values())),
     }
 
 
@@ -103,17 +106,11 @@ def expected_bytes(bundle) -> bytes:
     return json.dumps(header_dict(bundle), sort_keys=True).encode("utf-8") + b"\n" + bundle.flat.astype("<f8").tobytes()
 
 
-# Class weights of the softmax models, keyed every way TrainConfig accepts
-# (role, name, id), two of them at values whose repr needs 17 digits or an
-# exponent.
-CLASS_WEIGHTS = {RhetoricalRole.FACTS: 1 / 3, "Issue": 2.5e-300, 0: 7.0, RhetoricalRole.DECISION: 0.1 + 0.2}
-
-
 @pytest.mark.parametrize("mtl", [True, False])
 @pytest.mark.parametrize("head", ["crf", "softmax"])
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_save_bytes_equal_json_dump(tmp_path, kind, head, mtl):
-    bundle = model(kind, head, mtl, **({"class_weights": CLASS_WEIGHTS} if head == "softmax" else {}))
+    bundle = model(kind, head, mtl, class_weights="auto" if head == "softmax" else "none")
     rng = np.random.default_rng(3)
     n = bundle.flat.size
     bundle.flat[:] = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
@@ -124,10 +121,8 @@ def test_save_bytes_equal_json_dump(tmp_path, kind, head, mtl):
     loaded = load_checkpoint(path)
     assert bundles_equal(bundle, loaded)
     assert loaded.flat.tobytes() == bundle.flat.tobytes()
-    if head == "softmax":
-        assert loaded.cfg.class_weights == {RhetoricalRole.parse(k): w for k, w in CLASS_WEIGHTS.items()}
-        assert read_checkpoint(path)[0]["config"]["class_weights"] == {"1": 1 / 3, "2": 2.5e-300, "0": 7.0,
-                                                                        "6": 0.1 + 0.2}
+    assert loaded.cfg == bundle.cfg
+    assert read_checkpoint(path)[0]["config"]["class_weights"] == ("auto" if head == "softmax" else "none")
     again = tmp_path / "again.json"
     save_checkpoint(loaded, again)
     assert again.read_bytes() == path.read_bytes()
@@ -250,8 +245,24 @@ def _version3(h, t):
              head={"kind": c["head"]}, dims={"feat_dim": 25, "context_dim": 6})
 
 
+def _version4(h, t):
+    """The header as version 4 wrote it: no CRC-32, and the Adam constants and
+    the hashing sign in the settings."""
+    h.update(format_version=4)
+    del h["crc32"]
+    h["config"].update(adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8, class_weights=None)
+    h["encoder"]["signed"] = True
+
+
 def _keep(h, t):
     pass
+
+
+def flip_bit(data: bytes, bit: int) -> bytes:
+    """data with bit `bit` flipped, counting from the first bit of the first byte."""
+    flipped = bytearray(data)
+    flipped[bit // 8] ^= 1 << bit % 8
+    return bytes(flipped)
 
 
 # case -> (checkpoint, command, damage, edit of the bytes or None, part of the expected message)
@@ -283,11 +294,12 @@ MALFORMED = {
                            "tensor 0 is listed as ['bilstm.fwd.Wx', [12, 25]], "
                            "expected ['bilstm.fwd.Wx', [12, 2000000000009]]"),
     "whole version-1 file": ("gcn_crf", "predict", _version(1, np.ndarray.tolist), None,
-                             "unsupported version 1, expected 4"),
+                             "unsupported version 1, expected 5"),
     "whole version-2 file": ("bilstm_crf", "predict",
                              _version(2, lambda a: base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")), None,
-                             "unsupported version 2, expected 4"),
-    "whole version-3 file": ("bilstm_crf", "predict", _version3, None, "unsupported version 3, expected 4"),
+                             "unsupported version 2, expected 5"),
+    "whole version-3 file": ("bilstm_crf", "predict", _version3, None, "unsupported version 3, expected 5"),
+    "whole version-4 file": ("attention_softmax", "predict", _version4, None, "unsupported version 4, expected 5"),
     "window not a list": ("bilstm_crf", "predict", _set("config", "window", 3), None,
                           "config.window has an invalid value"),
     "window of strings": ("bilstm_crf", "predict", _set("config", "window", ["i-1", "i"]), None,
@@ -305,13 +317,15 @@ MALFORMED = {
     "lstm_hidden true": ("bilstm_crf", "predict", _set("config", "lstm_hidden", True), None,
                          "config.lstm_hidden has an invalid value"),
     "adam_eps NaN": ("bilstm_crf", "predict", _set("config", "adam_eps", float("nan")), None,
-                     "config: adam eps must be positive and finite, got nan"),
+                     "config has unknown key 'adam_eps'"),
     "learning rate 10**400": ("gcn_crf", "predict", _set("config", "learning_rate", 10**400), None,
                               "config: int too large to convert to float"),
     "class weight keyed by name": ("attention_softmax", "predict", _set("config", "class_weights", {"Facts": 1.0}),
                                    None, "config.class_weights has an invalid value"),
-    "class weights with a CRF head": ("bilstm_crf", "predict", _set("config", "class_weights", {"1": 1.0}), None,
+    "class weights with a CRF head": ("bilstm_crf", "predict", _set("config", "class_weights", "auto"), None,
                                       "config: class weights apply to the softmax head only"),
+    "unknown class weights": ("attention_softmax", "predict", _set("config", "class_weights", "balanced"), None,
+                              "config: unknown class weights 'balanced'"),
     "config of another context": ("bilstm_crf", "predict", _set("config", "context_kind", "gcn"), None,
                                   "tensor 0 is listed as ['bilstm.fwd.Wx', [12, 25]], expected ['gcn.W1', [25, 128]]"),
     "config without the shift head": ("bilstm_crf", "predict", _set("config", "mtl", False), None,
@@ -319,6 +333,17 @@ MALFORMED = {
     "encoder dim not an int": ("bilstm_crf", "predict", _set("encoder", "dim", "x"), None,
                                "encoder.dim has an invalid value"),
     "missing encoder seed": ("bilstm_crf", "predict", _drop("encoder", "seed"), None, "encoder is missing 'seed'"),
+    "unsigned encoder": ("bilstm_crf", "predict", _set("encoder", "signed", False), None,
+                         "encoder has unknown key 'signed'"),
+    "unknown encoder key": ("gcn_crf", "predict", _set("encoder", "bogus", 1), None,
+                            "encoder has unknown key 'bogus'"),
+    "hash fields on a precomputed encoder": ("bilstm_crf", "predict", _set("encoder", "kind", "precomputed"), None,
+                                             "encoder has unknown key 'ngram_orders'"),
+    "missing crc32": ("gcn_crf", "predict", lambda h, t: h.pop("crc32"), None,
+                      "entry 'crc32' is missing or not an integer"),
+    "crc32 a string": ("bilstm_crf", "predict", _keep,
+                       lambda data: data.replace(b'"crc32": ', b'"crc32": "x", "crc_32": ', 1),
+                       "entry 'crc32' is missing or not an integer"),
     "sim_threshold not a number": ("gcn_crf", "predict", _set("config", "gcn_sim_threshold", "x"), None,
                                    "config.gcn_sim_threshold has an invalid value"),
 }
@@ -352,6 +377,22 @@ def test_undamaged_checkpoints_run(workspace):
     root, corpus, paths = workspace
     for path in paths.values():
         assert run_command("predict", root, corpus, *read_checkpoint(path))[0] == 0
+
+
+@pytest.mark.parametrize("name", ["bilstm_crf", "attention_softmax", "gcn_crf"])
+def test_each_flipped_payload_bit_exits_two(workspace, name):
+    """CRC-32 detects every single-bit error: the first and last payload bits
+    and a seeded sample of the others, each flipped alone, make predict exit 2
+    with one line."""
+    root, corpus, paths = workspace
+    data = paths[name].read_bytes()
+    first, end = 8 * (data.index(b"\n") + 1), 8 * len(data)
+    sample = np.random.default_rng(len(name)).choice(np.arange(first + 1, end - 1), 30, replace=False)
+    for bit in [first, end - 1, *sample.tolist()]:
+        code, out, err = run_command("predict", root, corpus, *read_checkpoint(paths[name]),
+                                     lambda data: flip_bit(data, bit))
+        assert (code, out) == (2, ""), bit
+        assert err == "error: checkpoint parameter bytes do not match their CRC-32\n"
 
 
 # Values no config field accepts: never a number, a boolean or null, every

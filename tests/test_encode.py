@@ -44,7 +44,7 @@ def hash_embed(tokens, cfg):
             gram = f"{order}:" + " ".join(tokens[j : j + order])
             h = int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), key=key, digest_size=8).digest(), "little")
             sign = 1.0
-            if cfg.signed and (h >> 63) & 1:
+            if (h >> 63) & 1:
                 sign = -1.0
             vec[h % cfg.dim] += sign
     norm = float(np.linalg.norm(vec))
@@ -109,12 +109,6 @@ class TestHashEmbed:
         v2 = hash_embed(["appeal", "appeal"], cfg2)
         assert not np.array_equal(np.nonzero(v1), np.nonzero(v2))
 
-    def test_unsigned_mode_nonnegative(self):
-        cfg = HashEncoderConfig(dim=32, ngram_orders=(1, 2), seed=0, signed=False)
-        rng = np.random.default_rng(0)
-        toks = [f"w{i}" for i in rng.integers(0, 50, size=20)]
-        assert np.all(hash_embed(toks, cfg) >= 0)
-
     def test_config_validation(self):
         with pytest.raises(DataError):
             HashEncoderConfig(dim=4)
@@ -137,8 +131,7 @@ class TestEncoders:
         enc = HashingEncoder(HashEncoderConfig(dim=16))
         M = enc.encode_document(two_sentence_doc())
         assert M.shape == (2, 16)
-        assert enc.spec() == {"kind": "hash", "dim": 16, "ngram_orders": [1, 2],
-                              "seed": 0, "signed": True}
+        assert enc.spec() == {"kind": "hash", "dim": 16, "ngram_orders": [1, 2], "seed": 0}
 
     def test_precomputed_encoder_serves_rows(self):
         doc = two_sentence_doc()
@@ -190,10 +183,9 @@ SENTENCE = st.lists(st.sampled_from(CHUNK_WORDS), min_size=1, max_size=6).map(" 
     picks=st.lists(st.integers(0, 5), min_size=1, max_size=12),
     cuts=st.lists(st.integers(1, 4), max_size=12),
     orders=st.sampled_from([(1,), (2,), (1, 2)]),
-    signed=st.booleans(),
     capped=st.booleans(),
 )
-def test_chunk_coder_matches_hash_embed(texts, picks, cuts, orders, signed, capped):
+def test_chunk_coder_matches_hash_embed(texts, picks, cuts, orders, capped):
     """Random documents, some repeated, coded in random chunks: every row is
     the oracle's, and below the cap every distinct n-gram is hashed once."""
     pool = [unlabeled(f"d{i}", doc) for i, doc in enumerate(texts)]
@@ -203,7 +195,7 @@ def test_chunk_coder_matches_hash_embed(texts, picks, cuts, orders, signed, capp
         if docs[lo : lo + size]:
             chunks.append(docs[lo : lo + size])
         lo += size
-    cfg = HashEncoderConfig(dim=8, ngram_orders=orders, seed=7, signed=signed)
+    cfg = HashEncoderConfig(dim=8, ngram_orders=orders, seed=7)
     enc = HashingEncoder(cfg)
     calls = []
     real = encode_mod._hash64
@@ -225,12 +217,16 @@ def test_chunk_coder_matches_hash_embed(texts, picks, cuts, orders, signed, capp
 
 
 class TestHashingMemo:
-    @pytest.mark.parametrize("signed", [True, False])
+    @pytest.mark.parametrize("capped", [True, False])
     @pytest.mark.parametrize("orders", [(1,), (2,), (1, 2)])
-    def test_matches_uncached_hash_embed(self, signed, orders):
-        cfg = HashEncoderConfig(dim=16, ngram_orders=orders, seed=3, signed=signed)
+    def test_matches_uncached_hash_embed(self, monkeypatch, capped, orders):
+        """Capped, the memo fills within the first document, and the n-grams
+        past it are hashed again in each later one."""
+        if capped:
+            monkeypatch.setattr(encode_mod, "_MEMO_CAP", 5)
+        cfg = HashEncoderConfig(dim=16, ngram_orders=orders, seed=3)
         enc = HashingEncoder(cfg)
-        rng = np.random.default_rng(len(orders) + 2 * signed)
+        rng = np.random.default_rng(len(orders) + 2 * capped)
         for _ in range(6):  # later documents mostly hit the memo
             doc = random_doc(rng, 9)
             np.testing.assert_array_equal(enc.encode_document(doc), uncached(doc, cfg))

@@ -28,7 +28,7 @@ from test_encode import role_list_features
 from test_parameter_init import draw_params
 
 BASE_DIM = 12
-SPEC = {"kind": "hash", "dim": BASE_DIM, "ngram_orders": [1], "seed": 0, "signed": True}
+SPEC = {"kind": "hash", "dim": BASE_DIM, "ngram_orders": [1], "seed": 0}
 WINDOWS = [(0,), (-2, -1, 0, 1)]
 POSITIONAL = ["none", "normalized", "sinusoidal"]
 LENGTHS = (1, 2, 3, 37)

@@ -7,7 +7,7 @@ import pytest
 
 from rhetseg.train import TrainConfig, _views, build_model, make_optimizer
 
-SPEC = {"kind": "hash", "dim": 12, "ngram_orders": [1, 2], "seed": 0, "signed": True}
+SPEC = {"kind": "hash", "dim": 12, "ngram_orders": [1, 2], "seed": 0}
 
 
 class ReferenceAdam:
@@ -57,7 +57,7 @@ LAYOUTS = {
 def reference_for(cfg):
     if cfg.optimizer == "sgd":
         return ReferenceSgd(cfg.learning_rate)
-    return ReferenceAdam(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    return ReferenceAdam(cfg.learning_rate, 0.9, 0.999, 1e-8)  # Kingma & Ba's suggested constants
 
 
 def random_grads(rng, grads):

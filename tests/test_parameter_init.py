@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from rhetseg import train as train_mod
 from rhetseg.roles import NUM_ROLES
 from rhetseg.train import (
     _CONTEXT_BLOCK,
@@ -23,10 +24,12 @@ from rhetseg.train import (
     build_model,
     init_parameters,
     layout_size,
+    load_checkpoint,
     model_layout,
+    save_checkpoint,
 )
 
-SPEC = {"kind": "hash", "dim": 12, "ngram_orders": [1], "seed": 0, "signed": True}
+SPEC = {"kind": "hash", "dim": 12, "ngram_orders": [1], "seed": 0}
 
 
 def draw_params(kind, rng, width, hidden=4, layers=1):
@@ -150,6 +153,16 @@ def test_build_model_matches_reference_init(settings):
     want = reference_flat(cfg, bundle.feat_dim, ref_rng)
     assert bundle.flat.tobytes() == want.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_build_and_load_build_the_layout_once(monkeypatch, tmp_path):
+    calls = []
+    real = train_mod.model_layout
+    monkeypatch.setattr(train_mod, "model_layout", lambda *args: calls.append(args) or real(*args))
+    bundle = build_model(TrainConfig(), SPEC, np.random.default_rng(0))
+    assert len(calls) == 1
+    save_checkpoint(bundle, tmp_path / "model.json")
+    assert len(load_checkpoint(tmp_path / "model.json").params) and len(calls) == 2
 
 
 @pytest.mark.parametrize("kind, reference", [

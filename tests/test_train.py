@@ -21,6 +21,7 @@ from rhetseg.train import (
     gradcheck,
     inverse_frequency_weights,
     load_checkpoint,
+    make_optimizer,
     predict_document,
     save_checkpoint,
     shift_loss,
@@ -168,42 +169,66 @@ class TestClassWeights:
     def test_inverse_frequency_mean_one(self):
         corpus = generate_corpus(10, 8, 14, seed=0)
         weights = inverse_frequency_weights(corpus)
-        assert set(weights) == set(RhetoricalRole)
-        assert np.mean(list(weights.values())) == pytest.approx(1.0)
+        assert weights.shape == (len(RhetoricalRole),)
+        assert np.mean(weights) == pytest.approx(1.0)
         counts = {role: 0 for role in RhetoricalRole}
         for doc in corpus:
             for g in doc.gold_labels():
                 counts[g] += 1
-        # rarer roles get larger weights
+        # rarer roles get larger weights; entry r is role id r's weight
         rare = min((r for r in RhetoricalRole if counts[r]), key=lambda r: counts[r])
         common = max(RhetoricalRole, key=lambda r: counts[r])
         assert weights[rare] > weights[common]
+        raw = [1.0 / max(counts[r], 1) for r in RhetoricalRole]
+        assert weights.tolist() == [w / (sum(raw) / len(raw)) for w in raw]
 
     def test_absent_role_stays_finite(self):
         corpus = generate_corpus(1, 6, 6, noise=0.0, seed=1)
         weights = inverse_frequency_weights(corpus)
-        assert all(np.isfinite(w) and w > 0 for w in weights.values())
+        assert np.all(np.isfinite(weights) & (weights > 0))
 
     def test_rejected_for_crf_head(self):
         with pytest.raises(DataError, match="softmax"):
-            TrainConfig(head="crf", class_weights={RhetoricalRole.FACTS: 2.0})
-        with pytest.raises(DataError, match="positive"):
-            TrainConfig(head="softmax", class_weights={RhetoricalRole.FACTS: 0.0})
+            TrainConfig(head="crf", class_weights="auto")
+        TrainConfig(head="crf", class_weights="none")
+        for bad in ("balanced", None, {RhetoricalRole.FACTS: 2.0}):
+            with pytest.raises(DataError, match="unknown class weights"):
+                TrainConfig(head="softmax", class_weights=bad)
+
+    def test_training_weighs_by_the_training_corpus(self, monkeypatch):
+        """train_model takes auto weights from the training corpus alone and
+        hands the loss all ones without them."""
+        train, val, _ = small_data()
+        seen = []
+        real = train_mod.document_loss_and_grads
+        monkeypatch.setattr(train_mod, "document_loss_and_grads", lambda *a: seen.append(a[-1]) or real(*a))
+        common = dict(head="softmax", context_kind="none", mtl=False, **FAST)
+        for weights, expected in (("auto", inverse_frequency_weights(train)), ("none", np.ones(7))):
+            seen.clear()
+            train_model(train, val, TrainConfig(class_weights=weights, **common), encoder())
+            assert seen and all(np.array_equal(cw, expected) for cw in seen)
 
     def test_doubled_weights_match_halved_sgd_rate_exactly(self):
-        # scaling every class weight by 2 scales gradients by exactly 2;
-        # SGD with half the rate must therefore trace identical parameters
-        train, val, _ = small_data()
-        enc = encoder()
-        common = dict(head="softmax", context_kind="none", mtl=False,
-                      optimizer="sgd", **FAST)
-        doubled = TrainConfig(
-            class_weights={r: 2.0 for r in RhetoricalRole}, learning_rate=5e-4, **common)
-        plain = TrainConfig(class_weights=None, learning_rate=1e-3, **common)
-        b_doubled, _ = train_model(train, val, doubled, enc)
-        b_plain, _ = train_model(train, val, plain, enc)
-        for k, v in b_doubled.parameter_blocks().items():
-            np.testing.assert_array_equal(v, b_plain.parameter_blocks()[k], err_msg=k)
+        """Scaling every class weight by 2 scales the softmax loss and every
+        gradient entry by exactly 2, through each context encoder, so an SGD
+        step at half the rate moves the parameters exactly as the plain step
+        does."""
+        rng = np.random.default_rng(4)
+        for kind in CONTEXT_KINDS:
+            cfg = TrainConfig(head="softmax", context_kind=kind, mtl=False, optimizer="sgd", lstm_hidden=3,
+                              gcn_hidden=5, attention_layers=2, gcn_sim_threshold=0.0, window=(-1, 0))
+            bundle = build_model(cfg, encoder(dim=8).spec(), rng)
+            X, y = rng.normal(size=(6, bundle.feat_dim)), rng.integers(0, 7, size=6)
+            plain_loss = document_loss_and_grads(bundle, X, y, None, 0.0, np.ones(7))
+            plain = bundle.grad.copy()
+            assert document_loss_and_grads(bundle, X, y, None, 0.0, np.full(7, 2.0)) == 2 * plain_loss, kind
+            assert np.array_equal(bundle.grad, 2 * plain), kind
+            start, stepped = bundle.flat.copy(), []
+            for lr, grad in ((5e-4, bundle.grad.copy()), (1e-3, plain)):
+                bundle.flat[:] = start
+                make_optimizer(dataclasses.replace(cfg, learning_rate=lr), bundle.layout).step(bundle.flat, grad)
+                stepped.append(bundle.flat.copy())
+            assert np.array_equal(*stepped) and not np.array_equal(stepped[0], start), kind
 
 
 class TestMtlEquivalence:
@@ -503,7 +528,7 @@ class TestCheckpoint:
         write_checkpoint(path, header, tensors)
         with pytest.raises(DataError, match="version"):
             load_checkpoint(path)
-        header["format_version"] = 4
+        header["format_version"] = 5
         header["labels"] = ["A", "B"]
         write_checkpoint(path, header, tensors)
         with pytest.raises(DataError, match="label set"):
