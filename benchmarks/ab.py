@@ -9,17 +9,20 @@ OPENBLAS_NUM_THREADS=1. In the first form it imports rhetseg.cli and times
 only cli.main(argv), so start-up and compilation do not count. Each run works
 in a new directory of its own: an argument naming an existing path is passed
 as an absolute path, and a relative output path lands in the run's directory.
-The stdout and output files of every run are compared with those of the
-first base run, and every name that differs is listed. In the second form
-each run is `rhetbench/run.py --workload WORKLOAD --seed S --seconds T
---trace 0` of its tree, with seed S = pair number + 1 on both sides of a
-pair, and the four gated metrics are read from its last line.
+Existing paths are inputs: a run that changes one (or a file under one) stops
+the tool with an error, so give outputs as paths that do not exist yet. The
+stdout and output files of every run are compared with those of the first
+base run, and every name that differs is listed. In the second form each run
+is `rhetbench/run.py --workload WORKLOAD --seed S --seconds T --trace 0` of
+its tree, with seed S = pair number + 1 on both sides of a pair, and the
+end-to-end metrics are read from its last line. T, the metrics and which way
+each is better come from BENCHMARK.json at the root of this repository.
 
 Pair i runs base first when i is even and change first when i is odd. The
 JSON printed holds every run and, per metric, each side's median and
 quartiles, the pairs the change won (ties count for neither), and whether
-the change meets the "Wins" rule: it wins at least nine tenths of the pairs,
-and its median is better than the base median by more than the distance
+the change meets the "Wins" rule: there are at least ten pairs, it wins at
+least nine tenths of them, and its median is better than the base median by more than the distance
 between the base quartiles. Quartiles are those of
 statistics.quantiles(method="inclusive").
 """
@@ -37,9 +40,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-# The end-to-end metrics rhetbench gates on, and which way is better.
-RHETBENCH_METRICS = {"setup_s": "lower", "sentences_per_s": "higher", "predict_doc_ms_p50": "lower",
-                     "peak_rss_mb": "lower"}
+BENCHMARK_JSON = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 RUNNER = r"""
 import contextlib, io, json, sys, time
@@ -76,7 +77,7 @@ def summarize(base: list[float], change: list[float], better: str) -> dict:
         "wins": wins,
         "losses": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
         "median_gap_exceeds_base_iqr": abs(base_median - change_median) > base_iqr,
-        "meets_wins_rule": wins >= math.ceil(0.9 * len(base)) and gain > base_iqr,
+        "meets_wins_rule": len(base) >= 10 and wins >= math.ceil(0.9 * len(base)) and gain > base_iqr,
     }
 
 
@@ -87,6 +88,28 @@ def _env(tree: Path) -> dict:
 def _outputs(rundir: Path) -> dict[str, str]:
     return {p.relative_to(rundir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(rundir.rglob("*")) if p.is_file()}
+
+
+def input_snapshot(argv: list[str]) -> dict[str, tuple[int, str]]:
+    """(mtime in ns, SHA-256) of every file that an argument of argv names,
+    directly or under a directory it names."""
+    files = []
+    for arg in argv:
+        path = Path(arg)
+        if path.is_dir():
+            files += sorted(p for p in path.rglob("*") if p.is_file())
+        elif path.is_file():
+            files.append(path)
+    return {str(p): (p.stat().st_mtime_ns, hashlib.sha256(p.read_bytes()).hexdigest()) for p in files}
+
+
+def check_inputs_unchanged(argv: list[str], before: dict[str, tuple[int, str]]) -> None:
+    """Stop with an error naming every input file a run wrote, added or removed."""
+    after = input_snapshot(argv)
+    changed = sorted(name for name in before.keys() | after.keys() if before.get(name) != after.get(name))
+    if changed:
+        raise SystemExit(f"error: a run wrote to {', '.join(changed)}; an argument naming an existing path "
+                         "must be an input, so give outputs as paths that do not exist yet")
 
 
 def run_rhetseg(tree: Path, argv: list[str], rundir: Path) -> dict:
@@ -104,17 +127,17 @@ def run_rhetseg(tree: Path, argv: list[str], rundir: Path) -> dict:
     return {**result, "outputs": outputs}
 
 
-def run_rhetbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced rhetbench run of tree; the gated metrics of its last line."""
+def run_rhetbench(tree: Path, workload: str, seed: int, seconds: float, metrics: list[str]) -> dict:
+    """One untraced rhetbench run of tree; the named metrics of its last line."""
     command = [sys.executable, str(tree / "rhetbench" / "run.py"), "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, env=_env(tree), capture_output=True, text=True)
     if not done.stdout.strip():
         raise SystemExit(f"error: rhetbench in {tree} printed nothing:\n{done.stderr}")
     last = json.loads(done.stdout.splitlines()[-1])
-    metrics = {name: last["metrics"][name]["value"] for name in RHETBENCH_METRICS}
+    values = {name: last["metrics"][name]["value"] for name in metrics}
     return {"code": done.returncode, "correct": last["correct"], "attempted": last["attempted"],
-            "failed": last["failed"], **metrics}
+            "failed": last["failed"], **values}
 
 
 def main(argv=None) -> int:
@@ -123,29 +146,34 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="changed source tree")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--rhetbench", metavar="WORKLOAD", help="pair rhetbench/run.py runs of this workload")
-    parser.add_argument("--seconds", type=float, default=24.0, help="rhetbench timed-loop length")
     parser.add_argument("command", nargs="*", help="rhetseg arguments, after --")
     args = parser.parse_args(argv)
     if args.pairs < 2 or bool(args.rhetbench) == bool(args.command):
         parser.error("give --pairs >= 2 and either --rhetbench WORKLOAD or a rhetseg command after --")
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
     command = [str(Path(a).resolve()) if Path(a).exists() else a for a in args.command]
+    inputs = input_snapshot(command)
+    metrics = {"seconds": "lower"}
+    if args.rhetbench:
+        benchmark = json.loads(BENCHMARK_JSON.read_text())
+        metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     runs = []
     with tempfile.TemporaryDirectory(prefix="ab-") as work:
         for pair in range(args.pairs):
             for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
                 if args.rhetbench:
-                    result = run_rhetbench(trees[side], args.rhetbench, pair + 1, args.seconds)
+                    result = run_rhetbench(trees[side], args.rhetbench, pair + 1, benchmark["run_seconds"],
+                                           list(metrics))
                 else:
                     result = run_rhetseg(trees[side], command, Path(work) / f"{pair}-{side}")
+                    check_inputs_unchanged(command, inputs)
                 runs.append({"pair": pair, "side": side, **result})
                 print(json.dumps(runs[-1]), file=sys.stderr)
     by_side = {side: sorted((r for r in runs if r["side"] == side), key=lambda r: r["pair"]) for side in trees}
-    metrics = RHETBENCH_METRICS if args.rhetbench else {"seconds": "lower"}
     report = {
         "base": str(trees["base"]),
         "change": str(trees["change"]),
-        "command": f"rhetbench {args.rhetbench} --seconds {args.seconds}" if args.rhetbench else command,
+        "command": f"rhetbench {args.rhetbench} --seconds {benchmark['run_seconds']}" if args.rhetbench else command,
         "runs": runs,
         "metrics": {name: summarize([r[name] for r in by_side["base"]], [r[name] for r in by_side["change"]],
                                     better) for name, better in metrics.items()},

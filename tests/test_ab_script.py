@@ -45,6 +45,9 @@ def test_higher_is_better():
     base = [100.0, 102.0, 98.0, 101.0, 99.0]
     s = ab.summarize(base, [b + 10.0 for b in base], "higher")
     assert (s["wins"], s["base_median"], s["change_median"], s["base_iqr"]) == (5, 100.0, 110.0, 2.0)
+    assert s["median_gap_exceeds_base_iqr"] and not s["meets_wins_rule"]  # five pairs cannot carry a gain
+    s = ab.summarize(base * 2, [b + 10.0 for b in base * 2], "higher")
+    assert (s["pairs"], s["wins"], s["change_median"]) == (10, 10, 110.0)
     assert s["meets_wins_rule"]
     s = ab.summarize(base, [b - 10.0 for b in base], "higher")
     assert (s["wins"], s["losses"]) == (0, 5)
@@ -62,3 +65,32 @@ def test_identical_runs_win_nothing():
 def test_needs_paired_runs(base, change):
     with pytest.raises(ValueError):
         ab.summarize(base, change, "lower")
+
+
+def test_a_run_that_writes_an_argument_path_stops_the_tool(tmp_path):
+    gold, report = tmp_path / "gold.jsonl", tmp_path / "report.csv"
+    gold.write_text("gold")
+    report.write_text("old report")
+    argv = ["evaluate", "--input", str(gold), "--pred", str(tmp_path / "pred.jsonl"), "--output", str(report)]
+    before = ab.input_snapshot(argv)
+    assert set(before) == {str(gold), str(report)}
+    ab.check_inputs_unchanged(argv, before)  # nothing was written
+    report.write_text("new report")
+    with pytest.raises(SystemExit, match="report.csv"):
+        ab.check_inputs_unchanged(argv, before)
+    report.write_text("old report")  # the same bytes, written again
+    with pytest.raises(SystemExit, match="report.csv"):
+        ab.check_inputs_unchanged(argv, {**before, str(report): (before[str(report)][0] - 1, before[str(report)][1])})
+
+
+def test_a_file_added_under_a_directory_argument_stops_the_tool(tmp_path):
+    gold, splits = tmp_path / "gold.jsonl", tmp_path / "splits"
+    gold.write_text("gold")
+    splits.mkdir()
+    (splits / "train.jsonl").write_text("train")
+    argv = ["split", "--input", str(gold), "--output-dir", str(splits)]
+    before = ab.input_snapshot(argv)
+    assert set(before) == {str(gold), str(splits / "train.jsonl")}
+    (splits / "test.jsonl").write_text("test")
+    with pytest.raises(SystemExit, match="test.jsonl"):
+        ab.check_inputs_unchanged(argv, before)
