@@ -22,7 +22,6 @@ import functools
 import itertools
 import json
 import math
-import time
 import zlib
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -118,7 +117,6 @@ class TrainReport:
     train_losses: tuple[float, ...]
     val_macro_f1: tuple[float, ...]
     best_epoch: int  # 1-based
-    wall_clock_seconds: float
     shift_val_accuracy: float | None = None
     shift_majority_baseline: float | None = None
 
@@ -671,7 +669,6 @@ def train_model(
     """Train on per-document updates; track validation macro-F1 each epoch and
     return the best-validation checkpoint (strict improvement, earliest wins).
     early_stopping_patience = 0 disables early stopping."""
-    started = time.perf_counter()
     if len(val) == 0:
         raise DataError("validation corpus is empty")
     rng = np.random.default_rng(cfg.seed)
@@ -737,7 +734,6 @@ def train_model(
         train_losses=tuple(train_losses),
         val_macro_f1=tuple(val_scores),
         best_epoch=best_epoch,
-        wall_clock_seconds=time.perf_counter() - started,
         shift_val_accuracy=shift_acc,
         shift_majority_baseline=shift_majority,
     )
@@ -830,6 +826,10 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
         fh.write(payload)
 
 
+# The keys of a checkpoint header, all of which save_checkpoint writes.
+_HEADER_KEYS = {"format_version", "kind", "labels", "encoder", "config", "tensors", "crc32"}
+
+
 def _is_int(value) -> bool:
     return type(value) is int
 
@@ -872,9 +872,10 @@ def _check_fields(entry: dict, name: str, fields: dict) -> None:
 
 
 def load_checkpoint(path) -> ModelBundle:
-    """Read a checkpoint, checking the encoder fields and the config, then the
-    tensor list and the byte count against the layout the config implies, then
-    the parameter bytes against their CRC-32."""
+    """Read a checkpoint, checking that its header has no unknown key, then the
+    encoder fields and the config, then the tensor list and the byte count
+    against the layout the config implies, then the parameter bytes against
+    their CRC-32."""
     with open(path, "rb") as fh:
         data = fh.read()
     cut = data.find(b"\n")
@@ -900,6 +901,8 @@ def load_checkpoint(path) -> ModelBundle:
         raise DataError("checkpoint entry 'tensors' is missing or not a list")
     if not _is_int(header.get("crc32")):
         raise DataError("checkpoint entry 'crc32' is missing or not an integer")
+    if header.keys() - _HEADER_KEYS:
+        raise DataError(f"checkpoint has unknown key {min(header.keys() - _HEADER_KEYS)!r}")
     encoder, echo, tensors = header["encoder"], header["config"], header["tensors"]
     _check_fields(encoder, "encoder", _FIELDS["encoder"] | (_FIELDS["hash"] if encoder.get("kind") == "hash" else {}))
     _check_fields(echo, "config", _FIELDS["config"])

@@ -344,6 +344,10 @@ MALFORMED = {
     "crc32 a string": ("bilstm_crf", "predict", _keep,
                        lambda data: data.replace(b'"crc32": ', b'"crc32": "x", "crc_32": ', 1),
                        "entry 'crc32' is missing or not an integer"),
+    "unknown header key": ("gcn_crf", "predict", lambda h, t: h.update(bogus={"anything": 1}), None,
+                           "checkpoint has unknown key 'bogus'"),
+    "format-3 section in a format-5 header": ("bilstm_crf", "predict", lambda h, t: h.update(feature={"window": [5]}),
+                                              None, "checkpoint has unknown key 'feature'"),
     "sim_threshold not a number": ("gcn_crf", "predict", _set("config", "gcn_sim_threshold", "x"), None,
                                    "config.gcn_sim_threshold has an invalid value"),
 }
